@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import ParityCode, validate_spin_matrix, vector_to_matrix
+from .code import ParityCode, build_code, validate_spin_matrix, vector_to_matrix
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,10 @@ def hard_decide(y: np.ndarray, code: ParityCode | None = None) -> np.ndarray:
     Gaussian noise)."""
     y = np.asarray(y).ravel()
     if code is None:
-        K = _k_from_edge_count(len(y))
-    else:
-        K = code.K
-        if len(y) != code.n_vars:
-            raise ValueError(f"observation length {len(y)} != n_vars {code.n_vars}")
-    v = np.where(y >= 0, 1, -1).astype(np.int8)
-    m = np.ones((K, K), dtype=np.int8)
-    iu = np.triu_indices(K, 1)
-    m[iu] = v
-    m[(iu[1], iu[0])] = v
-    return m
+        code = build_code(_k_from_edge_count(len(y)))
+    elif len(y) != code.n_vars:
+        raise ValueError(f"observation length {len(y)} != n_vars {code.n_vars}")
+    return vector_to_matrix(code, np.where(y >= 0, 1, -1).astype(np.int8))
 
 
 def _k_from_edge_count(n: int) -> int:

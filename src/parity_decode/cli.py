@@ -32,6 +32,7 @@ from .experiments import (
     DEFAULT_BETA_GRID,
     DEFAULT_GAMMA_GRID,
     bench_iid,
+    best_cell,
     gen_instance,
     landscape,
     trajectory_demo,
@@ -271,7 +272,7 @@ def cmd_landscape(args) -> int:
         return 2
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
-    best = max(report.rows, key=lambda r: r["target_rate"])
+    best = best_cell(report)
     print(f"best cell: beta={best['beta']} gamma={best['gamma']} "
           f"target_rate={best['target_rate']:.3f} any_rate={best['any_codeword_rate']:.3f}")
     return 0

@@ -15,8 +15,12 @@ Two parity-check families certify consistency of a physical state:
 A state is a codeword iff every check evaluates to +1; there are exactly
 2^(K-1) codewords (global spin flip is a gauge freedom).
 
-The canonical in-memory form is the spin (+1/-1) representation; binary
-GF(2) matrices are derived views used for structural verification only.
+The internal state is the edge vector: one +-1 entry per physical spin
+(variable node), in the lexicographic pair order of `ParityCode.edges`.
+The symmetric unit-diagonal K x K spin matrix is the view the public API
+and the file formats use; `matrix_to_vector` and `vector_to_matrix`
+convert between the two, for single states and for stacks. Binary GF(2)
+matrices are derived views used for structural verification only.
 """
 
 from __future__ import annotations
@@ -206,22 +210,26 @@ def encode(code: ParityCode, Z: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_vector(code: ParityCode, m: np.ndarray) -> np.ndarray:
-    """Upper-triangle (lexicographic pair order) view of a spin matrix."""
+    """Edge vectors of spin matrices: shape (..., K, K) -> (..., n_vars),
+    entry v taken from the pair code.edges[v] (upper triangle,
+    lexicographic order)."""
     m = np.asarray(m)
-    if m.shape != (code.K, code.K):
+    if m.shape[-2:] != (code.K, code.K):
         raise ValueError(f"matrix shape {m.shape} does not match K={code.K}")
-    return np.ascontiguousarray(m[np.triu_indices(code.K, 1)])
+    i, j = code.edges.T
+    return m[..., i, j]
 
 
 def vector_to_matrix(code: ParityCode, v: np.ndarray) -> np.ndarray:
-    """Symmetric unit-diagonal matrix from a length-n_vars edge vector."""
-    v = np.asarray(v).ravel()
-    if len(v) != code.n_vars:
-        raise ValueError(f"vector length {len(v)} does not match n_vars={code.n_vars}")
-    m = np.ones((code.K, code.K), dtype=v.dtype)
-    iu = np.triu_indices(code.K, 1)
-    m[iu] = v
-    m[(iu[1], iu[0])] = v
+    """Symmetric unit-diagonal spin matrices from edge vectors: shape
+    (..., n_vars) -> (..., K, K), in the dtype of v."""
+    v = np.asarray(v)
+    if v.ndim == 0 or v.shape[-1] != code.n_vars:
+        raise ValueError(f"vector shape {v.shape} does not match n_vars={code.n_vars}")
+    m = np.ones(v.shape[:-1] + (code.K, code.K), dtype=v.dtype)
+    i, j = code.edges.T
+    m[..., i, j] = v
+    m[..., j, i] = v
     return m
 
 
@@ -233,22 +241,19 @@ def syndrome(code: ParityCode, x: np.ndarray, family: str = "w3") -> np.ndarray:
     multiplicative: syndrome(x o e) = syndrome(x) o syndrome(e).
     """
     x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x).astype(np.int64)
-    return _syndrome_flat(code, xf, family).astype(np.int8)
+    return _syndrome_flat(code, matrix_to_vector(code, x), family)
 
 
 def _syndrome_flat(code: ParityCode, xf: np.ndarray, family: str) -> np.ndarray:
+    """Check values of edge vectors, (..., n_vars) -> (..., n_checks), in
+    the dtype of xf (products of +-1 are exact in any integer type)."""
     if family == "w3":
         idx = code.checks3_vars
-        if len(idx) == 0:
-            return np.empty(0, dtype=xf.dtype)
-        return xf[idx[:, 0]] * xf[idx[:, 1]] * xf[idx[:, 2]]
+        return xf[..., idx[:, 0]] * xf[..., idx[:, 1]] * xf[..., idx[:, 2]]
     if family == "w4":
         idx = code.checks4_vars
-        if len(idx) == 0:
-            return np.empty(0, dtype=xf.dtype)
-        vals = np.where(idx >= 0, xf[idx], 1)
-        return vals[:, 0] * vals[:, 1] * vals[:, 2] * vals[:, 3]
+        vals = np.where(idx >= 0, xf[..., idx], 1)
+        return vals[..., 0] * vals[..., 1] * vals[..., 2] * vals[..., 3]
     raise ValueError(f"unknown syndrome family {family!r} (expected 'w3' or 'w4')")
 
 
@@ -275,11 +280,7 @@ def all_one_matrix(K: int) -> np.ndarray:
 def random_spin_matrix(K: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random symmetric +-1 matrix with unit diagonal."""
     v = rng.integers(0, 2, size=K * (K - 1) // 2).astype(np.int8) * 2 - 1
-    m = np.ones((K, K), dtype=np.int8)
-    iu = np.triu_indices(K, 1)
-    m[iu] = v
-    m[(iu[1], iu[0])] = v
-    return m
+    return vector_to_matrix(build_code(K), v)
 
 
 def codewords(code: ParityCode, limit: int = 1 << 20) -> np.ndarray:

@@ -21,9 +21,11 @@ from enum import Enum
 
 import numpy as np
 
+from .channels import hard_decide
 from .code import (
     ParityCode,
     all_one_matrix,
+    check_matrix,
     is_codeword,
     matrix_to_vector,
     validate_spin_matrix,
@@ -80,23 +82,18 @@ class InversionWeights:
     wk: per-check weights, scalar or a vector over the check family.
     beta: channel reliability / correlation-strength factor.
     gamma: penalty strength (sampling decoder only).
-    lam: constraint multiplier of minimum-weight decoding; documentary,
-        the exhaustive search realizes its infinite limit.
     """
 
     w0: float = 1.0
     wk: float | np.ndarray = 1.0
     beta: float = 1.0
     gamma: float = 1.0
-    lam: float = math.inf
 
     def __post_init__(self):
         if self.w0 < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("weights must be nonnegative")
         if np.any(np.asarray(self.wk) < 0):
             raise ValueError("check weights must be nonnegative")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
 
 
 def uniform_weights(epsilon: float) -> InversionWeights:
@@ -139,14 +136,12 @@ def bf_step(
         elif tie_policy is TiePolicy.COIN:
             if rng is None:
                 raise ValueError("COIN tie policy needs an rng")
-            iu = np.triu_indices(code.K, 1)
-            upper_ties = tie_mask[iu]
-            signs = np.ones(code.n_vars, dtype=np.int8)
-            coin = rng.integers(0, 2, size=int(upper_ties.sum())) * 2 - 1
-            signs[upper_ties] = coin.astype(np.int8)
-            flat = matrix_to_vector(code, x) * signs
-            tied = vector_to_matrix(code, flat)
-            new[tie_mask] = tied[tie_mask]
+            # one coin per tied pair, drawn in edge order
+            ties_f = matrix_to_vector(code, tie_mask)
+            coin = rng.integers(0, 2, size=n_ties) * 2 - 1
+            new_f = matrix_to_vector(code, new)
+            new_f[ties_f] = matrix_to_vector(code, x)[ties_f] * coin
+            new = vector_to_matrix(code, new_f)
     np.fill_diagonal(new, 1)
     return new, n_ties
 
@@ -273,7 +268,7 @@ def inversion_profile(
     if kind not in _KINDS:
         raise ValueError(f"unknown inversion kind {kind!r}")
     x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x).astype(np.int64)
+    xf = matrix_to_vector(code, x)
     w = weights or InversionWeights()
     if kind != "bf" and J is None:
         raise ValueError(f"{kind} inversion needs couplings J")
@@ -347,10 +342,10 @@ def decoder_energy(
     if kind not in _KINDS:
         raise ValueError(f"unknown inversion kind {kind!r}")
     x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x).astype(np.float64)
+    xf = matrix_to_vector(code, x)
     w = weights or InversionWeights()
     fam = "w3" if kind == "bf" else family
-    s = _syndrome_flat(code, matrix_to_vector(code, x).astype(np.int64), fam).astype(np.float64)
+    s = _syndrome_flat(code, xf, fam)
     if kind != "bf" and J is None:
         raise ValueError(f"{kind} energy needs couplings J")
     if J is not None:
@@ -358,7 +353,7 @@ def decoder_energy(
 
     if kind in ("bf", "wbf"):
         ref = all_one_matrix(code.K) if reference is None else validate_spin_matrix(reference, code.K)
-        rf = matrix_to_vector(code, ref).astype(np.float64)
+        rf = matrix_to_vector(code, ref)
         if kind == "bf":
             return float(-(xf * rf).sum() - s.sum())
         wk = _check_weight_vector(code, w, fam)
@@ -415,36 +410,30 @@ def bp_decode(
             raise ValueError(f"channel_llr length {len(lam)} != n_vars {code.n_vars}")
         if not np.all(np.isfinite(lam)):
             raise ValueError("channel_llr contains non-finite entries")
-    if target is not None:
-        target = validate_spin_matrix(target, code.K)
+    target_f = None if target is None else matrix_to_vector(
+        code, validate_spin_matrix(target, code.K))
 
     lam = np.clip(lam, -MSG_CLIP, MSG_CLIP)
     cnv = code.checks3_vars  # (n_checks, 3) variable indices per check
-    n_checks = code.n_checks3
 
     posteriors = [lam.copy()] if record else None
 
-    def decide(post: np.ndarray) -> np.ndarray:
-        return vector_to_matrix(code, np.where(post >= 0, 1, -1).astype(np.int8))
+    def reached(post: np.ndarray) -> bool:
+        hard = np.where(post >= 0, 1, -1).astype(np.int8)
+        if target_f is not None:
+            return np.array_equal(hard, target_f)
+        return bool(np.all(_syndrome_flat(code, hard, "w3") == 1))
 
-    def reached(m: np.ndarray) -> bool:
-        if target is not None:
-            return np.array_equal(m, target)
-        return is_codeword(code, m)
-
-    hard = decide(lam)
-    if n_checks == 0 or reached(hard):
+    if code.n_checks3 == 0 or reached(lam):
         return DecodeResult(
-            final=hard, converged=True, success=reached(hard), iterations=0,
-            trajectory=None, posteriors=posteriors,
+            final=hard_decide(lam, code), converged=True, success=reached(lam),
+            iterations=0, trajectory=None, posteriors=posteriors,
         )
 
     # Messages live on graph edges arranged as (n_checks, 3); variable
     # degree is K-2, check degree exactly 3.
     msg_vc = lam[cnv]  # variable -> check
     flat_vn = cnv.ravel()
-    final_post = lam
-    iters_done = max_iters
     for it in range(1, max_iters + 1):
         # Check -> variable: pairwise tanh products exclude the receiver.
         t = np.tanh(0.5 * msg_vc)
@@ -462,20 +451,16 @@ def bp_decode(
         msg_vc = post[cnv] - msg_cv
         np.clip(msg_vc, -MSG_CLIP, MSG_CLIP, out=msg_vc)
 
-        final_post = post
         if posteriors is not None:
             posteriors.append(post.copy())
-        hard = decide(post)
-        if reached(hard):
-            iters_done = it
+        if reached(post):
             return DecodeResult(
-                final=hard, converged=True, success=True, iterations=iters_done,
-                posteriors=posteriors,
+                final=hard_decide(post, code), converged=True, success=True,
+                iterations=it, posteriors=posteriors,
             )
-    hard = decide(final_post)
     return DecodeResult(
-        final=hard, converged=False, success=reached(hard), iterations=max_iters,
-        posteriors=posteriors,
+        final=hard_decide(post, code), converged=False, success=reached(post),
+        iterations=max_iters, posteriors=posteriors,
     )
 
 
@@ -485,33 +470,26 @@ def bp_decode(
 MWD_MAX_K = 8
 
 
-def mwd_bruteforce(code: ParityCode, x: np.ndarray, lam: float | None = None) -> np.ndarray:
+def mwd_bruteforce(code: ParityCode, x: np.ndarray) -> np.ndarray:
     """Nearest plaquette-consistent state: x o e* where e* has the same
     plaquette syndrome as x and the fewest -1 entries; ties break to the
     lexicographically smallest e* (-1 sorting before +1).
 
     Enumerates error patterns by increasing Hamming weight, which
     realizes the infinite-constraint-strength limit without picking a
-    finite multiplier (`lam` is accepted for interface fidelity only).
-    Exhaustive: refuses K > 8.
+    finite multiplier. Exhaustive: refuses K > 8.
     """
     if code.K > MWD_MAX_K:
         raise CapacityError(f"minimum-weight search is exhaustive; K={code.K} exceeds {MWD_MAX_K}")
-    if lam is not None and not lam > 0:
-        raise ValueError("lam must be positive")
     x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x).astype(np.int64)
+    xf = matrix_to_vector(code, x)
     target = _syndrome_flat(code, xf, "w4")
     n = code.n_vars
 
     # violations[c] = number of -1 members a candidate needs in check c
     # to reproduce the target parity, mod 2.
     want_odd = target == -1  # (n_checks4,)
-    member = np.zeros((code.n_checks4, n), dtype=np.int64)
-    for c, row in enumerate(code.checks4_vars):
-        for v in row:
-            if v >= 0:
-                member[c, v] = 1
+    member = check_matrix(code, "w4")
 
     chunk = 65536
     for weight in range(n + 1):
@@ -528,5 +506,5 @@ def mwd_bruteforce(code: ParityCode, x: np.ndarray, lam: float | None = None) ->
             hit = np.flatnonzero(ok)
             if len(hit):
                 e = np.where(ind[hit[0]] == 1, -1, 1).astype(np.int8)
-                return vector_to_matrix(code, matrix_to_vector(code, x) * e)
+                return vector_to_matrix(code, xf * e)
     raise RuntimeError("unreachable: weight-n pattern always matches its own syndrome")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import sample_iid_errors, trial_seed
-from .code import ParityCode, all_one_matrix, build_code, encode
+from .channels import hard_decide, sample_iid_errors, trial_seed
+from .code import all_one_matrix, build_code, encode, is_codeword, validate_spin_matrix
 from .decoders import CapacityError, TiePolicy, bf_decode, bp_decode, count_errors
 from .mcmc import HamiltonianParams, hybrid_decode, mcmc_decode
 from .reports import BenchmarkReport, TrajectoryDump
@@ -197,10 +197,17 @@ def bench_iid(
     supplied; the noise stream per trial is decoder-independent, so
     different decoders face identical error realizations. Ties in the
     BF vote count as failures by default, matching the benchmark
-    convention.
+    convention. A supplied codeword must be a codeword of size K for
+    every K in K_list.
     """
     if decoder not in ("bf", "bp", "mcmc"):
         raise ValueError(f"unknown decoder {decoder!r}")
+    if codeword is not None:
+        cw = validate_spin_matrix(codeword)
+        if any(int(K) != len(cw) for K in K_list):
+            raise ValueError(f"codeword has size {len(cw)}, but K_list is {list(K_list)}")
+        if not is_codeword(build_code(len(cw)), cw):
+            raise ValueError("codeword violates a triangle check")
     units = []
     for ki, K in enumerate(K_list):
         for ei, eps in enumerate(eps_list):
@@ -443,18 +450,12 @@ def trajectory_demo(
     elif decoder == "bp":
         res = bp_decode(code, x=x, epsilon=bp_epsilon, max_iters=iters,
                         target=target, record=True)
-        snaps = [_hard_matrix(code, p) for p in res.posteriors]
+        snaps = [hard_decide(p, code) for p in res.posteriors]
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
     meta.update({"success": bool(res.success), "iterations": int(res.iterations)})
     errors = [count_errors(s, target) for s in snaps]
     return TrajectoryDump(meta=meta, snapshots=snaps, error_counts=errors)
-
-
-def _hard_matrix(code: ParityCode, posterior: np.ndarray) -> np.ndarray:
-    from .code import vector_to_matrix
-
-    return vector_to_matrix(code, np.where(posterior >= 0, 1, -1).astype(np.int8))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | 
 def energy(code: ParityCode, params: HamiltonianParams, x: np.ndarray) -> float:
     """Exact energy of a state under the configured parameters."""
     x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x).astype(np.int64)
+    xf = matrix_to_vector(code, x)
     J = _couplings_for(code, params)
     s = _syndrome_flat(code, xf, params.family)
     pen = params.gamma * 0.5 * float((1 - s).sum())
@@ -129,7 +129,7 @@ class _Chain:
             self.check_vars = code.checks4_vars
         self.adj_mask = self.adj >= 0
         self.adj_safe = np.where(self.adj_mask, self.adj, 0)
-        self.s = _syndrome_flat(code, self.xf.astype(np.int64), self.family).astype(np.int8)
+        self.s = _syndrome_flat(code, self.xf, self.family)
         self.n_unsat = int(np.count_nonzero(self.s == -1))
         self.corr = 0.0 if self.J is None else float((self.J * self.xf).sum())
         self.target_f = None if target_f is None else target_f.astype(np.int8)
@@ -186,7 +186,7 @@ class _Chain:
 
         self.steps_done += 1
         if self.steps_done % ENERGY_CHECK_INTERVAL == 0:
-            ref = _syndrome_flat(self.code, self.xf.astype(np.int64), self.family)
+            ref = _syndrome_flat(self.code, self.xf, self.family)
             n_unsat = int(np.count_nonzero(ref == -1))
             corr = 0.0 if self.J is None else float((self.J * self.xf).sum())
             drift = abs(n_unsat - self.n_unsat) + abs(corr - self.corr)
@@ -219,10 +219,12 @@ def _run_chain(
     target: np.ndarray | None,
     initial: np.ndarray | None,
     store_samples: bool,
-    track_codeword: bool = True,
     stream_to=None,
     schedule=None,
-):
+) -> tuple[SampleRun, np.ndarray | None]:
+    """Run one chain; returns the run and, when store_samples is set, the
+    (budget, n_vars) stack of visited edge vectors (initial state
+    excluded)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = as_generator(seed)
@@ -245,7 +247,7 @@ def _run_chain(
     )
     if target_f is not None and chain.at_target():
         run.target_hit = 0
-    if track_codeword and chain.is_codeword():
+    if chain.is_codeword():
         run.first_codeword = 0
 
     energies = np.empty(budget, dtype=np.float64)
@@ -268,7 +270,7 @@ def _run_chain(
                 sink.write(f"{t},{chain.energy!r},{pack_state_hex(chain.xf)}\n")
             if run.target_hit is None and target_f is not None and chain.at_target():
                 run.target_hit = t
-            if run.first_codeword is None and track_codeword and chain.is_codeword():
+            if run.first_codeword is None and chain.is_codeword():
                 run.first_codeword = t
     finally:
         if sink is not None:
@@ -276,10 +278,7 @@ def _run_chain(
 
     run.energies = energies
     run.escape_rates = rates
-    if stack is not None:
-        run.samples = [vector_to_matrix(code, row) for row in stack]
-        run._flat_samples = stack  # reused by the hybrid stage
-    return run
+    return run, stack
 
 
 def pack_state_hex(xf: np.ndarray) -> str:
@@ -318,8 +317,10 @@ def mcmc_decode(
     linear_schedule builds the usual ramp. With a schedule active, the
     recorded per-sample energies use the scheduled parameters of their
     step rather than the base params."""
-    run = _run_chain(code, params, budget, seed, target, initial, store_samples,
-                     stream_to=stream_to, schedule=schedule)
+    run, stack = _run_chain(code, params, budget, seed, target, initial, store_samples,
+                            stream_to=stream_to, schedule=schedule)
+    if store_samples:
+        run.samples = list(vector_to_matrix(code, stack))
     return run.target_hit is not None, run
 
 
@@ -357,28 +358,19 @@ def hybrid_decode(
     """
     if tie_policy is TiePolicy.COIN:
         raise ValueError("hybrid stage uses the deterministic keep-sign sweep")
-    run = _run_chain(code, params, budget, seed, target, initial, store_samples=True)
-    flat = run._flat_samples
-    all_states = np.concatenate([matrix_to_vector(code, run.initial)[None, :], flat], axis=0)
-    mats = np.stack([vector_to_matrix(code, row) for row in all_states])
+    run, flat = _run_chain(code, params, budget, seed, target, initial, store_samples=True)
+    states = np.concatenate([matrix_to_vector(code, run.initial)[None, :], flat])
+    mats = vector_to_matrix(code, states)
     decoded = bf_sweep_batch(mats, bf_max_iters)
-    target_m = validate_spin_matrix(target, code.K)
-    hits = np.flatnonzero(np.all(decoded == target_m[None, :, :], axis=(1, 2)))
+    decoded_f = matrix_to_vector(code, decoded)
+    target_f = matrix_to_vector(code, validate_spin_matrix(target, code.K))
+    hits = np.flatnonzero(np.all(decoded_f == target_f, axis=1))
     run.decoded_target_hit = int(hits[0]) if len(hits) else None
-    if code.n_checks3:
-        iu = np.triu_indices(code.K, 1)
-        flat_dec = decoded[:, iu[0], iu[1]].astype(np.int64)
-        cv = code.checks3_vars
-        s = flat_dec[:, cv[:, 0]] * flat_dec[:, cv[:, 1]] * flat_dec[:, cv[:, 2]]
-        cw = np.flatnonzero(np.all(s == 1, axis=1))
-    else:
-        cw = np.arange(decoded.shape[0])
+    cw = np.flatnonzero(np.all(_syndrome_flat(code, decoded_f, "w3") == 1, axis=1))
     run.decoded_any_codeword = int(cw[0]) if len(cw) else None
     if store_samples:
-        run.decoded = [decoded[i] for i in range(decoded.shape[0])]
-    else:
-        run.samples = []
-        run._flat_samples = None
+        run.samples = list(mats[1:])
+        run.decoded = list(decoded)
     return run.decoded_target_hit is not None, run
 
 
@@ -434,9 +426,7 @@ def boltzmann_distribution(
     bits = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1
     states = (2 * bits - 1).astype(np.int8)
     J = _couplings_for(code, params)
-    idx = code.checks3_vars if params.family == "w3" else code.checks4_vars
-    vals = np.where(idx[None, :, :] >= 0, states[:, np.clip(idx, 0, None)], 1)
-    s = np.prod(vals, axis=2)
+    s = _syndrome_flat(code, states, params.family)
     pen = params.gamma * 0.5 * (1 - s).sum(axis=1)
     corr = np.zeros(count) if J is None else params.beta * (states @ J)
     h = -corr + pen

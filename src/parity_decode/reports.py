@@ -9,6 +9,7 @@ included. File names embed a short config hash and the master seed.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -58,20 +59,18 @@ class BenchmarkReport:
 
     @classmethod
     def from_csv(cls, path) -> "BenchmarkReport":
-        with open(path) as fh:
+        with open(path, newline="") as fh:
             meta_line = fh.readline()
             if not meta_line.startswith("# "):
                 raise ValueError("missing config comment line")
             meta = json.loads(meta_line[2:])
-            header_line = fh.readline().rstrip("\n")
-            header = header_line.split(",") if header_line else []
-            rows = []
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cells = _split_csv(line)
-                rows.append({k: json.loads(c) for k, c in zip(header, cells) if c != ""})
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [
+                {k: json.loads(c) for k, c in zip(header, cells) if c != ""}
+                for cells in reader
+                if cells
+            ]
         return cls(kind=meta["kind"], config=meta["config"], rows=rows)
 
 
@@ -82,34 +81,6 @@ def _cell(value) -> str:
     if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _split_csv(line: str) -> list[str]:
-    # minimal CSV splitter matching _cell quoting
-    out, cur, quoted = [], [], False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quoted:
-            if ch == '"':
-                if i + 1 < len(line) and line[i + 1] == '"':
-                    cur.append('"')
-                    i += 1
-                else:
-                    quoted = False
-            else:
-                cur.append(ch)
-        else:
-            if ch == '"':
-                quoted = True
-            elif ch == ",":
-                out.append("".join(cur))
-                cur = []
-            else:
-                cur.append(ch)
-        i += 1
-    out.append("".join(cur))
-    return out
 
 
 @dataclass

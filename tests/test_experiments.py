@@ -132,6 +132,22 @@ def test_bench_gauge_convention_invariant():
         assert base.rows[0]["tie_failures"] == gauged.rows[0]["tie_failures"]
 
 
+def test_bench_rejects_bad_codeword_before_running(monkeypatch):
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_units", no_units)
+    z8 = encode(build_code(8), np.array([1, -1, 1, 1, -1, 1, 1, 1]))
+    not_codeword = z8.copy()
+    not_codeword[0, 1] = not_codeword[1, 0] = -not_codeword[0, 1]
+    not_spin = z8.copy()
+    not_spin[2, 3] = 0
+    for K_list, codeword in (([8], not_codeword), ([8], not_spin),
+                             ([6], z8), ([8, 10], z8)):
+        with pytest.raises(ValueError):
+            bench_iid("bf", K_list, [0.1], trials=5, seed=1, codeword=codeword)
+
+
 def test_bench_bp_and_mcmc_run():
     rep = bench_iid("bp", [6], [0.1], trials=40, seed=2)
     assert rep.rows[0]["trials"] == 40
@@ -217,6 +233,17 @@ def test_landscape_dominance_and_shapes():
         for h_s, m_s in zip(row["per_instance_target"], m_row["per_instance_target"]):
             assert h_s >= m_s
         assert row["runs"] == 12
+
+
+def test_landscape_csv_roundtrip(tmp_path):
+    # per_instance_* cells are JSON lists, so the CSV quotes them
+    rep = landscape(_tiny_instances(K=6, n=3), beta_grid=[1.0], gamma_grid=[0.1, 0.5],
+                    strategy="hybrid", trials_per_cell=2, seed=4)
+    path = tmp_path / "l.csv"
+    rep.to_csv(path)
+    assert '"[' in path.read_text()
+    back = BenchmarkReport.from_csv(path)
+    assert (back.kind, back.config, back.rows) == (rep.kind, rep.config, rep.rows)
 
 
 def test_landscape_default_budgets():

@@ -1,0 +1,110 @@
+"""Property tests of the edge-vector converters, the syndrome kernel and
+the hybrid decoder's batched stage, over K = 2..10 and both check
+families (K = 2 has no triangle and no plaquette checks, K = 3 one
+triangle)."""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from parity_decode import (
+    HamiltonianParams,
+    build_code,
+    encode,
+    hybrid_decode,
+    is_codeword,
+    matrix_to_vector,
+    vector_to_matrix,
+)
+from parity_decode.code import _syndrome_flat
+from parity_decode.decoders import bf_sweep_batch
+
+SETTINGS = settings(max_examples=60, deadline=None)
+FAMILIES = st.sampled_from(["w3", "w4"])
+
+
+def _edge_vectors(code, batch, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 2, size=batch + (code.n_vars,)) * 2 - 1).astype(np.int8)
+
+
+def _loop_matrix(code, v):
+    m = np.ones((code.K, code.K), dtype=v.dtype)
+    for k, (i, j) in enumerate(code.edges):
+        m[i, j] = m[j, i] = v[k]
+    return m
+
+
+@SETTINGS
+@given(K=st.integers(2, 10), batch=st.lists(st.integers(0, 3), max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+@example(K=2, batch=[3], seed=0)
+@example(K=3, batch=[2, 3], seed=1)
+def test_batched_converters_match_rows_and_round_trip(K, batch, seed):
+    code = build_code(K)
+    vs = _edge_vectors(code, tuple(batch), seed)
+    mats = vector_to_matrix(code, vs)
+    assert mats.shape == vs.shape[:-1] + (K, K) and mats.dtype == np.int8
+    for idx in np.ndindex(*vs.shape[:-1]):
+        assert np.array_equal(mats[idx], vector_to_matrix(code, vs[idx]))
+        assert np.array_equal(mats[idx], _loop_matrix(code, vs[idx]))
+        assert np.array_equal(matrix_to_vector(code, mats[idx]), vs[idx])
+    assert np.array_equal(matrix_to_vector(code, mats), vs)
+    assert np.array_equal(vector_to_matrix(code, matrix_to_vector(code, mats)), mats)
+
+
+@SETTINGS
+@given(K=st.integers(2, 10), family=FAMILIES, batch=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(K=2, family="w3", batch=3, seed=0)
+@example(K=2, family="w4", batch=3, seed=0)
+@example(K=3, family="w3", batch=3, seed=1)
+@example(K=3, family="w4", batch=3, seed=1)
+def test_batched_syndrome_matches_rows_and_int64(K, family, batch, seed):
+    code = build_code(K)
+    vs = _edge_vectors(code, (batch,), seed)
+    n_checks = code.n_checks3 if family == "w3" else code.n_checks4
+    s = _syndrome_flat(code, vs, family)
+    assert s.shape == (batch, n_checks) and s.dtype == np.int8
+    assert np.array_equal(s, _syndrome_flat(code, vs.astype(np.int64), family))
+    idx = code.checks3_vars if family == "w3" else code.checks4_vars
+    for b in range(batch):
+        row = _syndrome_flat(code, vs[b], family)
+        assert np.array_equal(s[b], row)
+        ref = [np.prod([int(vs[b, v]) for v in check if v >= 0]) for check in idx]
+        assert np.array_equal(row, np.array(ref, dtype=np.int64).reshape(n_checks))
+
+
+@SETTINGS
+@given(K=st.integers(2, 7), family=FAMILIES, budget=st.integers(1, 30),
+       iters=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(K=2, family="w3", budget=5, iters=1, seed=0)
+@example(K=3, family="w4", budget=10, iters=2, seed=1)
+def test_hybrid_stage_matches_per_state_sweeps(K, family, budget, iters, seed):
+    code = build_code(K)
+    if K == 2:
+        # the w4 chain cannot step at K = 2: its -1 adjacency padding
+        # indexes an empty syndrome
+        family = "w3"
+    rng = np.random.default_rng(seed)
+    params = HamiltonianParams(beta=1.0, gamma=0.5, family=family,
+                               couplings=rng.uniform(-1, 1, code.n_vars))
+    target = encode(code, np.where(rng.random(K) < 0.5, 1, -1))
+
+    ok_off, run_off = hybrid_decode(code, params, budget, target, seed,
+                                    bf_max_iters=iters, store_samples=False)
+    assert run_off.samples == [] and run_off.decoded is None
+
+    ok, run = hybrid_decode(code, params, budget, target, seed, bf_max_iters=iters)
+    assert len(run.samples) == budget and len(run.decoded) == budget + 1
+    expected = bf_sweep_batch(np.stack([run.initial] + run.samples), iters)
+    for t in range(budget + 1):
+        assert np.array_equal(run.decoded[t], expected[t])
+    target_hits = [t for t, d in enumerate(expected) if np.array_equal(d, target)]
+    codeword_hits = [t for t, d in enumerate(expected) if is_codeword(code, d)]
+    assert run.decoded_target_hit == (target_hits[0] if target_hits else None)
+    assert run.decoded_any_codeword == (codeword_hits[0] if codeword_hits else None)
+    assert ok == ok_off == (run.decoded_target_hit is not None)
+    assert (run_off.decoded_target_hit, run_off.decoded_any_codeword) == (
+        run.decoded_target_hit, run.decoded_any_codeword)
+    if K == 2:
+        assert run.decoded_any_codeword == 0
