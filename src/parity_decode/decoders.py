@@ -21,7 +21,6 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import hard_decide
 from .code import (
     ParityCode,
     all_one_matrix,
@@ -206,12 +205,14 @@ def bf_decode(
 
 def bf_sweep_batch(stack: np.ndarray, iters: int) -> np.ndarray:
     """Apply `iters` BF sweeps to a stack of spin matrices (B, K, K),
-    keeping current signs on ties. Codewords pass through unchanged."""
-    m = stack.astype(np.int16)
+    keeping current signs on ties. Codewords pass through unchanged.
+
+    The votes are float32 BLAS products of +-1 matrices: sums of K terms
+    of +-1, exact while K < 2**24."""
+    m = stack.astype(np.float32)
     for _ in range(iters):
         vote = np.matmul(m, m) - m
-        nxt = np.where(vote > 0, 1, np.where(vote < 0, -1, m)).astype(np.int16)
-        m = nxt
+        m = np.where(vote == 0, m, np.sign(vote))
     out = m.astype(np.int8)
     idx = np.arange(stack.shape[-1])
     out[:, idx, idx] = 1
@@ -245,15 +246,12 @@ def _check_weight_vector(code: ParityCode, weights: InversionWeights, family: st
 
 
 def _adjacent_sum(code: ParityCode, s: np.ndarray, family: str, per_check: np.ndarray | None = None):
-    """Per-variable sums of (optionally weighted) adjacent check values."""
+    """Per-variable sums of (optionally weighted) adjacent check values.
+    The adjacency's -1 padding (w4) reads the appended trailing 0, so a
+    code without checks (K = 2) sums to zeros."""
     vals = s.astype(np.float64) if per_check is None else s * per_check
-    if family == "w3":
-        if code.n_checks3 == 0:
-            return np.zeros(code.n_vars)
-        return vals[code.checks3_of_var].sum(axis=1)
-    idx = code.checks4_of_var
-    picked = np.where(idx >= 0, vals[idx], 0.0)
-    return picked.sum(axis=1)
+    adj = code.checks3_of_var if family == "w3" else code.checks4_of_var
+    return np.append(vals, 0.0)[adj].sum(axis=1)
 
 
 def inversion_profile(
@@ -418,15 +416,19 @@ def bp_decode(
 
     posteriors = [lam.copy()] if record else None
 
-    def reached(post: np.ndarray) -> bool:
-        hard = np.where(post >= 0, 1, -1).astype(np.int8)
-        if target_f is not None:
-            return np.array_equal(hard, target_f)
-        return bool(np.all(_syndrome_flat(code, hard, "w3") == 1))
+    def hard(post: np.ndarray) -> np.ndarray:
+        return np.where(post >= 0, 1, -1).astype(np.int8)
 
-    if code.n_checks3 == 0 or reached(lam):
+    def reached(h: np.ndarray) -> bool:
+        if target_f is not None:
+            return np.array_equal(h, target_f)
+        return bool(np.all(_syndrome_flat(code, h, "w3") == 1))
+
+    h = hard(lam)
+    done = reached(h)
+    if code.n_checks3 == 0 or done:
         return DecodeResult(
-            final=hard_decide(lam, code), converged=True, success=reached(lam),
+            final=vector_to_matrix(code, h), converged=True, success=done,
             iterations=0, trajectory=None, posteriors=posteriors,
         )
 
@@ -453,13 +455,14 @@ def bp_decode(
 
         if posteriors is not None:
             posteriors.append(post.copy())
-        if reached(post):
+        h = hard(post)
+        if reached(h):
             return DecodeResult(
-                final=hard_decide(post, code), converged=True, success=True,
+                final=vector_to_matrix(code, h), converged=True, success=True,
                 iterations=it, posteriors=posteriors,
             )
     return DecodeResult(
-        final=hard_decide(post, code), converged=False, success=reached(post),
+        final=vector_to_matrix(code, h), converged=False, success=reached(h),
         iterations=max_iters, posteriors=posteriors,
     )
 

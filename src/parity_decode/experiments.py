@@ -27,9 +27,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import hard_decide, sample_iid_errors, trial_seed
-from .code import all_one_matrix, build_code, encode, is_codeword, validate_spin_matrix
+from .code import (
+    all_one_matrix,
+    build_code,
+    encode,
+    is_codeword,
+    matrix_to_vector,
+    validate_spin_matrix,
+)
 from .decoders import CapacityError, TiePolicy, bf_decode, bp_decode, count_errors
-from .mcmc import HamiltonianParams, hybrid_decode, mcmc_decode
+from .mcmc import (
+    LOCKSTEP_GROUP,
+    LOCKSTEP_STATE_BYTES,
+    HamiltonianParams,
+    _bf_stage,
+    _run_lockstep,
+    hybrid_decode,
+    mcmc_decode,
+)
 from .reports import BenchmarkReport, TrajectoryDump
 
 GROUND_STATE_MAX_K = 24
@@ -234,45 +249,62 @@ def bench_iid(
 # ---------------------------------------------------------------------------
 # (beta, gamma) landscapes
 
-def _landscape_unit(payload: dict) -> dict:
-    K = payload["K"]
-    code = build_code(K)
+def _landscape_unit(payload: dict) -> list[dict]:
+    """Rows of a block of cells. Every (cell, instance, trial) chain of
+    the block runs through the lockstep engine, LOCKSTEP_GROUP chains at
+    a time (fewer for the hybrid when their recorded states would pass
+    LOCKSTEP_STATE_BYTES); the hybrid then runs its BF stage chain by
+    chain."""
+    code = build_code(payload["K"])
     strategy = payload["strategy"]
     budget = payload["budget"]
     trials = payload["trials_per_cell"]
-    per_instance_target = []
-    per_instance_any = []
-    for inst_idx, inst in enumerate(payload["instances"]):
-        J = np.asarray(inst["couplings"])
-        target = encode(code, np.asarray(inst["ground_state"]))
-        params = HamiltonianParams(beta=payload["beta"], gamma=payload["gamma"],
-                                   couplings=J, family=payload["family"])
-        t_succ = a_succ = 0
-        for t in range(trials):
-            # strategy-independent stream: matched chains across strategies
-            chain_seed = trial_seed(payload["seed"], 23, payload["b_index"],
-                                    payload["g_index"], inst_idx, t)
+    instances = payload["instances"]
+    targets = [matrix_to_vector(code, encode(code, np.asarray(inst["ground_state"])))
+               for inst in instances]
+    chains = []  # (cell index, instance index, params, seed)
+    for c, cell in enumerate(payload["cells"]):
+        for i, inst in enumerate(instances):
+            params = HamiltonianParams(beta=cell["beta"], gamma=cell["gamma"],
+                                       couplings=np.asarray(inst["couplings"]),
+                                       family=payload["family"])
+            for t in range(trials):
+                # strategy-independent stream: matched chains across strategies
+                seed = trial_seed(payload["seed"], 23, cell["b_index"], cell["g_index"], i, t)
+                chains.append((c, i, params, seed))
+    group_size = LOCKSTEP_GROUP
+    if strategy == "hybrid":
+        # recorded states cost (budget + 1) * n_vars bytes per chain
+        group_size = max(1, min(group_size, LOCKSTEP_STATE_BYTES // ((budget + 1) * code.n_vars)))
+    hits = np.zeros((len(payload["cells"]), len(instances), 2), dtype=np.int64)
+    for start in range(0, len(chains), group_size):
+        group = chains[start:start + group_size]
+        group_targets = np.stack([targets[i] for _, i, _, _ in group])
+        out = _run_lockstep(code, [p for _, _, p, _ in group], budget,
+                            [seed for _, _, _, seed in group], group_targets,
+                            record_states=strategy == "hybrid")
+        for g, (c, i, _, _) in enumerate(group):
             if strategy == "mcmc":
-                ok, run = mcmc_decode(code, params, budget, target, chain_seed,
-                                      store_samples=False)
-                any_hit = run.first_codeword is not None
+                ok = out["target_hit"][g] >= 0
+                any_hit = out["first_codeword"][g] >= 0
             else:
-                ok, run = hybrid_decode(code, params, budget, target, chain_seed,
-                                        bf_max_iters=payload["bf_max_iters"],
-                                        store_samples=False)
-                any_hit = run.decoded_any_codeword is not None
-            t_succ += int(ok)
-            a_succ += int(any_hit)
-        per_instance_target.append(t_succ)
-        per_instance_any.append(a_succ)
-    runs = trials * len(payload["instances"])
+                hit, codeword, _ = _bf_stage(code, out["states"][g], group_targets[g],
+                                             payload["bf_max_iters"])
+                ok, any_hit = hit is not None, codeword is not None
+            hits[c, i] += (int(ok), int(any_hit))
+    return [_landscape_row(strategy, cell, budget, trials * len(instances),
+                           hits[c, :, 0].tolist(), hits[c, :, 1].tolist())
+            for c, cell in enumerate(payload["cells"])]
+
+
+def _landscape_row(strategy, cell, budget, runs, per_instance_target, per_instance_any):
     tt = sum(per_instance_target)
     ta = sum(per_instance_any)
     lo, hi = wilson_interval(tt, runs)
     return {
         "strategy": strategy,
-        "beta": payload["beta"],
-        "gamma": payload["gamma"],
+        "beta": cell["beta"],
+        "gamma": cell["gamma"],
         "budget": budget,
         "runs": runs,
         "target_successes": tt,
@@ -322,17 +354,17 @@ def landscape(
         {"couplings": inst.couplings, "ground_state": inst.ground_state}
         for inst in instances
     ]
-    units = []
-    for bi, beta in enumerate(beta_grid):
-        for gi, gamma in enumerate(gamma_grid):
-            units.append({
-                "K": K, "strategy": strategy, "beta": float(beta),
-                "gamma": float(gamma), "b_index": bi, "g_index": gi,
-                "budget": int(budget), "trials_per_cell": int(trials_per_cell),
-                "seed": int(seed), "bf_max_iters": int(bf_max_iters),
-                "family": family, "instances": inst_payload,
-            })
-    rows = _run_units(_landscape_unit, units, n_workers)
+    cells = [{"beta": float(beta), "gamma": float(gamma), "b_index": bi, "g_index": gi}
+             for bi, beta in enumerate(beta_grid) for gi, gamma in enumerate(gamma_grid)]
+    # one contiguous block of cells per worker
+    n_blocks = max(1, min(_worker_count(n_workers), len(cells)))
+    bounds = [len(cells) * u // n_blocks for u in range(n_blocks + 1)]
+    units = [{
+        "K": K, "strategy": strategy, "cells": cells[lo:hi], "budget": int(budget),
+        "trials_per_cell": int(trials_per_cell), "seed": int(seed),
+        "bf_max_iters": int(bf_max_iters), "family": family, "instances": inst_payload,
+    } for lo, hi in zip(bounds, bounds[1:])]
+    rows = [row for block in _run_units(_landscape_unit, units, n_workers) for row in block]
     config = {
         "K": K, "strategy": strategy, "beta_grid": [float(b) for b in beta_grid],
         "gamma_grid": [float(g) for g in gamma_grid], "budget": int(budget),
@@ -460,9 +492,12 @@ def trajectory_demo(
 
 # ---------------------------------------------------------------------------
 
-def _run_units(fn, units: list[dict], n_workers: int) -> list[dict]:
-    if n_workers is None:
-        n_workers = os.cpu_count() or 1
+def _worker_count(n_workers: int | None) -> int:
+    return (os.cpu_count() or 1) if n_workers is None else n_workers
+
+
+def _run_units(fn, units: list[dict], n_workers: int | None) -> list:
+    n_workers = _worker_count(n_workers)
     if n_workers <= 1 or len(units) <= 1:
         return [fn(u) for u in units]
     with ProcessPoolExecutor(max_workers=min(n_workers, len(units))) as pool:

@@ -166,6 +166,32 @@ def test_bf_sweep_batch_matches_single():
         assert np.array_equal(batch[i], cur)
 
 
+@pytest.mark.parametrize("family", ["w3", "w4"])
+def test_inversion_profile_k2_has_no_check_terms(family):
+    code = build_code(2)
+    x = all_one_matrix(2)
+    J = np.array([0.5])
+    assert inversion_profile("mcmc", code, x, J, InversionWeights(beta=2.0), family)[0] == 1.0
+    assert inversion_profile("gdbf", code, x, J, family=family)[0] == 0.5
+    assert inversion_profile("bf", code, x)[0] == 1.0
+
+
+def test_bf_sweep_batch_matches_int_reference():
+    # the float32 votes equal exact integer votes, ties keep the sign
+    rng = np.random.default_rng(3)
+    for K in (3, 4, 9, 14):
+        code = build_code(K)
+        v = (rng.integers(0, 2, size=(40, code.n_vars)) * 2 - 1).astype(np.int8)
+        m = vector_to_matrix(code, v).astype(np.int64)
+        ref = m
+        for _ in range(4):
+            vote = ref @ ref - ref
+            ref = np.where(vote > 0, 1, np.where(vote < 0, -1, ref))
+        out = bf_sweep_batch(m.astype(np.int8), 4)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, ref)
+
+
 def test_count_errors():
     code = build_code(5)
     z = all_one_matrix(5)

@@ -358,3 +358,21 @@ def test_average_error_matrix_empty_run():
     ok, run = mcmc_decode(code, params, 5, all_one_matrix(4), 71, store_samples=False)
     with pytest.raises(ValueError):
         average_error_matrix(run, all_one_matrix(4))
+
+
+@pytest.mark.parametrize("family", ["w3", "w4"])
+def test_k2_chains_step_in_both_families(family):
+    # K = 2 has no triangle and no plaquette: every step flips the one
+    # pair, and the state is always a codeword
+    code = build_code(2)
+    params = HamiltonianParams(beta=1.0, gamma=2.0, couplings=[0.4], family=family)
+    z = all_one_matrix(2)
+    ok, run = mcmc_decode(code, params, 6, z, 3)
+    assert run.first_codeword == 0
+    assert [int(m[0, 1]) for m in run.samples] == [
+        -int(run.initial[0, 1]) * (-1) ** t for t in range(6)]
+    assert ok == (run.target_hit is not None)
+    ok_h, run_h = hybrid_decode(code, params, 6, z, 3)
+    assert run_h.decoded_any_codeword == 0 and ok_h >= ok
+    x, rate = rejection_free_step(code, params, z, 4)
+    assert x[0, 1] == -1 and rate == pytest.approx(math.exp(-0.8))

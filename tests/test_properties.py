@@ -1,7 +1,9 @@
 """Property tests of the edge-vector converters, the syndrome kernel and
-the hybrid decoder's batched stage, over K = 2..10 and both check
+the hybrid decoder's chunked BF stage, over K = 2..10 and both check
 families (K = 2 has no triangle and no plaquette checks, K = 3 one
 triangle)."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +17,7 @@ from parity_decode import (
     matrix_to_vector,
     vector_to_matrix,
 )
+from parity_decode import mcmc
 from parity_decode.code import _syndrome_flat
 from parity_decode.decoders import bf_sweep_batch
 
@@ -76,25 +79,25 @@ def test_batched_syndrome_matches_rows_and_int64(K, family, batch, seed):
 
 @SETTINGS
 @given(K=st.integers(2, 7), family=FAMILIES, budget=st.integers(1, 30),
-       iters=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-@example(K=2, family="w3", budget=5, iters=1, seed=0)
-@example(K=3, family="w4", budget=10, iters=2, seed=1)
-def test_hybrid_stage_matches_per_state_sweeps(K, family, budget, iters, seed):
+       iters=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 4, 1024]))
+@example(K=2, family="w3", budget=5, iters=1, seed=0, chunk=1024)
+@example(K=2, family="w4", budget=5, iters=1, seed=0, chunk=2)
+@example(K=3, family="w4", budget=10, iters=2, seed=1, chunk=4)
+def test_hybrid_stage_matches_per_state_sweeps(K, family, budget, iters, seed, chunk):
+    """The BF stage, run over chunks of `chunk` states, against one sweep
+    of the whole stack; first-hit indices stay exact across chunks."""
     code = build_code(K)
-    if K == 2:
-        # the w4 chain cannot step at K = 2: its -1 adjacency padding
-        # indexes an empty syndrome
-        family = "w3"
     rng = np.random.default_rng(seed)
     params = HamiltonianParams(beta=1.0, gamma=0.5, family=family,
                                couplings=rng.uniform(-1, 1, code.n_vars))
     target = encode(code, np.where(rng.random(K) < 0.5, 1, -1))
 
-    ok_off, run_off = hybrid_decode(code, params, budget, target, seed,
-                                    bf_max_iters=iters, store_samples=False)
+    with mock.patch.object(mcmc, "BF_CHUNK", chunk):
+        ok_off, run_off = hybrid_decode(code, params, budget, target, seed,
+                                        bf_max_iters=iters, store_samples=False)
+        ok, run = hybrid_decode(code, params, budget, target, seed, bf_max_iters=iters)
     assert run_off.samples == [] and run_off.decoded is None
-
-    ok, run = hybrid_decode(code, params, budget, target, seed, bf_max_iters=iters)
     assert len(run.samples) == budget and len(run.decoded) == budget + 1
     expected = bf_sweep_batch(np.stack([run.initial] + run.samples), iters)
     for t in range(budget + 1):
