@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling budget per trial (mcmc decoder; default C(K,2))")
     p.add_argument("--gamma", type=float, default=1.0, help="penalty strength (mcmc)")
     p.add_argument("--syndrome-family", choices=["w3", "w4"], default="w3")
-    p.add_argument("--tie-policy", choices=[t.value for t in TiePolicy], default="fail")
+    p.add_argument("--tie-policy", choices=["keep", "fail"], default="fail")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: available parallelism)")

@@ -220,6 +220,11 @@ def matrix_to_vector(code: ParityCode, m: np.ndarray) -> np.ndarray:
     return m[..., i, j]
 
 
+def _edge_vector(code: ParityCode, m: np.ndarray) -> np.ndarray:
+    """Validated int8 edge vector of one spin matrix."""
+    return matrix_to_vector(code, validate_spin_matrix(m, code.K))
+
+
 def vector_to_matrix(code: ParityCode, v: np.ndarray) -> np.ndarray:
     """Symmetric unit-diagonal spin matrices from edge vectors: shape
     (..., n_vars) -> (..., K, K), in the dtype of v."""
@@ -240,8 +245,7 @@ def syndrome(code: ParityCode, x: np.ndarray, family: str = "w3") -> np.ndarray:
     the product of the adjacent variable-node spins, so the syndrome is
     multiplicative: syndrome(x o e) = syndrome(x) o syndrome(e).
     """
-    x = validate_spin_matrix(x, code.K)
-    return _syndrome_flat(code, matrix_to_vector(code, x), family)
+    return _syndrome_flat(code, _edge_vector(code, x), family)
 
 
 def _syndrome_flat(code: ParityCode, xf: np.ndarray, family: str) -> np.ndarray:

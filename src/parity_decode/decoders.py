@@ -23,12 +23,11 @@ import numpy as np
 
 from .code import (
     ParityCode,
-    all_one_matrix,
     check_matrix,
-    is_codeword,
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
+    _edge_vector,
     _syndrome_flat,
 )
 
@@ -109,6 +108,34 @@ def uniform_weights(epsilon: float) -> InversionWeights:
 # ---------------------------------------------------------------------------
 # Parallel bit-flip decoding
 
+def _bf_sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sign[X(X - I)] of float32 spin matrices (..., K, K), keeping the
+    sign where the vote is zero: (new matrices, tie mask). Votes are BLAS
+    sums of K terms of +-1, exact while K < 2**24; the diagonal votes
+    K - 1 > 0, so it stays +1 and never ties."""
+    vote = np.matmul(m, m)
+    vote -= m
+    tie = vote == 0
+    new = np.sign(vote)  # a new array: np.sign in place is ~10x slower on stacks
+    np.copyto(new, m, where=tie)
+    return new, tie
+
+
+def _break_ties(code: ParityCode, new: np.ndarray, tie: np.ndarray,
+                tie_policy: TiePolicy, rng: np.random.Generator | None) -> int:
+    """Tied pairs of one sweep; under COIN each is negated in `new` with
+    probability 1/2, one coin per tied pair drawn in edge order."""
+    n_ties = int(np.count_nonzero(tie)) // 2
+    if n_ties and tie_policy is TiePolicy.COIN:
+        if rng is None:
+            raise ValueError("COIN tie policy needs an rng")
+        i, j = code.edges[matrix_to_vector(code, tie)].T
+        coin = rng.integers(0, 2, size=n_ties) * 2 - 1
+        new[i, j] *= coin
+        new[j, i] *= coin
+    return n_ties
+
+
 def bf_step(
     code: ParityCode,
     x: np.ndarray,
@@ -122,27 +149,9 @@ def bf_step(
     sign(1 + sum_k s_ijk) deciding whether to keep or negate x_ij; all
     C(K,2) pairs update simultaneously. Codewords are fixed points.
     """
-    x = validate_spin_matrix(x, code.K)
-    m = x.astype(np.int16)
-    vote = m @ m - m  # off-diagonal entry: x_ij * (1 + sum_k s_ijk)
-    new = np.where(vote > 0, 1, -1).astype(np.int8)
-    tie_mask = vote == 0
-    np.fill_diagonal(tie_mask, False)
-    n_ties = int(np.count_nonzero(tie_mask)) // 2
-    if n_ties:
-        if tie_policy is TiePolicy.KEEP or tie_policy is TiePolicy.FAIL:
-            new[tie_mask] = x[tie_mask]
-        elif tie_policy is TiePolicy.COIN:
-            if rng is None:
-                raise ValueError("COIN tie policy needs an rng")
-            # one coin per tied pair, drawn in edge order
-            ties_f = matrix_to_vector(code, tie_mask)
-            coin = rng.integers(0, 2, size=n_ties) * 2 - 1
-            new_f = matrix_to_vector(code, new)
-            new_f[ties_f] = matrix_to_vector(code, x)[ties_f] * coin
-            new = vector_to_matrix(code, new_f)
-    np.fill_diagonal(new, 1)
-    return new, n_ties
+    new, tie = _bf_sweep(validate_spin_matrix(x, code.K).astype(np.float32))
+    n_ties = _break_ties(code, new, tie, tie_policy, rng)
+    return new.astype(np.int8), n_ties
 
 
 def bf_decode(
@@ -157,66 +166,53 @@ def bf_decode(
     """Iterate BF sweeps until the target (or any codeword) is reached,
     a fixed point occurs, or max_iters sweeps are spent.
 
+    x and target are validated once; the sweeps run on a float32 copy.
     Deterministic for KEEP/FAIL policies: identical inputs give the
     identical result.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    x = validate_spin_matrix(x, code.K)
+    cur = validate_spin_matrix(x, code.K).astype(np.float32)
     if target is not None:
-        target = validate_spin_matrix(target, code.K)
+        target = validate_spin_matrix(target, code.K).astype(np.float32)
 
-    traj = [x.copy()] if record_trajectory else None
-    ties_total = 0
-    cur = x
+    traj = [cur.astype(np.int8)] if record_trajectory else None
+    ties = 0
     for n in range(max_iters + 1):
-        done = (
-            np.array_equal(cur, target) if target is not None else is_codeword(code, cur)
-        )
-        if done:
+        done = (np.array_equal(cur, target) if target is not None
+                else bool(np.all(_syndrome_flat(code, matrix_to_vector(code, cur), "w3") == 1)))
+        if done or n == max_iters:
             return DecodeResult(
-                final=cur, converged=True, success=True, iterations=n,
-                ties=ties_total, trajectory=traj,
+                final=cur.astype(np.int8), converged=done, success=done, iterations=n,
+                ties=ties, trajectory=traj,
             )
-        if n == max_iters:
-            break
-        nxt, n_ties = bf_step(code, cur, tie_policy, rng)
-        ties_total += n_ties
+        nxt, tie = _bf_sweep(cur)
+        n_ties = _break_ties(code, nxt, tie, tie_policy, rng)
+        ties += n_ties
         if n_ties and tie_policy is TiePolicy.FAIL:
             if traj is not None:
-                traj.append(nxt.copy())
+                traj.append(nxt.astype(np.int8))
             return DecodeResult(
-                final=nxt, converged=False, success=False, iterations=n + 1,
-                ties=ties_total, tie_failure=True, trajectory=traj,
+                final=nxt.astype(np.int8), converged=False, success=False, iterations=n + 1,
+                ties=ties, tie_failure=True, trajectory=traj,
             )
         if np.array_equal(nxt, cur):
             return DecodeResult(
-                final=cur, converged=True, success=False, iterations=n,
-                ties=ties_total, trajectory=traj,
+                final=cur.astype(np.int8), converged=True, success=False, iterations=n,
+                ties=ties, trajectory=traj,
             )
         if traj is not None:
-            traj.append(nxt.copy())
+            traj.append(nxt.astype(np.int8))
         cur = nxt
-    return DecodeResult(
-        final=cur, converged=False, success=False, iterations=max_iters,
-        ties=ties_total, trajectory=traj,
-    )
 
 
 def bf_sweep_batch(stack: np.ndarray, iters: int) -> np.ndarray:
     """Apply `iters` BF sweeps to a stack of spin matrices (B, K, K),
-    keeping current signs on ties. Codewords pass through unchanged.
-
-    The votes are float32 BLAS products of +-1 matrices: sums of K terms
-    of +-1, exact while K < 2**24."""
+    keeping current signs on ties. Codewords pass through unchanged."""
     m = stack.astype(np.float32)
     for _ in range(iters):
-        vote = np.matmul(m, m) - m
-        m = np.where(vote == 0, m, np.sign(vote))
-    out = m.astype(np.int8)
-    idx = np.arange(stack.shape[-1])
-    out[:, idx, idx] = 1
-    return out
+        m, _ = _bf_sweep(m)
+    return m.astype(np.int8)
 
 
 def count_errors(x: np.ndarray, z: np.ndarray) -> int:
@@ -245,6 +241,19 @@ def _check_weight_vector(code: ParityCode, weights: InversionWeights, family: st
     return wk
 
 
+def _coupling_vector(code: ParityCode, J, needed_by: str | None = None) -> np.ndarray | None:
+    """Couplings as a float64 edge vector, one per pair. None passes
+    through unless `needed_by` names what requires couplings."""
+    if J is None:
+        if needed_by:
+            raise ValueError(f"{needed_by} needs couplings J")
+        return None
+    J = np.asarray(J, dtype=np.float64).ravel()
+    if len(J) != code.n_vars:
+        raise ValueError(f"couplings length {len(J)} != n_vars {code.n_vars}")
+    return J
+
+
 def _adjacent_sum(code: ParityCode, s: np.ndarray, family: str, per_check: np.ndarray | None = None):
     """Per-variable sums of (optionally weighted) adjacent check values.
     The adjacency's -1 padding (w4) reads the appended trailing 0, so a
@@ -265,15 +274,9 @@ def inversion_profile(
     """Scores of all C(K,2) spins at once; see inversion_function."""
     if kind not in _KINDS:
         raise ValueError(f"unknown inversion kind {kind!r}")
-    x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x)
+    xf = _edge_vector(code, x)
     w = weights or InversionWeights()
-    if kind != "bf" and J is None:
-        raise ValueError(f"{kind} inversion needs couplings J")
-    if J is not None:
-        J = np.asarray(J, dtype=np.float64).ravel()
-        if len(J) != code.n_vars:
-            raise ValueError(f"J length {len(J)} != n_vars {code.n_vars}")
+    J = _coupling_vector(code, J, None if kind == "bf" else f"{kind} inversion")
 
     fam = "w3" if kind == "bf" else family
     s = _syndrome_flat(code, xf, fam)
@@ -339,19 +342,14 @@ def decoder_energy(
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown inversion kind {kind!r}")
-    x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x)
+    xf = _edge_vector(code, x)
     w = weights or InversionWeights()
     fam = "w3" if kind == "bf" else family
     s = _syndrome_flat(code, xf, fam)
-    if kind != "bf" and J is None:
-        raise ValueError(f"{kind} energy needs couplings J")
-    if J is not None:
-        J = np.asarray(J, dtype=np.float64).ravel()
+    J = _coupling_vector(code, J, None if kind == "bf" else f"{kind} energy")
 
     if kind in ("bf", "wbf"):
-        ref = all_one_matrix(code.K) if reference is None else validate_spin_matrix(reference, code.K)
-        rf = matrix_to_vector(code, ref)
+        rf = np.ones(code.n_vars, np.int8) if reference is None else _edge_vector(code, reference)
         if kind == "bf":
             return float(-(xf * rf).sum() - s.sum())
         wk = _check_weight_vector(code, w, fam)
@@ -400,16 +398,14 @@ def bp_decode(
             raise ValueError("need either channel_llr or (x, epsilon)")
         if not (0.0 < epsilon < 0.5):
             raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
-        x = validate_spin_matrix(x, code.K)
-        lam = math.log((1.0 - epsilon) / epsilon) * matrix_to_vector(code, x).astype(np.float64)
+        lam = math.log((1.0 - epsilon) / epsilon) * _edge_vector(code, x).astype(np.float64)
     else:
         lam = np.asarray(channel_llr, dtype=np.float64).ravel()
         if len(lam) != code.n_vars:
             raise ValueError(f"channel_llr length {len(lam)} != n_vars {code.n_vars}")
         if not np.all(np.isfinite(lam)):
             raise ValueError("channel_llr contains non-finite entries")
-    target_f = None if target is None else matrix_to_vector(
-        code, validate_spin_matrix(target, code.K))
+    target_f = None if target is None else _edge_vector(code, target)
 
     lam = np.clip(lam, -MSG_CLIP, MSG_CLIP)
     cnv = code.checks3_vars  # (n_checks, 3) variable indices per check
@@ -484,8 +480,7 @@ def mwd_bruteforce(code: ParityCode, x: np.ndarray) -> np.ndarray:
     """
     if code.K > MWD_MAX_K:
         raise CapacityError(f"minimum-weight search is exhaustive; K={code.K} exceeds {MWD_MAX_K}")
-    x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x)
+    xf = _edge_vector(code, x)
     target = _syndrome_flat(code, xf, "w4")
     n = code.n_vars
 

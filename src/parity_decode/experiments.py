@@ -159,7 +159,8 @@ def _bench_unit(payload: dict) -> dict:
     iter_sum = 0
     for t in range(payload["trials"]):
         noise_seed = trial_seed(payload["seed"], 11, payload["k_index"], payload["e_index"], t, 0)
-        chain_seed = trial_seed(payload["seed"], 11, payload["k_index"], payload["e_index"], t, 1)
+        chain_seed = trial_seed(payload["seed"], 11, payload["k_index"], payload["e_index"],
+                                t, 1) if decoder == "mcmc" else None
         e = sample_iid_errors(code, eps, noise_seed)
         x = (target * e).astype(np.int8)
         ok, iters_used, tie_failed = _decode_iid_trial(
@@ -212,11 +213,13 @@ def bench_iid(
     supplied; the noise stream per trial is decoder-independent, so
     different decoders face identical error realizations. Ties in the
     BF vote count as failures by default, matching the benchmark
-    convention. A supplied codeword must be a codeword of size K for
-    every K in K_list.
+    convention; COIN is refused, as the benchmark draws no tie coins. A
+    supplied codeword must be a codeword of size K for every K in K_list.
     """
     if decoder not in ("bf", "bp", "mcmc"):
         raise ValueError(f"unknown decoder {decoder!r}")
+    if tie_policy is TiePolicy.COIN:
+        raise ValueError("bench_iid needs a deterministic tie policy (keep or fail), not coin")
     if codeword is not None:
         cw = validate_spin_matrix(codeword)
         if any(int(K) != len(cw) for K in K_list):

@@ -38,6 +38,7 @@ m successive `rng.random()` calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +49,10 @@ from .code import (
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
+    _edge_vector,
     _syndrome_flat,
 )
-from .decoders import TiePolicy, bf_sweep_batch
+from .decoders import TiePolicy, _coupling_vector, bf_sweep_batch
 
 ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
@@ -112,20 +114,12 @@ class SampleRun:
 
 
 def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | None:
-    J = params.couplings
-    if J is None:
-        if params.beta > 0:
-            raise ValueError("beta > 0 requires couplings")
-        return None
-    if len(J) != code.n_vars:
-        raise ValueError(f"couplings length {len(J)} != n_vars {code.n_vars}")
-    return J
+    return _coupling_vector(code, params.couplings, "beta > 0" if params.beta > 0 else None)
 
 
 def energy(code: ParityCode, params: HamiltonianParams, x: np.ndarray) -> float:
     """Exact energy of a state under the configured parameters."""
-    x = validate_spin_matrix(x, code.K)
-    xf = matrix_to_vector(code, x)
+    xf = _edge_vector(code, x)
     J = _couplings_for(code, params)
     s = _syndrome_flat(code, xf, params.family)
     pen = params.gamma * 0.5 * float((1 - s).sum())
@@ -177,11 +171,6 @@ def _adjacent_sums(adj: np.ndarray, s: np.ndarray) -> np.ndarray:
     out = np.zeros(s.shape[:-1] + (len(adj) + 1,))
     out[..., :-1] = s[..., adj].sum(axis=-1)
     return out
-
-
-def _edge_vector(code: ParityCode, m: np.ndarray) -> np.ndarray:
-    """Validated int8 edge vector of one spin matrix."""
-    return matrix_to_vector(code, validate_spin_matrix(m, code.K))
 
 
 def _initial_state(code: ParityCode, rng: np.random.Generator, initial) -> np.ndarray:
@@ -246,7 +235,8 @@ class _Chain:
         k = int(cum.searchsorted(u, side="right"))
         if k >= len(w):  # guard against u == total edge case
             k = len(w) - 1
-        rate = float(np.exp(shift) * cum[-1])  # true escape rate
+        self.shift, self.total = shift, cum[-1]  # log rate = shift + log(total)
+        rate = float(np.exp(shift) * self.total)  # true escape rate
 
         # apply flip k: every adjacent check negates, and each member of
         # check c sees its adjacent sum move by -2 s_c (add.at: two
@@ -295,8 +285,7 @@ def rejection_free_step(
     """One rejection-free update of a spin matrix. Returns the new state
     (exactly one pair flipped) and the total Metropolis weight of the
     pre-flip state (its escape rate; 1/rate is the holding time)."""
-    x = validate_spin_matrix(x, code.K)
-    chain = _Chain(code, params, matrix_to_vector(code, x), as_generator(rng))
+    chain = _Chain(code, params, _edge_vector(code, x), as_generator(rng))
     _, rate = chain.step()
     return vector_to_matrix(code, chain.xf.copy()), rate
 
@@ -627,18 +616,21 @@ def visit_distribution(
 ) -> dict[bytes, float]:
     """Holding-time-weighted occupancy of visited states, keyed by the
     flat edge vector's bytes. Converges to the Boltzmann distribution of
-    the configured energy."""
+    the configured energy. Holding times 1/rate are summed as logs, so
+    escape rates that underflow to 0 (steep penalties) stay finite."""
     rng = as_generator(seed)
     chain = _Chain(code, params, _initial_state(code, rng, initial), rng)
-    hist: dict[bytes, float] = {}
-    tiny = np.finfo(np.float64).tiny
+    log_hist: dict[bytes, float] = {}
     for t in range(steps):
         key = chain.xf.tobytes()
-        _, rate = chain.step()
+        chain.step()
         if t >= burn_in:
-            hist[key] = hist.get(key, 0.0) + 1.0 / max(rate, tiny)
-    total = sum(hist.values())
-    return {k: v / total for k, v in hist.items()}
+            hold = -(chain.shift + math.log(chain.total))  # log(1 / rate)
+            prev = log_hist.get(key, -math.inf)
+            log_hist[key] = max(prev, hold) + math.log1p(math.exp(-abs(prev - hold)))
+    logs = np.fromiter(log_hist.values(), dtype=np.float64, count=len(log_hist))
+    w = np.exp(logs - logs.max(initial=-np.inf))  # initial: no samples gives {}
+    return dict(zip(log_hist, (w / w.sum()).tolist()))
 
 
 def boltzmann_distribution(

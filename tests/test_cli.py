@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from parity_decode import BenchmarkReport, all_one_matrix, build_code, encode, write_spin_matrix_csv
 from parity_decode.cli import main
@@ -141,6 +142,29 @@ def test_bench_writes_reports_and_determinism(tmp_path, capsys):
     # byte-identical on repeat
     code, _, _ = run_cli(args, capsys)
     assert (tmp_path / csv_file).read_text() == first
+
+
+def test_bench_refuses_coin_ties(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--decoder", "bf", "--k", "3", "--epsilon", "0.3", "--trials", "20",
+              "--tie-policy", "coin", "--threads", "1", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_decode_coin_ties(tmp_path, capsys):
+    # K=3 with one error: every pair ties, and COIN breaks them with a
+    # seeded coin, so the run repeats exactly
+    m = all_one_matrix(3)
+    m[0, 1] = m[1, 0] = -1
+    path = tmp_path / "m.csv"
+    write_spin_matrix_csv(path, m)
+    args = ["decode", "--input", str(path), "--tie-policy", "coin", "--seed", "5"]
+    code, out, _ = run_cli(args, capsys)
+    assert code in (0, 1)
+    assert int(out.splitlines()[1].split(",")[-1]) >= 3  # ties column
+    assert run_cli(args, capsys) == (code, out, "")
 
 
 def test_bench_zero_trials(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from parity_decode import (
     CapacityError,
+    HamiltonianParams,
     InversionWeights,
     TiePolicy,
     all_one_matrix,
@@ -17,6 +18,7 @@ from parity_decode import (
     count_errors,
     decoder_energy,
     encode,
+    energy,
     flip_spin,
     inversion_function,
     inversion_profile,
@@ -258,6 +260,25 @@ def test_inversion_requires_couplings():
     for kind in ("wbf", "gdbf", "mcmc"):
         with pytest.raises(ValueError):
             inversion_function(kind, code, x, 0)
+
+
+def test_couplings_length_checked_by_every_caller():
+    # one coupling per pair; a short vector must not broadcast
+    code = build_code(5)
+    x = all_one_matrix(5)
+    calls = [
+        lambda: decoder_energy("gdbf", code, x, J=[0.5]),
+        lambda: decoder_energy("mcmc", code, x, J=np.ones(11)),
+        lambda: inversion_profile("gdbf", code, x, J=[0.5]),
+        lambda: inversion_function("wbf", code, x, 0, J=np.ones(9)),
+        lambda: energy(code, HamiltonianParams(beta=1.0, couplings=[0.5]), x),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="couplings length"):
+            call()
+    J = np.linspace(-1, 1, code.n_vars)
+    assert decoder_energy("gdbf", code, x, J=J.reshape(2, 5)) == decoder_energy(
+        "gdbf", code, x, J=J)
 
 
 def test_uniform_weights_values():

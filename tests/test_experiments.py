@@ -8,6 +8,7 @@ from parity_decode import (
     CapacityError,
     HamiltonianParams,
     ProblemInstance,
+    TiePolicy,
     bench_iid,
     best_cell,
     build_code,
@@ -18,6 +19,7 @@ from parity_decode import (
     landscape,
     logical_energy,
     trajectory_demo,
+    trial_seed,
     wilson_interval,
 )
 from parity_decode.experiments import brute_force_ground_state
@@ -146,6 +148,33 @@ def test_bench_rejects_bad_codeword_before_running(monkeypatch):
                              ([6], z8), ([8, 10], z8)):
         with pytest.raises(ValueError):
             bench_iid("bf", K_list, [0.1], trials=5, seed=1, codeword=codeword)
+
+
+def test_bench_rejects_coin_ties_before_running(monkeypatch):
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_units", no_units)
+    for decoder in ("bf", "bp", "mcmc"):
+        with pytest.raises(ValueError, match="tie policy"):
+            bench_iid(decoder, (3,), (0.3,), 20, tie_policy=TiePolicy.COIN)
+
+
+def test_bench_chain_seeds_only_for_sampling(monkeypatch):
+    # BF and BP trials draw one noise seed each; the sampler also a chain seed
+    from parity_decode import experiments
+
+    calls = []
+
+    def counting_seed(*key):
+        calls.append(key)
+        return trial_seed(*key)
+
+    monkeypatch.setattr(experiments, "trial_seed", counting_seed)
+    for decoder, per_trial in (("bf", 1), ("bp", 1), ("mcmc", 2)):
+        calls.clear()
+        bench_iid(decoder, [5], [0.1], trials=7, seed=2)
+        assert len(calls) == 7 * per_trial
 
 
 def test_bench_bp_and_mcmc_run():

@@ -238,6 +238,22 @@ def test_boltzmann_visit_distribution_small():
     assert tv < 0.05
 
 
+def test_visit_distribution_finite_when_escape_rates_underflow():
+    # gamma = 1000 from a codeword: exp(shift) underflows, so recorded
+    # escape rates are exactly 0; the holding-time weights must not
+    # overflow to inf and normalize to NaN
+    code = build_code(5)
+    z = encode(code, np.array([1, -1, 1, 1, -1]))
+    params = HamiltonianParams(beta=0.0, gamma=1000.0, family="w4")
+    _, run = mcmc_decode(code, params, 200, z, 19, initial=z)
+    assert np.count_nonzero(run.escape_rates == 0.0) > 0
+    emp = visit_distribution(code, params, steps=2000, burn_in=0, seed=3, initial=z)
+    vals = np.array(list(emp.values()))
+    assert len(vals) > 1 and np.all(np.isfinite(vals)) and np.all(vals >= 0)
+    assert math.isclose(vals.sum(), 1.0, rel_tol=1e-12)
+    assert visit_distribution(code, params, steps=5, burn_in=5, seed=3) == {}
+
+
 def test_hybrid_dominates_matched_chains():
     code = build_code(8)
     rng = np.random.default_rng(43)

@@ -1,7 +1,8 @@
-"""Property tests of the edge-vector converters, the syndrome kernel and
-the hybrid decoder's chunked BF stage, over K = 2..10 and both check
-families (K = 2 has no triangle and no plaquette checks, K = 3 one
-triangle)."""
+"""Property tests of the edge-vector converters, the syndrome kernel, the
+BF sweep (`bf_step`, `bf_decode`) against an int64 reference, and the
+hybrid decoder's chunked BF stage, over small K and both check families
+(K = 2 has no triangle and no plaquette checks, K = 3 one triangle; odd
+K gives BF vote ties)."""
 
 from unittest import mock
 
@@ -10,11 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from parity_decode import (
     HamiltonianParams,
+    TiePolicy,
+    bf_decode,
+    bf_step,
     build_code,
     encode,
     hybrid_decode,
     is_codeword,
     matrix_to_vector,
+    syndrome,
     vector_to_matrix,
 )
 from parity_decode import mcmc
@@ -111,3 +116,97 @@ def test_hybrid_stage_matches_per_state_sweeps(K, family, budget, iters, seed, c
         run.decoded_target_hit, run.decoded_any_codeword)
     if K == 2:
         assert run.decoded_any_codeword == 0
+
+
+def _noisy_state(code, seed, eps):
+    """A gauge-transformed codeword with i.i.d. flips at rate eps, and
+    that codeword."""
+    rng = np.random.default_rng(seed)
+    z = encode(code, np.where(rng.random(code.K) < 0.5, 1, -1))
+    e = np.where(rng.random(code.n_vars) < eps, -1, 1).astype(np.int8)
+    return (z * vector_to_matrix(code, e)).astype(np.int8), z
+
+
+def _ref_step(code, x, tie_policy, rng):
+    """One BF sweep from exact int64 votes on the edge vector: sign of
+    x_ij (x_ij + sum_k x_ik x_kj), the current sign kept on a zero vote,
+    or under COIN multiplied by one coin per tied pair in edge order."""
+    m = x.astype(np.int64)
+    i, j = code.edges.T
+    vote, cur = (m @ m - m)[i, j], m[i, j]
+    tied = vote == 0
+    new = np.where(tied, cur, np.sign(vote))
+    n_ties = int(tied.sum())
+    if n_ties and tie_policy is TiePolicy.COIN:
+        new[tied] = cur[tied] * (rng.integers(0, 2, size=n_ties) * 2 - 1)
+    return vector_to_matrix(code, new.astype(np.int8)), n_ties
+
+
+def _ref_decode(code, x, max_iters, tie_policy, target, rng):
+    """bf_decode's contract as a plain loop over _ref_step: (final,
+    converged, success, iterations, ties, tie_failure, trajectory)."""
+    traj, ties, cur = [x], 0, x
+    for n in range(max_iters + 1):
+        if target is not None:
+            done = np.array_equal(cur, target)
+        else:
+            done = bool(np.all(syndrome(code, cur, "w3") == 1))
+        if done:
+            return cur, True, True, n, ties, False, traj
+        if n == max_iters:
+            return cur, False, False, n, ties, False, traj
+        nxt, n_ties = _ref_step(code, cur, tie_policy, rng)
+        ties += n_ties
+        if n_ties and tie_policy is TiePolicy.FAIL:
+            return nxt, False, False, n + 1, ties, True, traj + [nxt]
+        if np.array_equal(nxt, cur):
+            return cur, True, False, n, ties, False, traj
+        traj.append(nxt)
+        cur = nxt
+
+
+POLICIES = st.sampled_from(list(TiePolicy))
+NOISE = st.sampled_from([0.0, 0.1, 0.3, 0.5])
+
+
+@SETTINGS
+@given(K=st.integers(2, 12), policy=POLICIES, eps=NOISE, seed=st.integers(0, 2**32 - 1))
+@example(K=3, policy=TiePolicy.COIN, eps=0.5, seed=0)
+@example(K=5, policy=TiePolicy.KEEP, eps=0.3, seed=1)
+def test_bf_step_matches_int64_reference(K, policy, eps, seed):
+    code = build_code(K)
+    x, _ = _noisy_state(code, seed, eps)
+    out, n_ties = bf_step(code, x, policy, np.random.default_rng(seed))
+    ref, ref_ties = _ref_step(code, x, policy, np.random.default_rng(seed))
+    assert out.dtype == np.int8
+    assert np.array_equal(out, ref)
+    assert n_ties == ref_ties
+    if K % 2 == 0:
+        assert n_ties == 0  # an odd vote set never ties
+
+
+@SETTINGS
+@given(K=st.integers(2, 12), policy=POLICIES, eps=NOISE, seed=st.integers(0, 2**32 - 1),
+       max_iters=st.integers(1, 6), with_target=st.booleans(), record=st.booleans())
+@example(K=3, policy=TiePolicy.COIN, eps=0.5, seed=0, max_iters=4, with_target=True,
+         record=True)
+@example(K=3, policy=TiePolicy.FAIL, eps=0.5, seed=0, max_iters=4, with_target=False,
+         record=True)
+def test_bf_decode_matches_reference_loop(K, policy, eps, seed, max_iters, with_target, record):
+    code = build_code(K)
+    x, z = _noisy_state(code, seed, eps)
+    target = z if with_target else None
+    res = bf_decode(code, x, max_iters=max_iters, tie_policy=policy, target=target,
+                    rng=np.random.default_rng(seed), record_trajectory=record)
+    final, converged, success, iterations, ties, tie_failure, traj = _ref_decode(
+        code, x, max_iters, policy, target, np.random.default_rng(seed))
+    assert res.final.dtype == np.int8
+    assert np.array_equal(res.final, final)
+    assert (res.converged, res.success, res.iterations, res.ties, res.tie_failure) == (
+        converged, success, iterations, ties, tie_failure)
+    if record:
+        assert len(res.trajectory) == len(traj)
+        for got, want in zip(res.trajectory, traj):
+            assert got.dtype == np.int8 and np.array_equal(got, want)
+    else:
+        assert res.trajectory is None
