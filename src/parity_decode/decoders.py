@@ -122,17 +122,21 @@ def _bf_sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _break_ties(code: ParityCode, new: np.ndarray, tie: np.ndarray,
-                tie_policy: TiePolicy, rng: np.random.Generator | None) -> int:
-    """Tied pairs of one sweep; under COIN each is negated in `new` with
-    probability 1/2, one coin per tied pair drawn in edge order."""
-    n_ties = int(np.count_nonzero(tie)) // 2
-    if n_ties and tie_policy is TiePolicy.COIN:
+                tie_policy: TiePolicy, rng: np.random.Generator | None) -> np.ndarray:
+    """Tied pairs of one sweep of a stack (..., K, K), per matrix; under
+    COIN each is negated in `new` with probability 1/2, one coin per tied
+    pair drawn in edge order, matrix by matrix."""
+    n_ties = np.count_nonzero(tie, axis=(-2, -1)) // 2
+    if tie_policy is TiePolicy.COIN and n_ties.any():
         if rng is None:
             raise ValueError("COIN tie policy needs an rng")
-        i, j = code.edges[matrix_to_vector(code, tie)].T
-        coin = rng.integers(0, 2, size=n_ties) * 2 - 1
-        new[i, j] *= coin
-        new[j, i] *= coin
+        flat_new = new.reshape(-1, code.K, code.K)
+        flat_tie = tie.reshape(-1, code.K, code.K)
+        for b in np.flatnonzero(n_ties):
+            i, j = code.edges[matrix_to_vector(code, flat_tie[b])].T
+            coin = rng.integers(0, 2, size=len(i)) * 2 - 1
+            flat_new[b, i, j] *= coin
+            flat_new[b, j, i] *= coin
     return n_ties
 
 
@@ -151,7 +155,80 @@ def bf_step(
     """
     new, tie = _bf_sweep(validate_spin_matrix(x, code.K).astype(np.float32))
     n_ties = _break_ties(code, new, tie, tie_policy, rng)
-    return new.astype(np.int8), n_ties
+    return new.astype(np.int8), int(n_ties)
+
+
+@dataclass
+class _BFStack:
+    """Per-row outcome of _bf_decode_stack; the fields of DecodeResult."""
+
+    final: np.ndarray
+    converged: np.ndarray
+    success: np.ndarray
+    iterations: np.ndarray
+    ties: np.ndarray
+    tie_failure: np.ndarray
+
+
+def _bf_decode_stack(
+    code: ParityCode,
+    cur: np.ndarray,
+    max_iters: int,
+    tie_policy: TiePolicy,
+    target: np.ndarray | None,
+    rng: np.random.Generator | None = None,
+    trajectories: list[list] | None = None,
+) -> _BFStack:
+    """The BF decode loop on a trusted float32 stack (B, K, K), each row
+    decoded as bf_decode would decode it alone. `target` is one float32
+    (K, K) matrix shared by all rows, or None for "any codeword". Rows
+    leave the stack when they reach the target, hit a fixed point, fail
+    on a tie (FAIL) or spend max_iters sweeps. COIN coins are drawn row
+    by row from the one rng; trajectories, when given, get one list of
+    int8 states per row."""
+    B = len(cur)
+    final = np.empty((B, code.K, code.K), dtype=np.int8)
+    converged = np.zeros(B, dtype=bool)
+    success = np.zeros(B, dtype=bool)
+    iterations = np.zeros(B, dtype=np.int64)
+    ties = np.zeros(B, dtype=np.int64)
+    tie_failure = np.zeros(B, dtype=bool)
+    if trajectories is not None:
+        trajectories.extend([m] for m in cur.astype(np.int8))
+    rows = np.arange(B)
+    for n in range(max_iters + 1):
+        if target is not None:
+            done = (cur == target).all(axis=(-2, -1))
+        else:
+            done = (_syndrome_flat(code, matrix_to_vector(code, cur), "w3") == 1).all(axis=-1)
+        stop = done | (n == max_iters)
+        if stop.any():
+            r = rows[stop]
+            final[r] = cur[stop]
+            converged[r] = success[r] = done[stop]
+            iterations[r] = n
+            cur, rows = cur[~stop], rows[~stop]
+        if not len(rows):
+            break
+        nxt, tie = _bf_sweep(cur)
+        n_ties = _break_ties(code, nxt, tie, tie_policy, rng)
+        ties[rows] += n_ties
+        failed = (n_ties > 0) if tie_policy is TiePolicy.FAIL else np.zeros(len(rows), bool)
+        fixed = ~failed & (nxt == cur).all(axis=(-2, -1))
+        if trajectories is not None:
+            for b in np.flatnonzero(~fixed):
+                trajectories[rows[b]].append(nxt[b].astype(np.int8))
+        r = rows[failed]
+        final[r] = nxt[failed]
+        tie_failure[r] = True
+        iterations[r] = n + 1
+        r = rows[fixed]
+        final[r] = cur[fixed]
+        converged[r] = True
+        iterations[r] = n
+        going = ~(failed | fixed)
+        cur, rows = nxt[going], rows[going]
+    return _BFStack(final, converged, success, iterations, ties, tie_failure)
 
 
 def bf_decode(
@@ -166,44 +243,22 @@ def bf_decode(
     """Iterate BF sweeps until the target (or any codeword) is reached,
     a fixed point occurs, or max_iters sweeps are spent.
 
-    x and target are validated once; the sweeps run on a float32 copy.
-    Deterministic for KEEP/FAIL policies: identical inputs give the
-    identical result.
+    x and target are validated once; the sweeps run on a float32 copy,
+    as the one-row case of _bf_decode_stack. Deterministic for KEEP/FAIL
+    policies: identical inputs give the identical result.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     cur = validate_spin_matrix(x, code.K).astype(np.float32)
     if target is not None:
         target = validate_spin_matrix(target, code.K).astype(np.float32)
-
-    traj = [cur.astype(np.int8)] if record_trajectory else None
-    ties = 0
-    for n in range(max_iters + 1):
-        done = (np.array_equal(cur, target) if target is not None
-                else bool(np.all(_syndrome_flat(code, matrix_to_vector(code, cur), "w3") == 1)))
-        if done or n == max_iters:
-            return DecodeResult(
-                final=cur.astype(np.int8), converged=done, success=done, iterations=n,
-                ties=ties, trajectory=traj,
-            )
-        nxt, tie = _bf_sweep(cur)
-        n_ties = _break_ties(code, nxt, tie, tie_policy, rng)
-        ties += n_ties
-        if n_ties and tie_policy is TiePolicy.FAIL:
-            if traj is not None:
-                traj.append(nxt.astype(np.int8))
-            return DecodeResult(
-                final=nxt.astype(np.int8), converged=False, success=False, iterations=n + 1,
-                ties=ties, tie_failure=True, trajectory=traj,
-            )
-        if np.array_equal(nxt, cur):
-            return DecodeResult(
-                final=cur.astype(np.int8), converged=True, success=False, iterations=n,
-                ties=ties, trajectory=traj,
-            )
-        if traj is not None:
-            traj.append(nxt.astype(np.int8))
-        cur = nxt
+    traj = [] if record_trajectory else None
+    out = _bf_decode_stack(code, cur[None], max_iters, tie_policy, target, rng, traj)
+    return DecodeResult(
+        final=out.final[0], converged=bool(out.converged[0]), success=bool(out.success[0]),
+        iterations=int(out.iterations[0]), ties=int(out.ties[0]),
+        tie_failure=bool(out.tie_failure[0]), trajectory=traj[0] if traj is not None else None,
+    )
 
 
 def bf_sweep_batch(stack: np.ndarray, iters: int) -> np.ndarray:
@@ -371,6 +426,45 @@ def flip_spin(code: ParityCode, x: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Belief propagation on the triangle-check graph
 
+_BP_LAYOUTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _bp_layout(code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
+    """Variable index of every BP message, (3, n_checks3), and its ravel.
+
+    Row r holds column 2 - r of checks3_vars (jk, ik, ij), so each
+    message family is one contiguous row. Triangles are in lexicographic
+    order, so the checks in which a pair is jk come before those in which
+    it is ik, and those before the ones in which it is ij: the ravel
+    lists each variable's messages in check order, and np.bincount adds
+    them in the same order as over checks3_vars.ravel(). Cached per K
+    (build_code is deterministic and ParityCode is unhashable)."""
+    layout = _BP_LAYOUTS.get(code.K)
+    if layout is None:
+        rows = np.ascontiguousarray(code.checks3_vars[:, ::-1].T)
+        flat = rows.ravel()
+        for a in (rows, flat):
+            a.setflags(write=False)  # shared by every call in the process
+        layout = _BP_LAYOUTS[code.K] = (rows, flat)
+    return layout
+
+
+def _clip(a: np.ndarray, bound: float) -> np.ndarray:
+    """Clip a float array to [-bound, bound] in place."""
+    np.minimum(a, bound, out=a)
+    np.maximum(a, -bound, out=a)
+    return a
+
+
+def _check_messages(prod: np.ndarray) -> np.ndarray:
+    """Check-to-variable messages 2 artanh(prod) from the tanh products
+    over the other two members, in place: the product is clipped below
+    1 in magnitude, the message at +-MSG_CLIP."""
+    msg = np.arctanh(_clip(prod, 0.9999999999999998), out=prod)
+    msg *= 2.0
+    return _clip(msg, MSG_CLIP)
+
+
 def bp_decode(
     code: ParityCode,
     channel_llr: np.ndarray | None = None,
@@ -390,6 +484,13 @@ def bp_decode(
     clipped at +-30; the hard decision is the posterior sign with 0
     mapping to +1. Stops early when the hard decision reaches the
     target (or any codeword when no target is given).
+
+    With (x, epsilon) every channel LLR is one of two values, so the
+    first iteration's check messages take at most 3 values (indexed by
+    how many of the other two members are +1) and the second
+    iteration's variable messages at most 3 per variable: both come from
+    value tables, computed with the same elementwise operations as the
+    full message arrays, so the results are bit-identical to them.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -398,7 +499,9 @@ def bp_decode(
             raise ValueError("need either channel_llr or (x, epsilon)")
         if not (0.0 < epsilon < 0.5):
             raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
-        lam = math.log((1.0 - epsilon) / epsilon) * _edge_vector(code, x).astype(np.float64)
+        xf = _edge_vector(code, x)
+        llr = math.log((1.0 - epsilon) / epsilon)
+        lam = llr * xf.astype(np.float64)
     else:
         lam = np.asarray(channel_llr, dtype=np.float64).ravel()
         if len(lam) != code.n_vars:
@@ -408,7 +511,6 @@ def bp_decode(
     target_f = None if target is None else _edge_vector(code, target)
 
     lam = np.clip(lam, -MSG_CLIP, MSG_CLIP)
-    cnv = code.checks3_vars  # (n_checks, 3) variable indices per check
 
     posteriors = [lam.copy()] if record else None
 
@@ -428,26 +530,45 @@ def bp_decode(
             iterations=0, trajectory=None, posteriors=posteriors,
         )
 
-    # Messages live on graph edges arranged as (n_checks, 3); variable
-    # degree is K-2, check degree exactly 3.
-    msg_vc = lam[cnv]  # variable -> check
-    flat_vn = cnv.ravel()
+    # Messages live on graph edges arranged as (3, n_checks), see
+    # _bp_layout; variable degree is K-2, check degree exactly 3.
+    layout, flat = _bp_layout(code)
+    tables = channel_llr is None
+    if tables:
+        # the 2 channel values, the <= 3 first check messages, and the
+        # per-message index into them: how many of the other two members
+        # are +1, from their spin sum in {-2, 0, 2}
+        t = np.tanh(0.5 * _clip(llr * np.array([-1.0, 1.0]), MSG_CLIP))
+        first = _check_messages(np.array([t[0] * t[0], t[1] * t[0], t[1] * t[1]]))
+        spins = xf[layout]
+        which = (spins[0] + spins[1] + spins[2]) - spins
+        which += 2
+        which >>= 1
+        which = which.astype(np.intp)
+    post = lam
     for it in range(1, max_iters + 1):
-        # Check -> variable: pairwise tanh products exclude the receiver.
-        t = np.tanh(0.5 * msg_vc)
-        prod = np.empty_like(t)
-        prod[:, 0] = t[:, 1] * t[:, 2]
-        prod[:, 1] = t[:, 0] * t[:, 2]
-        prod[:, 2] = t[:, 0] * t[:, 1]
-        np.clip(prod, -0.9999999999999998, 0.9999999999999998, out=prod)
-        msg_cv = 2.0 * np.arctanh(prod)
-        np.clip(msg_cv, -MSG_CLIP, MSG_CLIP, out=msg_cv)
-
-        # Variable -> check: channel + all incoming except the receiver.
-        sums = np.bincount(flat_vn, weights=msg_cv.ravel(), minlength=code.n_vars)
-        post = lam + sums
-        msg_vc = post[cnv] - msg_cv
-        np.clip(msg_vc, -MSG_CLIP, MSG_CLIP, out=msg_vc)
+        if tables and it == 1:
+            msg_cv = first[which]
+        else:
+            # Variable -> check: channel + all incoming except the
+            # receiver, clipped, kept as tanh(msg / 2).
+            if tables and it == 2:
+                table = np.tanh(0.5 * _clip(post[:, None] - first, MSG_CLIP))
+                t = table.ravel()[3 * layout + which]
+            else:
+                t = post[layout]  # the channel values in iteration 1
+                if it > 1:
+                    t -= msg_cv
+                    _clip(t, MSG_CLIP)
+                t *= 0.5
+                np.tanh(t, out=t)
+            # Check -> variable: pairwise tanh products exclude the receiver.
+            prod = np.empty_like(t)
+            np.multiply(t[1], t[2], out=prod[0])
+            np.multiply(t[0], t[2], out=prod[1])
+            np.multiply(t[0], t[1], out=prod[2])
+            msg_cv = _check_messages(prod)
+        post = lam + np.bincount(flat, weights=msg_cv.ravel(), minlength=code.n_vars)
 
         if posteriors is not None:
             posteriors.append(post.copy())

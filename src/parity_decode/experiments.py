@@ -35,7 +35,14 @@ from .code import (
     matrix_to_vector,
     validate_spin_matrix,
 )
-from .decoders import CapacityError, TiePolicy, bf_decode, bp_decode, count_errors
+from .decoders import (
+    CapacityError,
+    TiePolicy,
+    _bf_decode_stack,
+    bf_decode,
+    bp_decode,
+    count_errors,
+)
 from .mcmc import (
     LOCKSTEP_GROUP,
     LOCKSTEP_STATE_BYTES,
@@ -50,6 +57,7 @@ from .reports import BenchmarkReport, TrajectoryDump
 GROUND_STATE_MAX_K = 24
 DEFAULT_BETA_GRID = tuple(round(0.25 * i, 2) for i in range(13))   # 0 .. 3.0
 DEFAULT_GAMMA_GRID = tuple(round(0.1 * i, 2) for i in range(16))   # 0 .. 1.5
+BF_TRIAL_CHUNK = 16  # bench_iid BF trials decoded as one stack
 
 
 @dataclass(frozen=True)
@@ -131,48 +139,55 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 # i.i.d. noise benchmark
 
 def _decode_iid_trial(code, decoder, x, target, eps, iters, chain_seed,
-                      tie_policy, mcmc_budget, mcmc_gamma, mcmc_family):
-    if decoder == "bf":
-        res = bf_decode(code, x, max_iters=iters, tie_policy=tie_policy, target=target)
-        return res.success, res.iterations, res.tie_failure
+                      mcmc_budget, mcmc_gamma, mcmc_family):
+    """(success, iterations) of one BP or sampling trial."""
     if decoder == "bp":
         res = bp_decode(code, x=x, epsilon=max(eps, 1e-12), max_iters=iters, target=target)
-        return res.success, res.iterations, False
+        return res.success, res.iterations
     if decoder == "mcmc":
         params = HamiltonianParams(beta=0.0, gamma=mcmc_gamma, couplings=None,
                                    family=mcmc_family)
         budget = mcmc_budget if mcmc_budget is not None else code.n_vars
         ok, run = mcmc_decode(code, params, budget, target, chain_seed,
                               initial=x, store_samples=False)
-        return ok, (run.target_hit if ok else budget), False
+        return ok, (run.target_hit if ok else budget)
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
 def _bench_unit(payload: dict) -> dict:
+    """One (K, epsilon) row. BF decodes its trials as stacks of at most
+    BF_TRIAL_CHUNK trials; BP and sampling decode one trial at a time."""
     decoder = payload["decoder"]
     K = payload["K"]
     eps = payload["epsilon"]
     code = build_code(K)
     target = payload.get("codeword")
     target = all_one_matrix(K) if target is None else np.asarray(target, dtype=np.int8)
-    successes = ties = 0
-    iter_sum = 0
-    for t in range(payload["trials"]):
-        noise_seed = trial_seed(payload["seed"], 11, payload["k_index"], payload["e_index"], t, 0)
-        chain_seed = trial_seed(payload["seed"], 11, payload["k_index"], payload["e_index"],
-                                t, 1) if decoder == "mcmc" else None
-        e = sample_iid_errors(code, eps, noise_seed)
-        x = (target * e).astype(np.int8)
-        ok, iters_used, tie_failed = _decode_iid_trial(
-            code, decoder, x, target, eps, payload["iters"], chain_seed,
-            payload["tie_policy"], payload["mcmc_budget"], payload["mcmc_gamma"],
-            payload["mcmc_family"],
-        )
-        if ok:
-            successes += 1
-            iter_sum += iters_used
-        if tie_failed:
-            ties += 1
+    keys = (payload["seed"], 11, payload["k_index"], payload["e_index"])
+
+    def noisy(t):
+        return (target * sample_iid_errors(code, eps, trial_seed(*keys, t, 0))).astype(np.int8)
+
+    successes = ties = iter_sum = 0
+    if decoder == "bf":
+        target32 = target.astype(np.float32)
+        for start in range(0, payload["trials"], BF_TRIAL_CHUNK):
+            stop = min(start + BF_TRIAL_CHUNK, payload["trials"])
+            x = np.stack([noisy(t) for t in range(start, stop)]).astype(np.float32)
+            out = _bf_decode_stack(code, x, payload["iters"], payload["tie_policy"], target32)
+            successes += int(out.success.sum())
+            iter_sum += int(out.iterations[out.success].sum())
+            ties += int(out.tie_failure.sum())
+    else:
+        for t in range(payload["trials"]):
+            chain_seed = trial_seed(*keys, t, 1) if decoder == "mcmc" else None
+            ok, iters_used = _decode_iid_trial(
+                code, decoder, noisy(t), target, eps, payload["iters"], chain_seed,
+                payload["mcmc_budget"], payload["mcmc_gamma"], payload["mcmc_family"],
+            )
+            if ok:
+                successes += 1
+                iter_sum += iters_used
     trials = payload["trials"]
     failures = trials - successes
     fp = failures / trials if trials else 0.0
@@ -220,6 +235,8 @@ def bench_iid(
         raise ValueError(f"unknown decoder {decoder!r}")
     if tie_policy is TiePolicy.COIN:
         raise ValueError("bench_iid needs a deterministic tie policy (keep or fail), not coin")
+    if decoder != "mcmc" and iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     if codeword is not None:
         cw = validate_spin_matrix(codeword)
         if any(int(K) != len(cw) for K in K_list):

@@ -94,6 +94,9 @@ class SampleRun:
     per-sample energies, and the escape rate of the state each step
     departed from (aligned with [initial] + samples[:-1], i.e. the
     holding-time weight of the previous state is 1/escape_rates[t]).
+    At steep penalties an escape rate can underflow to exactly 0.0, and
+    1/escape_rates[t] is then inf; visit_distribution sums holding
+    times in the log domain from the chain's (shift, total) instead.
 
     target_hit / first_codeword are sample indices with 0 meaning the
     initial state and t meaning the state after step t; None if never.
@@ -580,10 +583,13 @@ def hybrid_decode(
 
     With the same seed and budget the first stage reproduces the
     mcmc_decode chain exactly, and codewords are BF fixed points, so
-    hybrid success dominates plain sampling success pointwise.
+    hybrid success dominates plain sampling success pointwise. The BF
+    stage keeps the current sign on a tied vote; any tie_policy other
+    than KEEP is refused before sampling.
     """
-    if tie_policy is TiePolicy.COIN:
-        raise ValueError("hybrid stage uses the deterministic keep-sign sweep")
+    if tie_policy is not TiePolicy.KEEP:
+        raise ValueError("hybrid stage uses the deterministic keep-sign sweep; "
+                         f"tie_policy {tie_policy.value!r} is not supported")
     target_f = _edge_vector(code, target)
     run, states = _run_chain(code, params, budget, seed, target_f, initial, store_samples=True)
     run.decoded_target_hit, run.decoded_any_codeword, decoded = _bf_stage(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from parity_decode import (
     HamiltonianParams,
     ProblemInstance,
     TiePolicy,
+    all_one_matrix,
     bench_iid,
+    bf_decode,
     best_cell,
     build_code,
     efficiency_ratio,
@@ -18,6 +21,7 @@ from parity_decode import (
     gen_instance,
     landscape,
     logical_energy,
+    sample_iid_errors,
     trajectory_demo,
     trial_seed,
     wilson_interval,
@@ -175,6 +179,68 @@ def test_bench_chain_seeds_only_for_sampling(monkeypatch):
         calls.clear()
         bench_iid(decoder, [5], [0.1], trials=7, seed=2)
         assert len(calls) == 7 * per_trial
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("policy", [TiePolicy.KEEP, TiePolicy.FAIL])
+def test_bench_bf_stacks_match_per_trial_loop(monkeypatch, chunk, policy):
+    # BF trials decoded in stacks of `chunk` give the rows of a per-trial
+    # bf_decode loop on the same noise; odd K = 5 and 7 give tied votes
+    from parity_decode import experiments
+
+    monkeypatch.setattr(experiments, "BF_TRIAL_CHUNK", chunk)
+    K_list, eps_list, trials, seed = [5, 7, 8], [0.1, 0.3], 70, 4
+    rep = bench_iid("bf", K_list, eps_list, trials=trials, seed=seed, tie_policy=policy)
+    rows = iter(rep.rows)
+    tie_failures = 0
+    for ki, K in enumerate(K_list):
+        code, target = build_code(K), all_one_matrix(K)
+        for ei, eps in enumerate(eps_list):
+            ok = fails = iter_sum = 0
+            for t in range(trials):
+                e = sample_iid_errors(code, eps, trial_seed(seed, 11, ki, ei, t, 0))
+                res = bf_decode(code, (target * e).astype(np.int8), max_iters=5,
+                                tie_policy=policy, target=target)
+                ok += res.success
+                iter_sum += res.iterations if res.success else 0
+                fails += res.tie_failure
+            row = next(rows)
+            assert (row["K"], row["epsilon"]) == (K, eps)
+            assert (row["successes"], row["failures"], row["tie_failures"]) == (
+                ok, trials - ok, fails)
+            assert row["mean_iterations_success"] == (iter_sum / ok if ok else None)
+            tie_failures += fails
+    assert (tie_failures > 0) == (policy is TiePolicy.FAIL)
+    empty = bench_iid("bf", [5], [0.3], trials=0, seed=seed, tie_policy=policy).rows[0]
+    assert (empty["successes"], empty["failures"], empty["tie_failures"]) == (0, 0, 0)
+
+
+# sha256 of the JSON then CSV bytes of small BF and BP reports (FAIL ties),
+# as written before BF trials were stacked and BP got its value tables
+BENCH_DIGESTS = {
+    "bf": (80, "f2105cef67df0e0d09b9353840ef67d22d0d06aeb16bfe5e5d5dd789cca6b285"),
+    "bp": (40, "5ef7f423bdb94245adc3653ec98b49445557791532ee06dd6fae88b07494c178"),
+}
+
+
+@pytest.mark.parametrize("decoder", sorted(BENCH_DIGESTS))
+def test_bench_report_bytes_pinned(tmp_path, decoder):
+    trials, digest = BENCH_DIGESTS[decoder]
+    rep = bench_iid(decoder, [5, 8], [0.1, 0.3], trials=trials, seed=13)
+    rep.to_json(tmp_path / "r.json")
+    rep.to_csv(tmp_path / "r.csv")
+    data = (tmp_path / "r.json").read_bytes() + (tmp_path / "r.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_bench_refuses_zero_iterations(monkeypatch):
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_units", no_units)
+    for decoder in ("bf", "bp"):
+        with pytest.raises(ValueError, match="iters"):
+            bench_iid(decoder, [5], [0.1], trials=3, iters=0)
 
 
 def test_bench_bp_and_mcmc_run():

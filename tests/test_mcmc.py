@@ -5,6 +5,7 @@ import pytest
 
 from parity_decode import (
     HamiltonianParams,
+    TiePolicy,
     all_one_matrix,
     average_error_matrix,
     boltzmann_distribution,
@@ -291,6 +292,22 @@ def test_hybrid_equals_mcmc_at_huge_gamma():
         h_ok, _ = hybrid_decode(code, params, 120, target, seed, initial=target)
         agree += m_ok == h_ok
     assert agree >= 9
+
+
+@pytest.mark.parametrize("policy", [TiePolicy.FAIL, TiePolicy.COIN])
+def test_hybrid_refuses_tie_policies_other_than_keep(monkeypatch, policy):
+    # the BF stage keeps signs on ties and counts none, so FAIL would be
+    # silently ignored: refused, like COIN, before the chain runs
+    from parity_decode import mcmc
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(mcmc, "_run_chain", no_chain)
+    code = build_code(5)
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
+    with pytest.raises(ValueError, match="tie_policy"):
+        hybrid_decode(code, params, 20, all_one_matrix(5), 1, tie_policy=policy)
 
 
 def test_average_error_matrix():

@@ -1,9 +1,11 @@
 """Property tests of the edge-vector converters, the syndrome kernel, the
-BF sweep (`bf_step`, `bf_decode`) against an int64 reference, and the
-hybrid decoder's chunked BF stage, over small K and both check families
-(K = 2 has no triangle and no plaquette checks, K = 3 one triangle; odd
-K gives BF vote ties)."""
+BF sweep (`bf_step`, `bf_decode`, the stacked BF loop) against an int64
+reference, BP against a frozen copy of its plain message-passing loop,
+and the hybrid decoder's chunked BF stage, over small K and both check
+families (K = 2 has no triangle and no plaquette checks, K = 3 one
+triangle; odd K gives BF vote ties)."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from parity_decode import (
     TiePolicy,
     bf_decode,
     bf_step,
+    bp_decode,
     build_code,
     encode,
     hybrid_decode,
@@ -24,7 +27,7 @@ from parity_decode import (
 )
 from parity_decode import mcmc
 from parity_decode.code import _syndrome_flat
-from parity_decode.decoders import bf_sweep_batch
+from parity_decode.decoders import _bf_decode_stack, bf_sweep_batch
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FAMILIES = st.sampled_from(["w3", "w4"])
@@ -210,3 +213,120 @@ def test_bf_decode_matches_reference_loop(K, policy, eps, seed, max_iters, with_
             assert got.dtype == np.int8 and np.array_equal(got, want)
     else:
         assert res.trajectory is None
+
+
+@SETTINGS
+@given(K=st.integers(2, 12), policy=st.sampled_from([TiePolicy.KEEP, TiePolicy.FAIL]),
+       eps=NOISE, seed=st.integers(0, 2**32 - 1), max_iters=st.integers(1, 6),
+       with_target=st.booleans(), batch=st.integers(0, 6))
+@example(K=5, policy=TiePolicy.FAIL, eps=0.3, seed=0, max_iters=5, with_target=True, batch=6)
+@example(K=7, policy=TiePolicy.KEEP, eps=0.5, seed=1, max_iters=3, with_target=False, batch=6)
+def test_bf_decode_stack_rows_match_bf_decode(K, policy, eps, seed, max_iters, with_target,
+                                              batch):
+    """Every row of one stacked decode, trajectory included, equals
+    bf_decode on that row alone; rows share the target."""
+    code = build_code(K)
+    _, z = _noisy_state(code, seed, 0.0)
+    rng = np.random.default_rng(seed)
+    flips = np.where(rng.random((batch, code.n_vars)) < eps, -1, 1).astype(np.int8)
+    xs = (z * vector_to_matrix(code, flips)).astype(np.int8)
+    target = z if with_target else None
+    trajs = []
+    out = _bf_decode_stack(code, xs.astype(np.float32), max_iters, policy,
+                           None if target is None else target.astype(np.float32),
+                           trajectories=trajs)
+    assert out.final.shape == (batch, K, K) and out.final.dtype == np.int8
+    assert len(trajs) == batch
+    for b in range(batch):
+        res = bf_decode(code, xs[b], max_iters=max_iters, tie_policy=policy, target=target,
+                        record_trajectory=True)
+        assert np.array_equal(out.final[b], res.final)
+        assert (out.converged[b], out.success[b], out.iterations[b], out.ties[b],
+                out.tie_failure[b]) == (res.converged, res.success, res.iterations, res.ties,
+                                        res.tie_failure)
+        assert len(trajs[b]) == len(res.trajectory)
+        for got, want in zip(trajs[b], res.trajectory):
+            assert got.dtype == np.int8 and np.array_equal(got, want)
+
+
+MSG_CLIP = 30.0
+
+
+def _ref_bp(code, lam, max_iters, target_f):
+    """bp_decode's sum-product loop as it was before its value tables and
+    its (3, n_checks) message layout, kept as the bit-identity reference:
+    messages (n_checks, 3) in checks3_vars order, every iteration over all
+    messages. lam is the clipped channel edge vector. Returns (final,
+    converged, success, iterations, posteriors)."""
+    cnv = code.checks3_vars
+    posteriors = [lam.copy()]
+
+    def hard(post):
+        return np.where(post >= 0, 1, -1).astype(np.int8)
+
+    def reached(h):
+        if target_f is not None:
+            return np.array_equal(h, target_f)
+        return bool(np.all(_syndrome_flat(code, h, "w3") == 1))
+
+    h = hard(lam)
+    done = reached(h)
+    if code.n_checks3 == 0 or done:
+        return vector_to_matrix(code, h), True, done, 0, posteriors
+    msg_vc = lam[cnv]
+    flat_vn = cnv.ravel()
+    for it in range(1, max_iters + 1):
+        t = np.tanh(0.5 * msg_vc)
+        prod = np.empty_like(t)
+        prod[:, 0] = t[:, 1] * t[:, 2]
+        prod[:, 1] = t[:, 0] * t[:, 2]
+        prod[:, 2] = t[:, 0] * t[:, 1]
+        np.clip(prod, -0.9999999999999998, 0.9999999999999998, out=prod)
+        msg_cv = 2.0 * np.arctanh(prod)
+        np.clip(msg_cv, -MSG_CLIP, MSG_CLIP, out=msg_cv)
+        sums = np.bincount(flat_vn, weights=msg_cv.ravel(), minlength=code.n_vars)
+        post = lam + sums
+        msg_vc = post[cnv] - msg_cv
+        np.clip(msg_vc, -MSG_CLIP, MSG_CLIP, out=msg_vc)
+        posteriors.append(post.copy())
+        h = hard(post)
+        if reached(h):
+            return vector_to_matrix(code, h), True, True, it, posteriors
+    return vector_to_matrix(code, h), False, reached(h), max_iters, posteriors
+
+
+def _same_bp(res, ref):
+    final, converged, success, iterations, posteriors = ref
+    assert res.final.dtype == np.int8 and np.array_equal(res.final, final)
+    assert (res.converged, res.success, res.iterations) == (converged, success, iterations)
+    assert len(res.posteriors) == len(posteriors)
+    for got, want in zip(res.posteriors, posteriors):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+BP_EPSILON = st.one_of(st.just(1e-12), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True,
+                                                 allow_subnormal=False))
+
+
+@SETTINGS
+@given(K=st.integers(2, 12), noise=NOISE, epsilon=BP_EPSILON, seed=st.integers(0, 2**32 - 1),
+       max_iters=st.integers(1, 5), with_target=st.booleans())
+@example(K=21, noise=0.3, epsilon=0.3, seed=0, max_iters=5, with_target=True)
+@example(K=21, noise=0.3, epsilon=0.2, seed=1, max_iters=5, with_target=False)
+@example(K=40, noise=0.3, epsilon=0.3, seed=2, max_iters=5, with_target=True)
+@example(K=40, noise=0.2, epsilon=0.1, seed=3, max_iters=5, with_target=True)
+@example(K=40, noise=0.3, epsilon=1e-12, seed=4, max_iters=3, with_target=False)
+def test_bp_decode_matches_reference_loop(K, noise, epsilon, seed, max_iters, with_target):
+    """bp_decode from (x, epsilon) (value tables in iterations 1-2) and
+    from the explicit channel LLRs L*x (plain loop) both equal the frozen
+    loop bit for bit: decision, flags, iteration count, every posterior."""
+    code = build_code(K)
+    x, z = _noisy_state(code, seed, noise)
+    target = z if with_target else None
+    llr = math.log((1.0 - epsilon) / epsilon) * matrix_to_vector(code, x).astype(np.float64)
+    ref = _ref_bp(code, np.clip(llr, -MSG_CLIP, MSG_CLIP), max_iters,
+                  None if target is None else matrix_to_vector(code, target))
+    _same_bp(bp_decode(code, x=x, epsilon=epsilon, max_iters=max_iters, target=target,
+                       record=True), ref)
+    _same_bp(bp_decode(code, channel_llr=llr, max_iters=max_iters, target=target,
+                       record=True), ref)
