@@ -47,7 +47,8 @@ class MatrixFormatError(ValueError):
 class ParityCode:
     """Index structure of the parity code for K logical spins.
 
-    Immutable after construction; safe to share across threads.
+    Immutable: its arrays are read-only, and build_code hands out one
+    instance per K, shared by every caller and thread.
 
     Attributes:
         K: number of logical spins.
@@ -100,10 +101,14 @@ class ParityCode:
         )
 
 
-def build_code(K: int) -> ParityCode:
-    """Construct the parity code for K logical spins.
+_CODES: dict[int, ParityCode] = {}
 
-    Deterministic: the same K always yields the identical structure.
+
+def build_code(K: int) -> ParityCode:
+    """The parity code for K logical spins.
+
+    Built once per K and process: every later call with the same K
+    returns the same instance, whose arrays are read-only.
     Raises ValueError for K < 2.
     """
     if not isinstance(K, (int, np.integer)) or isinstance(K, bool):
@@ -111,7 +116,15 @@ def build_code(K: int) -> ParityCode:
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     K = int(K)
+    code = _CODES.get(K)
+    if code is None:
+        code = _CODES.setdefault(K, _construct(K))
+    return code
 
+
+def _construct(K: int) -> ParityCode:
+    """Deterministic index structure of the code for K >= 2, every array
+    read-only."""
     edges = np.array(list(itertools.combinations(range(K), 2)), dtype=np.int64)
     edges = edges.reshape(-1, 2)
     n_vars = len(edges)
@@ -165,8 +178,7 @@ def build_code(K: int) -> ParityCode:
     for v, cs in enumerate(lists4):
         checks4_of_var[v, : len(cs)] = cs
 
-    return ParityCode(
-        K=K,
+    arrays = dict(
         edges=edges,
         pair_index=pair_index,
         checks3=checks3,
@@ -176,6 +188,9 @@ def build_code(K: int) -> ParityCode:
         checks3_of_var=checks3_of_var,
         checks4_of_var=checks4_of_var,
     )
+    for a in arrays.values():
+        a.setflags(write=False)  # shared by every caller in the process
+    return ParityCode(K=K, **arrays)
 
 
 def validate_spin_matrix(m: np.ndarray, K: int | None = None) -> np.ndarray:

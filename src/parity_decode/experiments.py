@@ -49,7 +49,6 @@ from .mcmc import (
     HamiltonianParams,
     _bf_stage,
     _run_lockstep,
-    hybrid_decode,
     mcmc_decode,
 )
 from .reports import BenchmarkReport, TrajectoryDump
@@ -269,12 +268,38 @@ def bench_iid(
 # ---------------------------------------------------------------------------
 # (beta, gamma) landscapes
 
+def _lockstep_hits(code, params_rows, budget: int, seeds, targets: np.ndarray,
+                   bf_max_iters: int | None = None) -> np.ndarray:
+    """(target hit, any-codeword hit) flags, (n_chains, 2), of independent
+    chains from random initial states, run through the lockstep engine
+    LOCKSTEP_GROUP chains at a time: mcmc_decode's flags, or with
+    bf_max_iters set hybrid_decode's, from a BF stage run chain by chain
+    on the recorded states (groups then shrink so those stay within
+    LOCKSTEP_STATE_BYTES). Chain c has params_rows[c], seeds[c] and the
+    edge-vector target targets[c]."""
+    hybrid = bf_max_iters is not None
+    group_size = LOCKSTEP_GROUP
+    if hybrid:
+        # recorded states cost (budget + 1) * n_vars bytes per chain
+        group_size = max(1, min(group_size, LOCKSTEP_STATE_BYTES // ((budget + 1) * code.n_vars)))
+    hits = np.zeros((len(seeds), 2), dtype=bool)
+    for start in range(0, len(seeds), group_size):
+        stop = min(start + group_size, len(seeds))
+        out = _run_lockstep(code, params_rows[start:stop], budget, seeds[start:stop],
+                            targets[start:stop], record_states=hybrid)
+        if not hybrid:
+            hits[start:stop, 0] = out["target_hit"] >= 0
+            hits[start:stop, 1] = out["first_codeword"] >= 0
+            continue
+        for g, states in enumerate(out["states"]):
+            hit, codeword, _ = _bf_stage(code, states, targets[start + g], bf_max_iters)
+            hits[start + g] = hit is not None, codeword is not None
+    return hits
+
+
 def _landscape_unit(payload: dict) -> list[dict]:
-    """Rows of a block of cells. Every (cell, instance, trial) chain of
-    the block runs through the lockstep engine, LOCKSTEP_GROUP chains at
-    a time (fewer for the hybrid when their recorded states would pass
-    LOCKSTEP_STATE_BYTES); the hybrid then runs its BF stage chain by
-    chain."""
+    """Rows of a block of cells: every (cell, instance, trial) chain of
+    the block runs through `_lockstep_hits`."""
     code = build_code(payload["K"])
     strategy = payload["strategy"]
     budget = payload["budget"]
@@ -292,26 +317,14 @@ def _landscape_unit(payload: dict) -> list[dict]:
                 # strategy-independent stream: matched chains across strategies
                 seed = trial_seed(payload["seed"], 23, cell["b_index"], cell["g_index"], i, t)
                 chains.append((c, i, params, seed))
-    group_size = LOCKSTEP_GROUP
-    if strategy == "hybrid":
-        # recorded states cost (budget + 1) * n_vars bytes per chain
-        group_size = max(1, min(group_size, LOCKSTEP_STATE_BYTES // ((budget + 1) * code.n_vars)))
     hits = np.zeros((len(payload["cells"]), len(instances), 2), dtype=np.int64)
-    for start in range(0, len(chains), group_size):
-        group = chains[start:start + group_size]
-        group_targets = np.stack([targets[i] for _, i, _, _ in group])
-        out = _run_lockstep(code, [p for _, _, p, _ in group], budget,
-                            [seed for _, _, _, seed in group], group_targets,
-                            record_states=strategy == "hybrid")
-        for g, (c, i, _, _) in enumerate(group):
-            if strategy == "mcmc":
-                ok = out["target_hit"][g] >= 0
-                any_hit = out["first_codeword"][g] >= 0
-            else:
-                hit, codeword, _ = _bf_stage(code, out["states"][g], group_targets[g],
-                                             payload["bf_max_iters"])
-                ok, any_hit = hit is not None, codeword is not None
-            hits[c, i] += (int(ok), int(any_hit))
+    if chains:
+        flags = _lockstep_hits(
+            code, [p for _, _, p, _ in chains], budget, [seed for _, _, _, seed in chains],
+            np.stack([targets[i] for _, i, _, _ in chains]),
+            payload["bf_max_iters"] if strategy == "hybrid" else None)
+        for (c, i, _, _), row in zip(chains, flags):
+            hits[c, i] += row
     return [_landscape_row(strategy, cell, budget, trials * len(instances),
                            hits[c, :, 0].tolist(), hits[c, :, 1].tolist())
             for c, cell in enumerate(payload["cells"])]
@@ -431,15 +444,17 @@ def efficiency_ratio(
                                  couplings=instance.couplings, family=family)
     params_b = HamiltonianParams(beta=cell_b[0], gamma=cell_b[1],
                                  couplings=instance.couplings, family=family)
-    succ_a = succ_b = 0
-    for t in range(trials):
-        ok, _ = mcmc_decode(code, params_a, budget_a, target,
-                            trial_seed(seed, 31, 0, t), store_samples=False)
-        succ_a += int(ok)
-        ok, _ = hybrid_decode(code, params_b, budget_b, target,
-                              trial_seed(seed, 31, 1, t),
-                              bf_max_iters=bf_max_iters, store_samples=False)
-        succ_b += int(ok)
+    succ = [0, 0]
+    if trials > 0:
+        # arm A's chains are mcmc_decode's, arm B's hybrid_decode's, at
+        # seeds trial_seed(seed, 31, arm, t), run in lockstep batches
+        targets = np.repeat(matrix_to_vector(code, target)[None], trials, axis=0)
+        arms = ((params_a, budget_a, None), (params_b, budget_b, bf_max_iters))
+        for arm, (params, budget, iters) in enumerate(arms):
+            seeds = [trial_seed(seed, 31, arm, t) for t in range(trials)]
+            hits = _lockstep_hits(code, [params] * trials, budget, seeds, targets, iters)
+            succ[arm] = int(hits[:, 0].sum())
+    succ_a, succ_b = succ
     details = {
         "trials": trials, "budget_a": budget_a, "budget_b": budget_b,
         "successes_a": succ_a, "successes_b": succ_b,

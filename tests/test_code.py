@@ -57,6 +57,22 @@ def test_build_code_rejects_bad_k():
             build_code(bad)
 
 
+def test_build_code_one_read_only_instance_per_k():
+    for K in (2, 3, 9, np.int64(9)):
+        code = build_code(K)
+        assert build_code(int(K)) is code
+        arrays = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 8
+        for a in arrays:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            code.edges[0, 0] = 0
+    assert build_code(4) is not build_code(5)
+    for bad in (1, 0, -3, 2.5, "4", True):
+        with pytest.raises(ValueError):
+            build_code(bad)
+
+
 def test_counts_table_small_k():
     # (K, C(K,2), C(K-1,2), C(K,3), K-2)
     expected = {4: (6, 3, 4, 2), 5: (10, 6, 10, 3), 6: (15, 10, 20, 4), 7: (21, 15, 35, 5)}

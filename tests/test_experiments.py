@@ -19,8 +19,10 @@ from parity_decode import (
     encode,
     energy,
     gen_instance,
+    hybrid_decode,
     landscape,
     logical_energy,
+    mcmc_decode,
     sample_iid_errors,
     trajectory_demo,
     trial_seed,
@@ -389,6 +391,37 @@ def test_efficiency_ratio_unestimable_is_nan():
     ratio = efficiency_ratio(inst, (0.0, 0.0), (0.0, 0.0), seed=1, trials=2,
                              budget_a=2, budget_b=2)
     assert math.isnan(ratio)
+
+
+@pytest.mark.parametrize("K", [5, 6, 7, 8])
+def test_efficiency_ratio_details_match_per_chain_oracle(K):
+    """Both arms run as lockstep batches; the details equal those of one
+    mcmc_decode / hybrid_decode call per trial at the same seeds."""
+    inst = gen_instance(K, 60 + K)
+    code = build_code(K)
+    target = encode(code, inst.ground_state)
+    cells = ((3.0, 4.0), (1.0, 0.2))
+    budgets = (30 * code.n_vars, 4 * code.n_vars)
+    trials, seed, iters = 7, K, 3
+    params = [HamiltonianParams(beta=b, gamma=g, couplings=inst.couplings, family="w4")
+              for b, g in cells]
+    succ = [0, 0]
+    for t in range(trials):
+        ok, _ = mcmc_decode(code, params[0], budgets[0], target, trial_seed(seed, 31, 0, t),
+                            store_samples=False)
+        succ[0] += ok
+        ok, _ = hybrid_decode(code, params[1], budgets[1], target, trial_seed(seed, 31, 1, t),
+                              bf_max_iters=iters, store_samples=False)
+        succ[1] += ok
+    spp = [trials * b / s if s else math.nan for b, s in zip(budgets, succ)]
+    expected = {"trials": trials, "budget_a": budgets[0], "budget_b": budgets[1],
+                "successes_a": succ[0], "successes_b": succ[1],
+                "samples_per_success_a": spp[0], "samples_per_success_b": spp[1],
+                "ratio": spp[0] / spp[1] if all(succ) else math.nan}
+    ratio, details = efficiency_ratio(inst, *cells, seed=seed, trials=trials,
+                                      budget_a=budgets[0], budget_b=budgets[1],
+                                      bf_max_iters=iters, return_details=True)
+    assert repr(details) == repr(expected) and repr(ratio) == repr(expected["ratio"])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from parity_decode import (
@@ -330,3 +331,243 @@ def test_bp_decode_matches_reference_loop(K, noise, epsilon, seed, max_iters, wi
                        record=True), ref)
     _same_bp(bp_decode(code, channel_llr=llr, max_iters=max_iters, target=target,
                        record=True), ref)
+
+
+# ---------------------------------------------------------------------------
+# The single-chain step against a frozen copy of its plain per-step loop
+
+class _RefChain:
+    """Frozen copy of the plain single-chain step: the weights rebuilt
+    from scratch every step, one rng.random() per step."""
+
+    def __init__(self, code, params, xf, rng, target_f=None):
+        self.code, self.family, self.rng = code, params.family, rng
+        self.beta, self.gamma = params.beta, params.gamma
+        self.xf = xf.astype(np.int8).copy()
+        self.J = mcmc._couplings_for(code, params)
+        self.adj, self.members, self.size = mcmc._flip_table(code, self.family)
+        self.s = mcmc._padded_syndrome(code, self.xf, self.family)
+        self.adj_sum = mcmc._adjacent_sums(self.adj, self.s)
+        self.n_unsat = int(np.count_nonzero(self.s == -1))
+        self.corr = 0.0 if self.J is None else float((self.J * self.xf).sum())
+        self.target_f = None if target_f is None else target_f.astype(np.int8)
+        self.dist_target = (None if target_f is None
+                            else int(np.count_nonzero(self.xf != self.target_f)))
+        self.steps_done = 0
+
+    @property
+    def energy(self):
+        return float(-self.beta * self.corr + self.gamma * self.n_unsat)
+
+    def step(self):
+        dh = self.gamma * self.adj_sum[:-1]
+        if self.J is not None and self.beta != 0.0:
+            dh += 2.0 * self.beta * self.J * self.xf
+        logw = np.minimum(0.0, -dh)
+        shift = logw.max()
+        w = np.exp(logw - shift)
+        cum = w.cumsum()
+        k = int(cum.searchsorted(self.rng.random() * cum[-1], side="right"))
+        k = min(k, len(w) - 1)
+        self.shift, self.total = shift, cum[-1]
+        rate = float(np.exp(shift) * self.total)
+        old = int(self.xf[k])
+        self.xf[k] = -old
+        if self.J is not None:
+            self.corr -= 2.0 * self.J[k] * old
+        checks = self.adj[k]
+        flipped = self.s[checks]
+        self.n_unsat += int(flipped.sum())
+        self.s[checks] = -flipped
+        np.add.at(self.adj_sum, self.members[k], (-2.0 * flipped).repeat(self.size))
+        if self.target_f is not None:
+            self.dist_target += 1 if self.xf[k] != self.target_f[k] else -1
+        self.steps_done += 1
+        if self.steps_done % mcmc.ENERGY_CHECK_INTERVAL == 0:
+            self.n_unsat, self.corr = mcmc._checked_totals(
+                self.code, self.family, self.adj, self.J, self.xf, self.adj_sum,
+                self.n_unsat, self.corr)
+        return k, rate
+
+
+def _ref_run_chain(code, params, budget, seed, target_f, initial, store, stream_to, schedule):
+    """Frozen copy of the plain `_run_chain` loop: (energies, rates,
+    target_hit, first_codeword, initial edge vector, stack or None)."""
+    rng = np.random.default_rng(seed)
+    xf0 = mcmc._initial_state(code, rng, initial)
+    chain = _RefChain(code, params, xf0, rng, target_f)
+    hit = 0 if target_f is not None and chain.dist_target == 0 else None
+    codeword = 0 if chain.n_unsat == 0 else None
+    energies, rates = np.empty(budget), np.empty(budget)
+    stack = np.empty((budget + 1, code.n_vars), dtype=np.int8) if store else None
+    if store:
+        stack[0] = xf0
+    sink = open(stream_to, "w") if stream_to is not None else None
+    if sink is not None:
+        sink.write("sample,energy,state_hex\n")
+        e0 = mcmc.energy(code, params, vector_to_matrix(code, xf0))
+        sink.write(f"0,{e0!r},{mcmc.pack_state_hex(xf0)}\n")
+    for t in range(1, budget + 1):
+        if schedule is not None:
+            chain.beta, chain.gamma = schedule(t - 1, budget)
+        _, rates[t - 1] = chain.step()
+        energies[t - 1] = chain.energy
+        if store:
+            stack[t] = chain.xf
+        if sink is not None:
+            sink.write(f"{t},{chain.energy!r},{mcmc.pack_state_hex(chain.xf)}\n")
+        if hit is None and target_f is not None and chain.dist_target == 0:
+            hit = t
+        if codeword is None and chain.n_unsat == 0:
+            codeword = t
+    if sink is not None:
+        sink.close()
+    return energies, rates, hit, codeword, xf0, stack
+
+
+def _ref_visit_distribution(code, params, steps, burn_in, seed, initial):
+    """Frozen copy of the plain `visit_distribution` loop."""
+    rng = np.random.default_rng(seed)
+    chain = _RefChain(code, params, mcmc._initial_state(code, rng, initial), rng)
+    log_hist = {}
+    for t in range(steps):
+        key = chain.xf.tobytes()
+        chain.step()
+        if t >= burn_in:
+            hold = -(chain.shift + math.log(chain.total))
+            prev = log_hist.get(key, -math.inf)
+            log_hist[key] = max(prev, hold) + math.log1p(math.exp(-abs(prev - hold)))
+    logs = np.fromiter(log_hist.values(), dtype=np.float64, count=len(log_hist))
+    w = np.exp(logs - logs.max(initial=-np.inf))
+    return dict(zip(log_hist, (w / w.sum()).tolist()))
+
+
+CHAIN_STRENGTHS = st.sampled_from([0.0, 0.3, 1.5, 4.0, 1000.0])
+CHAIN_PATCHES = dict(interval=st.sampled_from([3, 7]), block=st.sampled_from([1, 4, 9]))
+
+
+def _chain_params(code, beta, gamma, family, couplings, seed):
+    J = (np.random.default_rng(seed + 2).uniform(-1, 1, code.n_vars)
+         if couplings or beta > 0 else None)
+    return HamiltonianParams(beta=beta, gamma=gamma, couplings=J, family=family)
+
+
+def _spin_matrix(code, seed):
+    return vector_to_matrix(code, _edge_vectors(code, (), seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(2, 9), family=FAMILIES, beta=CHAIN_STRENGTHS, gamma=CHAIN_STRENGTHS,
+       couplings=st.booleans(), seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 40),
+       initial=st.booleans(), target=st.sampled_from([None, "codeword", "initial"]),
+       ramp=st.one_of(st.none(), st.tuples(CHAIN_STRENGTHS, CHAIN_STRENGTHS)),
+       store=st.booleans(), stream=st.booleans(), **CHAIN_PATCHES)
+@example(K=14, family="w4", beta=4.0, gamma=4.0, couplings=True, seed=0, budget=40,
+         initial=False, target="codeword", ramp=None, store=True, stream=True,
+         interval=7, block=9)
+@example(K=40, family="w3", beta=0.0, gamma=1.0, couplings=False, seed=1, budget=25,
+         initial=True, target="initial", ramp=(1.5, 4.0), store=True, stream=True,
+         interval=3, block=4)
+def test_run_chain_matches_frozen_per_step_loop(K, family, beta, gamma, couplings, seed, budget,
+                                                initial, target, ramp, store, stream,
+                                                interval, block):
+    """`_run_chain` (uniforms drawn in blocks, coupling term kept
+    incrementally) equals the frozen loop bit for bit: energies, escape
+    rates, first hits, every visited state and the streamed CSV bytes,
+    with budgets crossing both the drift-check interval and the block."""
+    import os
+    import tempfile
+
+    code = build_code(K)
+    params = _chain_params(code, beta, gamma, family, couplings, seed)
+    x0 = _spin_matrix(code, seed + 1) if initial else None
+    if target == "codeword":
+        z = np.where(np.random.default_rng(seed + 3).random(K) < 0.5, 1, -1)
+        target_f = matrix_to_vector(code, encode(code, z))
+    elif target == "initial":
+        start = x0 if initial else vector_to_matrix(
+            code, mcmc._initial_state(code, np.random.default_rng(seed), None))
+        target_f = matrix_to_vector(code, start)
+    else:
+        target_f = None
+    schedule = None if ramp is None else mcmc.linear_schedule((beta, ramp[0]), (gamma, ramp[1]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", interval), \
+            mock.patch.object(mcmc, "UNIFORM_BLOCK", block):
+        paths = [os.path.join(tmp, f"{name}.csv") if stream else None
+                 for name in ("new", "ref")]
+        run, stack = mcmc._run_chain(code, params, budget, seed, target_f, x0, store,
+                                     stream_to=paths[0], schedule=schedule)
+        energies, rates, hit, codeword, xf0, ref_stack = _ref_run_chain(
+            code, params, budget, seed, target_f, x0, store, paths[1], schedule)
+        if stream:
+            with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+                assert a.read() == b.read()
+    assert run.energies.tobytes() == energies.tobytes()
+    assert run.escape_rates.tobytes() == rates.tobytes()
+    assert (run.target_hit, run.first_codeword) == (hit, codeword)
+    assert np.array_equal(run.initial, vector_to_matrix(code, xf0))
+    assert (stack is None) == (not store)
+    if store:
+        assert np.array_equal(stack, ref_stack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 6), family=FAMILIES, beta=CHAIN_STRENGTHS, gamma=CHAIN_STRENGTHS,
+       couplings=st.booleans(), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 60),
+       burn_in=st.integers(0, 70), initial=st.booleans(), **CHAIN_PATCHES)
+def test_visit_distribution_matches_frozen_loop(K, family, beta, gamma, couplings, seed, steps,
+                                                burn_in, initial, interval, block):
+    """Occupancy dicts equal the frozen loop's: same keys, in the same
+    order, and bitwise-equal weights."""
+    code = build_code(K)
+    params = _chain_params(code, beta, gamma, family, couplings, seed)
+    x0 = _spin_matrix(code, seed + 1) if initial else None
+    with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", interval), \
+            mock.patch.object(mcmc, "UNIFORM_BLOCK", block):
+        got = mcmc.visit_distribution(code, params, steps, burn_in, seed, initial=x0)
+        ref = _ref_visit_distribution(code, params, steps, burn_in, seed, x0)
+    assert list(got) == list(ref)
+    assert np.array(list(got.values())).tobytes() == np.array(list(ref.values())).tobytes()
+
+
+@SETTINGS
+@given(K=st.integers(2, 9), family=FAMILIES, beta=CHAIN_STRENGTHS, gamma=CHAIN_STRENGTHS,
+       couplings=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_rejection_free_step_draws_one_uniform(K, family, beta, gamma, couplings, seed):
+    """One update from the caller's Generator: the frozen step's state and
+    rate, and the generator's next draw is a reference generator's
+    second."""
+    code = build_code(K)
+    params = _chain_params(code, beta, gamma, family, couplings, seed)
+    x = _spin_matrix(code, seed + 1)
+    rng = np.random.default_rng(seed)
+    new, rate = mcmc.rejection_free_step(code, params, x, rng)
+    ref = _RefChain(code, params, matrix_to_vector(code, x), np.random.default_rng(seed))
+    _, ref_rate = ref.step()
+    assert np.array_equal(new, vector_to_matrix(code, ref.xf)) and rate == ref_rate
+    assert rng.random() == ref.rng.random()
+
+
+@SETTINGS
+@given(K=st.integers(2, 6), family=FAMILIES, bad=st.sampled_from(["beta", "gamma"]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf, -0.5, -1e-300]),
+       at=st.integers(0, 29), seed=st.integers(0, 2**32 - 1))
+def test_schedule_values_outside_params_rule_are_refused(K, family, bad, value, at, seed):
+    """A scheduled beta or gamma that is not finite and >= 0 raises
+    ValueError naming the step, as HamiltonianParams does for fixed
+    values; until that step the chain runs."""
+    code = build_code(K)
+    params = _chain_params(code, 1.0, 1.0, family, True, seed)
+    calls = []
+
+    def schedule(step, budget):
+        calls.append(step)
+        good = (1.0, 1.0)
+        if step < at:
+            return good
+        return (value, 1.0) if bad == "beta" else (1.0, value)
+
+    with pytest.raises(ValueError, match=rf"{bad} must be finite and >= 0 .*step {at}\b"):
+        mcmc.mcmc_decode(code, params, 30, encode(code, np.ones(K)), seed, schedule=schedule)
+    assert calls == list(range(at + 1))
