@@ -25,7 +25,9 @@ matrices are derived views used for structural verification only.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +45,13 @@ class MatrixFormatError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityCode:
     """Index structure of the parity code for K logical spins.
 
     Immutable: its arrays are read-only, and build_code hands out one
-    instance per K, shared by every caller and thread.
+    instance per K, shared by every caller and thread. Hashed and
+    compared by identity, so per-code tables can be cached by code.
 
     Attributes:
         K: number of logical spins.
@@ -101,7 +104,7 @@ class ParityCode:
         )
 
 
-_CODES: dict[int, ParityCode] = {}
+_BUILD_LOCK = threading.Lock()  # functools.cache alone lets concurrent first calls build twice
 
 
 def build_code(K: int) -> ParityCode:
@@ -115,13 +118,11 @@ def build_code(K: int) -> ParityCode:
         raise ValueError(f"K must be an integer, got {K!r}")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    K = int(K)
-    code = _CODES.get(K)
-    if code is None:
-        code = _CODES.setdefault(K, _construct(K))
-    return code
+    with _BUILD_LOCK:
+        return _construct(int(K))
 
 
+@functools.cache
 def _construct(K: int) -> ParityCode:
     """Deterministic index structure of the code for K >= 2, every array
     read-only."""

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -426,9 +427,7 @@ def flip_spin(code: ParityCode, x: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Belief propagation on the triangle-check graph
 
-_BP_LAYOUTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _bp_layout(code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
     """Variable index of every BP message, (3, n_checks3), and its ravel.
 
@@ -437,16 +436,12 @@ def _bp_layout(code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
     order, so the checks in which a pair is jk come before those in which
     it is ik, and those before the ones in which it is ij: the ravel
     lists each variable's messages in check order, and np.bincount adds
-    them in the same order as over checks3_vars.ravel(). Cached per K
-    (build_code is deterministic and ParityCode is unhashable)."""
-    layout = _BP_LAYOUTS.get(code.K)
-    if layout is None:
-        rows = np.ascontiguousarray(code.checks3_vars[:, ::-1].T)
-        flat = rows.ravel()
-        for a in (rows, flat):
-            a.setflags(write=False)  # shared by every call in the process
-        layout = _BP_LAYOUTS[code.K] = (rows, flat)
-    return layout
+    them in the same order as over checks3_vars.ravel(). Cached per code."""
+    rows = np.ascontiguousarray(code.checks3_vars[:, ::-1].T)
+    flat = rows.ravel()
+    for a in (rows, flat):
+        a.setflags(write=False)  # shared by every call in the process
+    return rows, flat
 
 
 def _clip(a: np.ndarray, bound: float) -> np.ndarray:

@@ -43,14 +43,7 @@ from .decoders import (
     bp_decode,
     count_errors,
 )
-from .mcmc import (
-    LOCKSTEP_GROUP,
-    LOCKSTEP_STATE_BYTES,
-    HamiltonianParams,
-    _bf_stage,
-    _run_lockstep,
-    mcmc_decode,
-)
+from .mcmc import LOCKSTEP_GROUP, HamiltonianParams, _run_lockstep, mcmc_decode
 from .reports import BenchmarkReport, TrajectoryDump
 
 GROUND_STATE_MAX_K = 24
@@ -273,27 +266,17 @@ def _lockstep_hits(code, params_rows, budget: int, seeds, targets: np.ndarray,
     """(target hit, any-codeword hit) flags, (n_chains, 2), of independent
     chains from random initial states, run through the lockstep engine
     LOCKSTEP_GROUP chains at a time: mcmc_decode's flags, or with
-    bf_max_iters set hybrid_decode's, from a BF stage run chain by chain
-    on the recorded states (groups then shrink so those stay within
-    LOCKSTEP_STATE_BYTES). Chain c has params_rows[c], seeds[c] and the
-    edge-vector target targets[c]."""
-    hybrid = bf_max_iters is not None
-    group_size = LOCKSTEP_GROUP
-    if hybrid:
-        # recorded states cost (budget + 1) * n_vars bytes per chain
-        group_size = max(1, min(group_size, LOCKSTEP_STATE_BYTES // ((budget + 1) * code.n_vars)))
+    bf_max_iters set hybrid_decode's. Chain c has params_rows[c],
+    seeds[c] and the edge-vector target targets[c]."""
+    keys = (("target_hit", "first_codeword") if bf_max_iters is None
+            else ("decoded_target_hit", "decoded_any_codeword"))
     hits = np.zeros((len(seeds), 2), dtype=bool)
-    for start in range(0, len(seeds), group_size):
-        stop = min(start + group_size, len(seeds))
+    for start in range(0, len(seeds), LOCKSTEP_GROUP):
+        stop = min(start + LOCKSTEP_GROUP, len(seeds))
         out = _run_lockstep(code, params_rows[start:stop], budget, seeds[start:stop],
-                            targets[start:stop], record_states=hybrid)
-        if not hybrid:
-            hits[start:stop, 0] = out["target_hit"] >= 0
-            hits[start:stop, 1] = out["first_codeword"] >= 0
-            continue
-        for g, states in enumerate(out["states"]):
-            hit, codeword, _ = _bf_stage(code, states, targets[start + g], bf_max_iters)
-            hits[start + g] = hit is not None, codeword is not None
+                            targets[start:stop], bf_iters=bf_max_iters)
+        for i, key in enumerate(keys):
+            hits[start:stop, i] = out[key] >= 0
     return hits
 
 
@@ -372,6 +355,8 @@ def landscape(
     """
     if strategy not in ("mcmc", "hybrid"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "hybrid" and bf_max_iters < 1:
+        raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
     instances = list(instances)
     if not instances:
         raise ValueError("need at least one instance")
@@ -434,7 +419,9 @@ def efficiency_ratio(
     """Samples-per-target-success of plain sampling at cell_a divided by
     the hybrid's at cell_b. Budgets default to 1200*C(K,2) and 4*C(K,2)
     per trial. Returns NaN when either arm records no success
-    (unestimable), never raises for that."""
+    (unestimable), never raises for that. bf_max_iters must be >= 1."""
+    if bf_max_iters < 1:
+        raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
     code = build_code(instance.K)
     target = encode(code, instance.ground_state)
     n_vars = code.n_vars

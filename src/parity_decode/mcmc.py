@@ -19,7 +19,7 @@ This is the n-fold way of Bortz, Kalos and Lebowitz (J. Comput. Phys.
 17, 1975).
 
 dH_k needs the sum of the checks adjacent to pair k. A chain keeps those
-sums incrementally through a flip table, built once per (K, family): for
+sums incrementally through a flip table, built once per (code, family): for
 every pair, its adjacent checks and the members of each, padded to a
 dummy check fixed at 0 and a dummy variable that is never read. Flipping
 k negates each adjacent check c and moves the sum of every member of c
@@ -48,6 +48,7 @@ initial state first, then its uniforms in blocks of UNIFORM_BLOCK with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,12 +68,8 @@ from .decoders import TiePolicy, _coupling_vector, bf_sweep_batch
 ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
 LOCKSTEP_GROUP = 256      # chains advanced together by _run_lockstep
-LOCKSTEP_STATE_BYTES = 1 << 26  # cap on one batch's recorded states
-UNIFORM_BLOCK = 1024      # uniforms pre-drawn per chain at a time
-BF_CHUNK = 1024           # states per bf_sweep_batch call in the hybrid stage
+UNIFORM_BLOCK = 1024      # uniforms pre-drawn, and hybrid states decoded, per block
 _ZERO = np.zeros(())  # 0-d operands cost a ufunc call less than Python floats
-
-_FLIP_TABLES: dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]] = {}
 
 
 def _check_strengths(beta, gamma, where: str = "") -> None:
@@ -145,32 +142,28 @@ def energy(code: ParityCode, params: HamiltonianParams, x: np.ndarray) -> float:
     return -corr + pen
 
 
+@functools.cache
 def _flip_table(code: ParityCode, family: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Padded adjacency of one check family, cached per (K, family).
+    """Padded adjacency of one check family, cached per (code, family).
 
     Returns (adj, members, size): adj[v] (deg,) lists the checks adjacent
     to variable v, and members[v] (deg * size,) the variables of each of
     those checks, check by check (size = 3 for triangles, 4 for
     plaquettes). Padding points to a dummy check, column n_checks, whose
     value is kept at 0, and to a dummy variable, column n_vars, whose
-    adjacent sum is never read. The key is (K, family) because build_code
-    is deterministic and ParityCode is unhashable."""
-    key = (code.K, family)
-    table = _FLIP_TABLES.get(key)
-    if table is None:
-        if family == "w3":
-            adj, check_vars = code.checks3_of_var, code.checks3_vars
-        else:
-            adj, check_vars = code.checks4_of_var, code.checks4_vars
-        size = check_vars.shape[1]
-        adj = np.where(adj >= 0, adj, len(check_vars))
-        check_vars = np.vstack([np.where(check_vars >= 0, check_vars, code.n_vars),
-                                np.full((1, size), code.n_vars)])
-        members = check_vars[adj].reshape(code.n_vars, -1)
-        for a in (adj, members):
-            a.setflags(write=False)  # shared by every chain in the process
-        table = _FLIP_TABLES[key] = (adj, members, size)
-    return table
+    adjacent sum is never read."""
+    if family == "w3":
+        adj, check_vars = code.checks3_of_var, code.checks3_vars
+    else:
+        adj, check_vars = code.checks4_of_var, code.checks4_vars
+    size = check_vars.shape[1]
+    adj = np.where(adj >= 0, adj, len(check_vars))
+    check_vars = np.vstack([np.where(check_vars >= 0, check_vars, code.n_vars),
+                            np.full((1, size), code.n_vars)])
+    members = check_vars[adj].reshape(code.n_vars, -1)
+    for a in (adj, members):
+        a.setflags(write=False)  # shared by every chain in the process
+    return adj, members, size
 
 
 def _padded_syndrome(code: ParityCode, xf: np.ndarray, family: str) -> np.ndarray:
@@ -349,10 +342,14 @@ def _run_chain(
     store_samples: bool,
     stream_to=None,
     schedule=None,
+    bf_iters: int | None = None,
 ) -> tuple[SampleRun, np.ndarray | None]:
     """Run one chain toward the edge vector target_f; returns the run
-    and, when store_samples is set, the (budget + 1, n_vars) stack of
-    visited edge vectors, initial state first."""
+    and, when store_samples is set (run.samples), the (budget + 1,
+    n_vars) stack of visited edge vectors, initial state first. With
+    bf_iters set, each block of UNIFORM_BLOCK steps goes through
+    _bf_stage as it ends, setting run's decoded hits (and run.decoded
+    under store_samples); only that block of states is held otherwise."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = as_generator(seed)
@@ -374,43 +371,53 @@ def _run_chain(
 
     energies = np.empty(budget, dtype=np.float64)
     rates = np.empty(budget, dtype=np.float64)
-    stack = None
+    stack = buf = None
     if store_samples:
         stack = np.empty((budget + 1, code.n_vars), dtype=np.int8)
-        stack[0] = xf0
+    elif bf_iters is not None:
+        buf = np.empty((min(UNIFORM_BLOCK, budget) + 1, code.n_vars), dtype=np.int8)
+    decoded_hits = np.full(2, -1)  # first decoded target, first decoded codeword
+    run.decoded = [] if store_samples and bf_iters is not None else None
     sink = open(stream_to, "w") if stream_to is not None else None
     try:
         if sink is not None:
             sink.write("sample,energy,state_hex\n")
             sink.write(f"0,{energy(code, params, run.initial)!r},{pack_state_hex(xf0)}\n")
         for start in range(0, budget, UNIFORM_BLOCK):
-            for t, u in enumerate(rng.random(min(UNIFORM_BLOCK, budget - start)).tolist(),
-                                  start + 1):
+            m = min(UNIFORM_BLOCK, budget - start)
+            if stack is not None:
+                buf = stack[start:start + m + 1]
+            if buf is not None:  # row 0: the state at sample index start
+                buf[0] = chain.xf
+            for t, u in enumerate(rng.random(m).tolist(), start + 1):
                 if schedule is not None:
                     chain.set_params(*_scheduled(schedule, t - 1, budget))
                 _, rates[t - 1] = chain.step(u)
                 energies[t - 1] = e = chain.energy
-                if stack is not None:
-                    stack[t] = chain.xf
+                if buf is not None:
+                    buf[t - start] = chain.xf
                 if sink is not None:
                     sink.write(f"{t},{e!r},{pack_state_hex(chain.xf)}\n")
                 if track_target and chain.dist_target == 0:
                     run.target_hit, track_target = t, False
                 if track_codeword and chain.n_unsat == 0:
                     run.first_codeword, track_codeword = t, False
+            if bf_iters is not None and (run.decoded is not None or (decoded_hits < 0).any()):
+                block = _bf_stage(code, buf[:m + 1], target_f, bf_iters, start, decoded_hits)
+                if run.decoded is not None:
+                    run.decoded.extend(block[1:] if start else block)
     finally:
         if sink is not None:
             sink.close()
 
     run.energies = energies
     run.escape_rates = rates
+    if store_samples:
+        run.samples = list(vector_to_matrix(code, stack[1:]))
+    if bf_iters is not None:
+        run.decoded_target_hit, run.decoded_any_codeword = (
+            None if hit < 0 else int(hit) for hit in decoded_hits)
     return run, stack
-
-
-def _first(mask: np.ndarray, offset: int) -> int | None:
-    """offset plus the index of the first True in mask, or None."""
-    hits = np.flatnonzero(mask)
-    return offset + int(hits[0]) if len(hits) else None
 
 
 def _run_lockstep(
@@ -421,6 +428,7 @@ def _run_lockstep(
     targets: np.ndarray,
     record_states: bool = False,
     record_energies: bool = False,
+    bf_iters: int | None = None,
 ) -> dict:
     """Advance B independent chains in lockstep on (B, n_vars) arrays.
 
@@ -430,7 +438,12 @@ def _run_lockstep(
     Returns a dict of arrays: target_hit and first_codeword (B,) with -1
     for never; states (B, budget + 1, n_vars) int8, initial state first,
     when record_states; energies and escape_rates (B, budget) when
-    record_energies."""
+    record_energies; with bf_iters set, hybrid_decode's first hits
+    decoded_target_hit and decoded_any_codeword (B,), from _bf_stage run
+    row by row on each block of UNIFORM_BLOCK steps. Rows with both hits
+    are skipped. The block's states are at most LOCKSTEP_GROUP *
+    (UNIFORM_BLOCK + 1) * C(K, 2) bytes, about 72 MB at K = 24, whatever
+    the budget."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     family = params_rows[0].family
@@ -467,9 +480,12 @@ def _run_lockstep(
     target_hit = np.where(dist == 0, 0, -1)
     first_codeword = np.where(n_unsat == 0, 0, -1)
     out = {"target_hit": target_hit, "first_codeword": first_codeword}
+    buf = None
     if record_states:
         states = out["states"] = np.empty((B, budget + 1, n), dtype=np.int8)
-        states[:, 0] = x
+    elif bf_iters is not None:
+        buf = np.empty((B, min(UNIFORM_BLOCK, budget) + 1, n), dtype=np.int8)
+    decoded_hits = np.full((2, B), -1)  # first decoded target, first decoded codeword
     if record_energies:
         energies = out["energies"] = np.empty((B, budget))
         rates = out["escape_rates"] = np.empty((B, budget))
@@ -486,8 +502,12 @@ def _run_lockstep(
     cum = np.empty((B, n + 1))
     below = np.empty((B, n + 1), dtype=bool)
     for start in range(0, budget, UNIFORM_BLOCK):
-        block = np.stack([rng.random(min(UNIFORM_BLOCK, budget - start)) for rng in rngs],
-                         axis=1)
+        m = min(UNIFORM_BLOCK, budget - start)
+        block = np.stack([rng.random(m) for rng in rngs], axis=1)
+        if record_states:
+            buf = states[:, start:start + m + 1]
+        if buf is not None:  # row 0: the state at sample index start
+            buf[:, 0] = x
         for j, uniform in enumerate(block):
             t = start + j + 1
             # v = max(dH, 0) = -log w; w = exp(min v - v), which is
@@ -525,37 +545,37 @@ def _run_lockstep(
             if record_energies:
                 rates[:, t - 1] = np.exp(-low) * total
                 energies[:, t - 1] = -beta * corr + gamma * n_unsat
-            if record_states:
-                states[:, t] = x
+            if buf is not None:
+                buf[:, j + 1] = x
             at_target = dist == 0
             if at_target.any():
                 np.copyto(target_hit, t, where=at_target & (target_hit < 0))
             at_codeword = n_unsat == 0
             if at_codeword.any():
                 np.copyto(first_codeword, t, where=at_codeword & (first_codeword < 0))
+        if bf_iters is not None:
+            for b in np.flatnonzero((decoded_hits < 0).any(axis=0)):
+                _bf_stage(code, buf[b, :m + 1], targets[b], bf_iters, start,
+                          decoded_hits[:, b])
+    if bf_iters is not None:
+        out["decoded_target_hit"], out["decoded_any_codeword"] = decoded_hits
     return out
 
 
 def _bf_stage(code: ParityCode, states: np.ndarray, target_f: np.ndarray, iters: int,
-              keep: bool = False):
-    """BF sweeps over a (T, n_vars) stack of visited states, BF_CHUNK
-    states per bf_sweep_batch call. Returns (first index whose decoded
-    state is the target, first index decoded to any codeword, decoded
-    matrices or None); indices are None when never reached."""
-    hit = codeword = None
-    kept = [] if keep else None
-    for start in range(0, len(states), BF_CHUNK):
-        decoded = bf_sweep_batch(vector_to_matrix(code, states[start:start + BF_CHUNK]), iters)
-        if keep:
-            kept.append(decoded)
-        if hit is not None and codeword is not None:
-            continue
-        decoded_f = matrix_to_vector(code, decoded)
-        if hit is None:
-            hit = _first(np.all(decoded_f == target_f, axis=1), start)
-        if codeword is None:
-            codeword = _first(np.all(_syndrome_flat(code, decoded_f, "w3") == 1, axis=1), start)
-    return hit, codeword, (np.concatenate(kept) if keep else None)
+              start: int, hits: np.ndarray) -> np.ndarray:
+    """`iters` keep-sign BF sweeps on one block of a chain's visited
+    states (T, n_vars), row 0 at sample index start. Sets each entry of
+    hits (first decoded target, first decoded codeword) still at -1 from
+    this block; returns the decoded matrices (T, K, K)."""
+    decoded = bf_sweep_batch(vector_to_matrix(code, states), iters)
+    decoded_f = matrix_to_vector(code, decoded)
+    found = (np.all(decoded_f == target_f, axis=1),
+             np.all(_syndrome_flat(code, decoded_f, "w3") == 1, axis=1))
+    for i, mask in enumerate(found):
+        if hits[i] < 0 and mask.any():
+            hits[i] = start + mask.argmax()
+    return decoded
 
 
 def pack_state_hex(xf: np.ndarray) -> str:
@@ -595,10 +615,8 @@ def mcmc_decode(
     recorded per-sample energies use the scheduled parameters of their
     step rather than the base params."""
     target_f = None if target is None else _edge_vector(code, target)
-    run, stack = _run_chain(code, params, budget, seed, target_f, initial, store_samples,
-                            stream_to=stream_to, schedule=schedule)
-    if store_samples:
-        run.samples = list(vector_to_matrix(code, stack[1:]))
+    run, _ = _run_chain(code, params, budget, seed, target_f, initial, store_samples,
+                        stream_to=stream_to, schedule=schedule)
     return run.target_hit is not None, run
 
 
@@ -626,9 +644,9 @@ def hybrid_decode(
     initial: np.ndarray | None = None,
     store_samples: bool = True,
 ) -> tuple[bool, SampleRun]:
-    """Two-stage decoding: sample as in mcmc_decode, then run BF sweeps
-    on every visited state; success iff any corrected state equals the
-    target.
+    """Two-stage decoding: sample as in mcmc_decode, and run bf_max_iters
+    (>= 1) BF sweeps on every visited state, block by block as the chain
+    runs; success iff any corrected state equals the target.
 
     With the same seed and budget the first stage reproduces the
     mcmc_decode chain exactly, and codewords are BF fixed points, so
@@ -639,13 +657,11 @@ def hybrid_decode(
     if tie_policy is not TiePolicy.KEEP:
         raise ValueError("hybrid stage uses the deterministic keep-sign sweep; "
                          f"tie_policy {tie_policy.value!r} is not supported")
+    if bf_max_iters < 1:
+        raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
     target_f = _edge_vector(code, target)
-    run, states = _run_chain(code, params, budget, seed, target_f, initial, store_samples=True)
-    run.decoded_target_hit, run.decoded_any_codeword, decoded = _bf_stage(
-        code, states, target_f, bf_max_iters, keep=store_samples)
-    if store_samples:
-        run.samples = list(vector_to_matrix(code, states[1:]))
-        run.decoded = list(decoded)
+    run, _ = _run_chain(code, params, budget, seed, target_f, initial, store_samples,
+                        bf_iters=bf_max_iters)
     return run.decoded_target_hit is not None, run
 
 

@@ -193,6 +193,16 @@ def test_landscape_cli_small(tmp_path, capsys):
     assert "best cell" in out
 
 
+def test_landscape_cli_refuses_zero_bf_iters(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["landscape", "--k", "5", "--instances", "1", "--beta", "1.0", "--gamma", "0.5",
+         "--strategy", "hybrid", "--budget", "20", "--trials", "2", "--bf-iters", "0",
+         "--threads", "1", "--seed", "5", "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "bf_max_iters" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_trajectory_cli(tmp_path, capsys):
     out_file = tmp_path / "t.csv"
     code, out, _ = run_cli(

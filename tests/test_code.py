@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -71,6 +73,25 @@ def test_build_code_one_read_only_instance_per_k():
     for bad in (1, 0, -3, 2.5, "4", True):
         with pytest.raises(ValueError):
             build_code(bad)
+
+
+def test_build_code_one_instance_per_k_under_concurrent_first_calls():
+    # K values no other test builds, so each first call races
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for K in range(41, 47):
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(build_code(K)))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 4 and all(code is got[0] for code in got)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_counts_table_small_k():

@@ -245,6 +245,20 @@ def test_bench_refuses_zero_iterations(monkeypatch):
             bench_iid(decoder, [5], [0.1], trials=3, iters=0)
 
 
+def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_lockstep", no_chains)
+    inst = gen_instance(5, 1)
+    for iters in (0, -7):
+        with pytest.raises(ValueError, match="bf_max_iters"):
+            landscape([inst], [1.0], [0.5], strategy="hybrid", budget=20,
+                      trials_per_cell=2, bf_max_iters=iters)
+        with pytest.raises(ValueError, match="bf_max_iters"):
+            efficiency_ratio(inst, (1.0, 0.5), (1.0, 0.5), trials=2, bf_max_iters=iters)
+
+
 def test_bench_bp_and_mcmc_run():
     rep = bench_iid("bp", [6], [0.1], trials=40, seed=2)
     assert rep.rows[0]["trials"] == 40

@@ -24,7 +24,7 @@ from parity_decode import (
 from parity_decode import experiments, mcmc
 from parity_decode.channels import as_generator
 from parity_decode.code import _syndrome_flat
-from parity_decode.mcmc import _Chain, _bf_stage, _run_chain, _run_lockstep
+from parity_decode.mcmc import _Chain, _run_chain, _run_lockstep
 
 SETTINGS = settings(max_examples=40, deadline=None)
 CELL_VALUES = [0.0, 0.3, 1.5, 4.0]
@@ -57,8 +57,13 @@ def _none_as(hit):
 
 
 def _assert_rows_match_single_chains(code, params, budget, seeds, targets, iters):
+    """Every row of a lockstep batch equals its single chain, and the
+    batch's decoded hits, with and without recorded states, equal
+    hybrid_decode's."""
     out = _run_lockstep(code, params, budget, seeds, targets,
-                        record_states=True, record_energies=True)
+                        record_states=True, record_energies=True, bf_iters=iters)
+    streamed = _run_lockstep(code, params, budget, seeds, targets, bf_iters=iters)
+    assert "states" not in streamed
     for b in range(len(seeds)):
         run, states = _run_chain(code, params[b], budget, seeds[b], targets[b], None, True)
         assert np.array_equal(states[0], matrix_to_vector(code, run.initial))
@@ -70,18 +75,22 @@ def _assert_rows_match_single_chains(code, params, budget, seeds, targets, iters
 
         _, hyb = hybrid_decode(code, params[b], budget, vector_to_matrix(code, targets[b]),
                                seeds[b], bf_max_iters=iters, store_samples=False)
-        hit, codeword, _ = _bf_stage(code, out["states"][b], targets[b], iters)
-        assert (hit, codeword) == (hyb.decoded_target_hit, hyb.decoded_any_codeword)
+        expected = (_none_as(hyb.decoded_target_hit), _none_as(hyb.decoded_any_codeword))
+        for o in (out, streamed):
+            assert o["target_hit"][b] == _none_as(run.target_hit)
+            assert (o["decoded_target_hit"][b], o["decoded_any_codeword"][b]) == expected
 
 
 @SETTINGS
 @given(K=st.integers(2, 8), family=st.sampled_from(["w3", "w4"]), B=st.integers(1, 6),
        budget=st.integers(1, 60), interval=st.sampled_from([3, 7, 10_000]),
-       iters=st.integers(1, 3), data=st.data())
-def test_lockstep_rows_equal_single_chains(K, family, B, budget, interval, iters, data):
+       iters=st.integers(1, 3), block=st.sampled_from([3, 7, 1024]), data=st.data())
+def test_lockstep_rows_equal_single_chains(K, family, B, budget, interval, iters, block,
+                                           data):
     code = build_code(K)
     params, seeds, targets = _rows(code, family, data, B)
-    with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", interval):
+    with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", interval), \
+            mock.patch.object(mcmc, "UNIFORM_BLOCK", block):
         _assert_rows_match_single_chains(code, params, budget, seeds, targets, iters)
 
 
@@ -260,12 +269,12 @@ def test_landscape_rows_equal_per_chain_oracle(strategy):
         with mock.patch.object(experiments, "LOCKSTEP_GROUP", 4):
             assert landscape(insts, strategy=strategy, **LAND).rows == oracle
         assert batches == [4] * (n_chains // 4) + [n_chains % 4]
-        # a state-memory cap below one chain's states: one chain per
-        # batch for the hybrid, which records states
+        # blocks shorter than the budget: the hybrid decodes mid-chain,
+        # and no strategy splits its batch
         batches.clear()
-        with mock.patch.object(experiments, "LOCKSTEP_STATE_BYTES", 1):
+        with mock.patch.object(mcmc, "UNIFORM_BLOCK", 7):
             assert landscape(insts, strategy=strategy, **LAND).rows == oracle
-        assert batches == ([1] * n_chains if strategy == "hybrid" else [n_chains])
+        assert batches == [n_chains]
 
 
 @pytest.mark.parametrize("strategy", ["mcmc", "hybrid"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from parity_decode import (
     count_errors,
     encode,
     energy,
+    gen_instance,
     hybrid_decode,
     inversion_function,
     mcmc_decode,
@@ -308,6 +310,41 @@ def test_hybrid_refuses_tie_policies_other_than_keep(monkeypatch, policy):
     params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
     with pytest.raises(ValueError, match="tie_policy"):
         hybrid_decode(code, params, 20, all_one_matrix(5), 1, tie_policy=policy)
+
+
+@pytest.mark.parametrize("iters", [0, -3])
+def test_hybrid_refuses_fewer_than_one_bf_iteration(monkeypatch, iters):
+    # zero sweeps would make the hybrid plain sampling under its name
+    from parity_decode import mcmc
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(mcmc, "_run_chain", no_chain)
+    code = build_code(5)
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
+    with pytest.raises(ValueError, match="bf_max_iters"):
+        hybrid_decode(code, params, 20, all_one_matrix(5), 1, bf_max_iters=iters)
+
+
+def test_hybrid_memory_does_not_grow_with_states():
+    """Without stored samples the hybrid holds one block of visited states:
+    between two budgets its traced peak grows by the per-step energy and
+    escape rate (16 bytes), not by a K = 14 state per step (91 bytes)."""
+    inst = gen_instance(14, 0)
+    code = build_code(14)
+    target = encode(code, inst.ground_state)
+    params = HamiltonianParams(beta=3.0, gamma=4.0, couplings=inst.couplings, family="w4")
+    hybrid_decode(code, params, 50, target, 1, store_samples=False)  # warm caches
+    peaks = []
+    for budget in (4_000, 24_000):
+        tracemalloc.start()
+        try:
+            hybrid_decode(code, params, budget, target, 1, store_samples=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 20_000 < 32
 
 
 def test_average_error_matrix():

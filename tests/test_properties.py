@@ -1,7 +1,7 @@
 """Property tests of the edge-vector converters, the syndrome kernel, the
 BF sweep (`bf_step`, `bf_decode`, the stacked BF loop) against an int64
 reference, BP against a frozen copy of its plain message-passing loop,
-and the hybrid decoder's chunked BF stage, over small K and both check
+and the hybrid decoder's block-by-block BF stage, over small K and both check
 families (K = 2 has no triangle and no plaquette checks, K = 3 one
 triangle; odd K gives BF vote ties)."""
 
@@ -89,20 +89,21 @@ def test_batched_syndrome_matches_rows_and_int64(K, family, batch, seed):
 @SETTINGS
 @given(K=st.integers(2, 7), family=FAMILIES, budget=st.integers(1, 30),
        iters=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       chunk=st.sampled_from([1, 4, 1024]))
-@example(K=2, family="w3", budget=5, iters=1, seed=0, chunk=1024)
-@example(K=2, family="w4", budget=5, iters=1, seed=0, chunk=2)
-@example(K=3, family="w4", budget=10, iters=2, seed=1, chunk=4)
-def test_hybrid_stage_matches_per_state_sweeps(K, family, budget, iters, seed, chunk):
-    """The BF stage, run over chunks of `chunk` states, against one sweep
-    of the whole stack; first-hit indices stay exact across chunks."""
+       block=st.sampled_from([1, 4, 1024]))
+@example(K=2, family="w3", budget=5, iters=1, seed=0, block=1024)
+@example(K=2, family="w4", budget=5, iters=1, seed=0, block=2)
+@example(K=3, family="w4", budget=10, iters=2, seed=1, block=4)
+def test_hybrid_stage_matches_per_state_sweeps(K, family, budget, iters, seed, block):
+    """The BF stage, run inside the chain every `block` steps, against one
+    sweep of the whole stack; first-hit indices stay exact across blocks,
+    with and without stored samples."""
     code = build_code(K)
     rng = np.random.default_rng(seed)
     params = HamiltonianParams(beta=1.0, gamma=0.5, family=family,
                                couplings=rng.uniform(-1, 1, code.n_vars))
     target = encode(code, np.where(rng.random(K) < 0.5, 1, -1))
 
-    with mock.patch.object(mcmc, "BF_CHUNK", chunk):
+    with mock.patch.object(mcmc, "UNIFORM_BLOCK", block):
         ok_off, run_off = hybrid_decode(code, params, budget, target, seed,
                                         bf_max_iters=iters, store_samples=False)
         ok, run = hybrid_decode(code, params, budget, target, seed, bf_max_iters=iters)
