@@ -5,7 +5,7 @@ Subcommands: code-info (structure of the code for a given K), decode
 trajectory (benchmark drivers writing CSV + JSON reports).
 
 Exit codes: 0 success, 1 decode failure (decode subcommand only),
-2 usage or configuration error.
+2 usage, configuration or file error (any subcommand).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .channels import sample_iid_errors, trial_seed
 from .code import (
-    MatrixFormatError,
     all_one_matrix,
     build_code,
     check_matrix,
@@ -134,11 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_code_info(args) -> int:
-    try:
-        code = build_code(args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    code = build_code(args.k)
     info = {
         "K": code.K,
         "n_vars": code.n_vars,
@@ -151,8 +146,7 @@ def cmd_code_info(args) -> int:
     }
     if args.dump_matrices:
         if code.K > 8:
-            print("error: --dump-matrices limited to K <= 8", file=sys.stderr)
-            return 2
+            raise ValueError("--dump-matrices limited to K <= 8")
         info["generator"] = generator_matrix(code).tolist()
         info["checks_w4"] = check_matrix(code, "w4").tolist()
         info["checks_w3"] = check_matrix(code, "w3").tolist()
@@ -177,22 +171,13 @@ def cmd_decode(args) -> int:
     tie_policy = TiePolicy(args.tie_policy)
     target = None
     if args.gen_iid:
-        K, eps = int(args.gen_iid[0]), float(args.gen_iid[1])
-        try:
-            code = build_code(K)
-            x = sample_iid_errors(code, eps, trial_seed(seed, 51))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        K, eps_used = int(args.gen_iid[0]), float(args.gen_iid[1])
+        code = build_code(K)
+        x = sample_iid_errors(code, eps_used, trial_seed(seed, 51))
         target = all_one_matrix(K)
-        eps_used = eps
     else:
-        try:
-            x = read_spin_matrix_csv(args.input)
-            code = build_code(x.shape[0])
-        except (OSError, MatrixFormatError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        x = read_spin_matrix_csv(args.input)
+        code = build_code(x.shape[0])
         if args.target_allone:
             target = all_one_matrix(code.K)
         eps_used = args.epsilon
@@ -202,11 +187,7 @@ def cmd_decode(args) -> int:
         res = bf_decode(code, x, max_iters=args.iters, tie_policy=tie_policy,
                         target=target, rng=rng)
     else:
-        try:
-            res = bp_decode(code, x=x, epsilon=eps_used, max_iters=args.iters, target=target)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        res = bp_decode(code, x=x, epsilon=eps_used, max_iters=args.iters, target=target)
     row = ",".join(str(v) for v in (
         0, args.decoder, code.K, eps_used, res.iterations,
         int(res.success), res.ties,
@@ -235,17 +216,13 @@ def _write_report(report, out_dir: str) -> tuple[str, str]:
 
 def cmd_bench(args) -> int:
     seed = _master_seed(args.seed)
-    try:
-        report = bench_iid(
-            args.decoder, args.k, args.epsilon, trials=args.trials, iters=args.iters,
-            seed=seed, tie_policy=TiePolicy(args.tie_policy), mcmc_budget=args.budget,
-            mcmc_gamma=args.gamma, mcmc_family=args.syndrome_family,
-            n_workers=args.threads,
-        )
-        csv_path, json_path = _write_report(report, args.out_dir)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = bench_iid(
+        args.decoder, args.k, args.epsilon, trials=args.trials, iters=args.iters,
+        seed=seed, tie_policy=TiePolicy(args.tie_policy), mcmc_budget=args.budget,
+        mcmc_gamma=args.gamma, mcmc_family=args.syndrome_family,
+        n_workers=args.threads,
+    )
+    csv_path, json_path = _write_report(report, args.out_dir)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     print("decoder  K    epsilon  trials  failure_prob")
@@ -258,18 +235,14 @@ def cmd_bench(args) -> int:
 def cmd_landscape(args) -> int:
     seed = _master_seed(args.seed)
     inst_seed = args.instance_seed if args.instance_seed is not None else seed
-    try:
-        instances = [gen_instance(args.k, inst_seed + i) for i in range(args.instances)]
-        report = landscape(
-            instances, beta_grid=args.beta, gamma_grid=args.gamma,
-            strategy=args.strategy, budget=args.budget,
-            trials_per_cell=args.trials, seed=seed, bf_max_iters=args.bf_iters,
-            n_workers=args.threads,
-        )
-        csv_path, json_path = _write_report(report, args.out_dir)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    instances = [gen_instance(args.k, inst_seed + i) for i in range(args.instances)]
+    report = landscape(
+        instances, beta_grid=args.beta, gamma_grid=args.gamma,
+        strategy=args.strategy, budget=args.budget,
+        trials_per_cell=args.trials, seed=seed, bf_max_iters=args.bf_iters,
+        n_workers=args.threads,
+    )
+    csv_path, json_path = _write_report(report, args.out_dir)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     best = best_cell(report)
@@ -280,20 +253,16 @@ def cmd_landscape(args) -> int:
 
 def cmd_trajectory(args) -> int:
     seed = _master_seed(args.seed)
-    try:
-        if args.source == "iid":
-            source = {"kind": "iid", "K": args.k, "epsilon": args.epsilon}
-        else:
-            inst = gen_instance(args.k, args.instance_seed)
-            source = {"kind": "mcmc", "instance": inst, "beta": args.beta,
-                      "gamma": args.gamma}
-            if args.budget is not None:
-                source["budget"] = args.budget
-        dump = trajectory_demo(source, decoder=args.decoder, seed=seed, iters=args.iters)
-        dump.write_csv(args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.source == "iid":
+        source = {"kind": "iid", "K": args.k, "epsilon": args.epsilon}
+    else:
+        inst = gen_instance(args.k, args.instance_seed)
+        source = {"kind": "mcmc", "instance": inst, "beta": args.beta,
+                  "gamma": args.gamma}
+        if args.budget is not None:
+            source["budget"] = args.budget
+    dump = trajectory_demo(source, decoder=args.decoder, seed=seed, iters=args.iters)
+    dump.write_csv(args.out)
     print(f"wrote {args.out}")
     print(f"success={dump.meta['success']} iterations={dump.meta['iterations']} "
           f"errors={dump.error_counts}")
@@ -301,6 +270,8 @@ def cmd_trajectory(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; usage, configuration and file errors
+    (`ValueError`, `OSError`) print `error: ...` and return 2."""
     args = build_parser().parse_args(argv)
     handler = {
         "code-info": cmd_code_info,
@@ -309,7 +280,11 @@ def main(argv=None) -> int:
         "landscape": cmd_landscape,
         "trajectory": cmd_trajectory,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .channels import check_weight, pair_error_prob, reliability_weight
 from .code import (
     ParityCode,
     check_matrix,
@@ -99,8 +99,6 @@ def uniform_weights(epsilon: float) -> InversionWeights:
     """Weights induced by a common flip rate: the hard-decision weight
     log((1-eps)/eps) and one shared check weight log((1-p)/p) with
     p = (1 - (1-2*eps)^2) / 2."""
-    from .channels import check_weight, pair_error_prob, reliability_weight
-
     w0 = reliability_weight(epsilon)
     wk = check_weight(pair_error_prob(epsilon, epsilon))
     return InversionWeights(w0=w0, wk=wk)
@@ -492,10 +490,8 @@ def bp_decode(
     if channel_llr is None:
         if x is None or epsilon is None:
             raise ValueError("need either channel_llr or (x, epsilon)")
-        if not (0.0 < epsilon < 0.5):
-            raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+        llr = reliability_weight(epsilon)
         xf = _edge_vector(code, x)
-        llr = math.log((1.0 - epsilon) / epsilon)
         lam = llr * xf.astype(np.float64)
     else:
         lam = np.asarray(channel_llr, dtype=np.float64).ravel()

@@ -130,57 +130,42 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 # ---------------------------------------------------------------------------
 # i.i.d. noise benchmark
 
-def _decode_iid_trial(code, decoder, x, target, eps, iters, chain_seed,
-                      mcmc_budget, mcmc_gamma, mcmc_family):
-    """(success, iterations) of one BP or sampling trial."""
-    if decoder == "bp":
-        res = bp_decode(code, x=x, epsilon=max(eps, 1e-12), max_iters=iters, target=target)
-        return res.success, res.iterations
-    if decoder == "mcmc":
-        params = HamiltonianParams(beta=0.0, gamma=mcmc_gamma, couplings=None,
-                                   family=mcmc_family)
-        budget = mcmc_budget if mcmc_budget is not None else code.n_vars
-        ok, run = mcmc_decode(code, params, budget, target, chain_seed,
-                              initial=x, store_samples=False)
-        return ok, (run.target_hit if ok else budget)
-    raise ValueError(f"unknown decoder {decoder!r}")
-
-
-def _bench_unit(payload: dict) -> dict:
-    """One (K, epsilon) row. BF decodes its trials as stacks of at most
-    BF_TRIAL_CHUNK trials; BP and sampling decode one trial at a time."""
-    decoder = payload["decoder"]
-    K = payload["K"]
-    eps = payload["epsilon"]
+def _bench_unit(unit) -> dict:
+    """The (K_list[ki], eps_list[ei]) row of a bench_iid config. Noise is
+    drawn BF_TRIAL_CHUNK trials at a time; BF decodes a chunk as one
+    stack, BP and sampling decode it row by row."""
+    config, ki, ei = unit
+    decoder, trials, iters = config["decoder"], config["trials"], config["iters"]
+    K, eps = config["K_list"][ki], config["eps_list"][ei]
     code = build_code(K)
-    target = payload.get("codeword")
-    target = all_one_matrix(K) if target is None else np.asarray(target, dtype=np.int8)
-    keys = (payload["seed"], 11, payload["k_index"], payload["e_index"])
-
-    def noisy(t):
-        return (target * sample_iid_errors(code, eps, trial_seed(*keys, t, 0))).astype(np.int8)
-
+    cw = config["codeword"]
+    target = all_one_matrix(K) if cw is None else np.asarray(cw, dtype=np.int8)
+    target32 = target.astype(np.float32)
+    tie_policy = TiePolicy(config["tie_policy"])
+    if decoder == "mcmc":
+        params = HamiltonianParams(beta=0.0, gamma=config["mcmc_gamma"], couplings=None,
+                                   family=config["mcmc_family"])
+        budget = code.n_vars if config["mcmc_budget"] is None else config["mcmc_budget"]
+    keys = (config["seed"], 11, ki, ei)
     successes = ties = iter_sum = 0
-    if decoder == "bf":
-        target32 = target.astype(np.float32)
-        for start in range(0, payload["trials"], BF_TRIAL_CHUNK):
-            stop = min(start + BF_TRIAL_CHUNK, payload["trials"])
-            x = np.stack([noisy(t) for t in range(start, stop)]).astype(np.float32)
-            out = _bf_decode_stack(code, x, payload["iters"], payload["tie_policy"], target32)
-            successes += int(out.success.sum())
-            iter_sum += int(out.iterations[out.success].sum())
+    for start in range(0, trials, BF_TRIAL_CHUNK):
+        ts = range(start, min(start + BF_TRIAL_CHUNK, trials))
+        x = np.stack([target * sample_iid_errors(code, eps, trial_seed(*keys, t, 0)) for t in ts])
+        if decoder == "bf":
+            out = _bf_decode_stack(code, x.astype(np.float32), iters, tie_policy, target32)
+            ok, used = out.success, out.iterations
             ties += int(out.tie_failure.sum())
-    else:
-        for t in range(payload["trials"]):
-            chain_seed = trial_seed(*keys, t, 1) if decoder == "mcmc" else None
-            ok, iters_used = _decode_iid_trial(
-                code, decoder, noisy(t), target, eps, payload["iters"], chain_seed,
-                payload["mcmc_budget"], payload["mcmc_gamma"], payload["mcmc_family"],
-            )
-            if ok:
-                successes += 1
-                iter_sum += iters_used
-    trials = payload["trials"]
+        elif decoder == "bp":
+            res = [bp_decode(code, x=row, epsilon=max(eps, 1e-12), max_iters=iters, target=target)
+                   for row in x]
+            ok, used = [r.success for r in res], [r.iterations for r in res]
+        else:
+            runs = [mcmc_decode(code, params, budget, target, trial_seed(*keys, t, 1),
+                                initial=row, store_samples=False)[1] for t, row in zip(ts, x)]
+            ok, used = [r.target_hit is not None for r in runs], [r.target_hit or 0 for r in runs]
+        ok = np.asarray(ok, dtype=bool)
+        successes += int(ok.sum())
+        iter_sum += int(np.asarray(used)[ok].sum())
     failures = trials - successes
     fp = failures / trials if trials else 0.0
     lo, hi = wilson_interval(failures, trials)
@@ -229,24 +214,14 @@ def bench_iid(
         raise ValueError("bench_iid needs a deterministic tie policy (keep or fail), not coin")
     if decoder != "mcmc" and iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if codeword is not None:
         cw = validate_spin_matrix(codeword)
         if any(int(K) != len(cw) for K in K_list):
             raise ValueError(f"codeword has size {len(cw)}, but K_list is {list(K_list)}")
         if not is_codeword(build_code(len(cw)), cw):
             raise ValueError("codeword violates a triangle check")
-    units = []
-    for ki, K in enumerate(K_list):
-        for ei, eps in enumerate(eps_list):
-            units.append({
-                "decoder": decoder, "K": int(K), "epsilon": float(eps),
-                "k_index": ki, "e_index": ei, "trials": int(trials),
-                "iters": int(iters), "seed": int(seed), "tie_policy": tie_policy,
-                "codeword": None if codeword is None else np.asarray(codeword),
-                "mcmc_budget": mcmc_budget, "mcmc_gamma": mcmc_gamma,
-                "mcmc_family": mcmc_family,
-            })
-    rows = _run_units(_bench_unit, units, n_workers)
     config = {
         "decoder": decoder, "K_list": [int(k) for k in K_list],
         "eps_list": [float(e) for e in eps_list], "trials": int(trials),
@@ -255,7 +230,10 @@ def bench_iid(
         "mcmc_family": mcmc_family,
         "codeword": None if codeword is None else np.asarray(codeword).tolist(),
     }
-    return BenchmarkReport(kind="bench_iid", config=config, rows=rows)
+    units = [(config, ki, ei) for ki in range(len(config["K_list"]))
+             for ei in range(len(config["eps_list"]))]
+    return BenchmarkReport(kind="bench_iid", config=config,
+                           rows=_run_units(_bench_unit, units, n_workers))
 
 
 # ---------------------------------------------------------------------------
@@ -280,58 +258,52 @@ def _lockstep_hits(code, params_rows, budget: int, seeds, targets: np.ndarray,
     return hits
 
 
-def _landscape_unit(payload: dict) -> list[dict]:
-    """Rows of a block of cells: every (cell, instance, trial) chain of
-    the block runs through `_lockstep_hits`."""
-    code = build_code(payload["K"])
-    strategy = payload["strategy"]
-    budget = payload["budget"]
-    trials = payload["trials_per_cell"]
-    instances = payload["instances"]
-    targets = [matrix_to_vector(code, encode(code, np.asarray(inst["ground_state"])))
-               for inst in instances]
+def _landscape_unit(unit) -> list[dict]:
+    """Rows of a block of (b_index, g_index) cells of a landscape config
+    over its instances: every (cell, instance, trial) chain of the block
+    runs through `_lockstep_hits`."""
+    config, instances, cells = unit
+    code = build_code(config["K"])
+    trials = config["trials_per_cell"]
+    targets = [matrix_to_vector(code, encode(code, inst.ground_state)) for inst in instances]
     chains = []  # (cell index, instance index, params, seed)
-    for c, cell in enumerate(payload["cells"]):
+    for c, (bi, gi) in enumerate(cells):
         for i, inst in enumerate(instances):
-            params = HamiltonianParams(beta=cell["beta"], gamma=cell["gamma"],
-                                       couplings=np.asarray(inst["couplings"]),
-                                       family=payload["family"])
+            params = HamiltonianParams(
+                beta=config["beta_grid"][bi], gamma=config["gamma_grid"][gi],
+                couplings=inst.couplings, family=config["family"])
             for t in range(trials):
                 # strategy-independent stream: matched chains across strategies
-                seed = trial_seed(payload["seed"], 23, cell["b_index"], cell["g_index"], i, t)
-                chains.append((c, i, params, seed))
-    hits = np.zeros((len(payload["cells"]), len(instances), 2), dtype=np.int64)
+                chains.append((c, i, params, trial_seed(config["seed"], 23, bi, gi, i, t)))
+    hits = np.zeros((len(cells), len(instances), 2), dtype=np.int64)
     if chains:
         flags = _lockstep_hits(
-            code, [p for _, _, p, _ in chains], budget, [seed for _, _, _, seed in chains],
-            np.stack([targets[i] for _, i, _, _ in chains]),
-            payload["bf_max_iters"] if strategy == "hybrid" else None)
+            code, [p for _, _, p, _ in chains], config["budget"],
+            [seed for _, _, _, seed in chains], np.stack([targets[i] for _, i, _, _ in chains]),
+            config["bf_max_iters"] if config["strategy"] == "hybrid" else None)
         for (c, i, _, _), row in zip(chains, flags):
             hits[c, i] += row
-    return [_landscape_row(strategy, cell, budget, trials * len(instances),
-                           hits[c, :, 0].tolist(), hits[c, :, 1].tolist())
-            for c, cell in enumerate(payload["cells"])]
-
-
-def _landscape_row(strategy, cell, budget, runs, per_instance_target, per_instance_any):
-    tt = sum(per_instance_target)
-    ta = sum(per_instance_any)
-    lo, hi = wilson_interval(tt, runs)
-    return {
-        "strategy": strategy,
-        "beta": cell["beta"],
-        "gamma": cell["gamma"],
-        "budget": budget,
-        "runs": runs,
-        "target_successes": tt,
-        "target_rate": tt / runs if runs else 0.0,
-        "target_wilson_low": lo,
-        "target_wilson_high": hi,
-        "any_codeword_successes": ta,
-        "any_codeword_rate": ta / runs if runs else 0.0,
-        "per_instance_target": per_instance_target,
-        "per_instance_any": per_instance_any,
-    }
+    runs = trials * len(instances)
+    rows = []
+    for c, (bi, gi) in enumerate(cells):
+        tt, ta = int(hits[c, :, 0].sum()), int(hits[c, :, 1].sum())
+        lo, hi = wilson_interval(tt, runs)
+        rows.append({
+            "strategy": config["strategy"],
+            "beta": config["beta_grid"][bi],
+            "gamma": config["gamma_grid"][gi],
+            "budget": config["budget"],
+            "runs": runs,
+            "target_successes": tt,
+            "target_rate": tt / runs if runs else 0.0,
+            "target_wilson_low": lo,
+            "target_wilson_high": hi,
+            "any_codeword_successes": ta,
+            "any_codeword_rate": ta / runs if runs else 0.0,
+            "per_instance_target": hits[c, :, 0].tolist(),
+            "per_instance_any": hits[c, :, 1].tolist(),
+        })
+    return rows
 
 
 def landscape(
@@ -357,6 +329,8 @@ def landscape(
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "hybrid" and bf_max_iters < 1:
         raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
+    if trials_per_cell < 0:
+        raise ValueError(f"trials_per_cell must be >= 0, got {trials_per_cell}")
     instances = list(instances)
     if not instances:
         raise ValueError("need at least one instance")
@@ -368,21 +342,6 @@ def landscape(
     n_vars = K * (K - 1) // 2
     if budget is None:
         budget = 1200 * n_vars if strategy == "mcmc" else 4 * n_vars
-    inst_payload = [
-        {"couplings": inst.couplings, "ground_state": inst.ground_state}
-        for inst in instances
-    ]
-    cells = [{"beta": float(beta), "gamma": float(gamma), "b_index": bi, "g_index": gi}
-             for bi, beta in enumerate(beta_grid) for gi, gamma in enumerate(gamma_grid)]
-    # one contiguous block of cells per worker
-    n_blocks = max(1, min(_worker_count(n_workers), len(cells)))
-    bounds = [len(cells) * u // n_blocks for u in range(n_blocks + 1)]
-    units = [{
-        "K": K, "strategy": strategy, "cells": cells[lo:hi], "budget": int(budget),
-        "trials_per_cell": int(trials_per_cell), "seed": int(seed),
-        "bf_max_iters": int(bf_max_iters), "family": family, "instances": inst_payload,
-    } for lo, hi in zip(bounds, bounds[1:])]
-    rows = [row for block in _run_units(_landscape_unit, units, n_workers) for row in block]
     config = {
         "K": K, "strategy": strategy, "beta_grid": [float(b) for b in beta_grid],
         "gamma_grid": [float(g) for g in gamma_grid], "budget": int(budget),
@@ -391,6 +350,12 @@ def landscape(
         "instances": [inst.label for inst in instances],
         "instance_seeds": [inst.seed for inst in instances],
     }
+    cells = [(bi, gi) for bi in range(len(beta_grid)) for gi in range(len(gamma_grid))]
+    # one contiguous block of cells per worker
+    n_blocks = max(1, min(_worker_count(n_workers), len(cells)))
+    bounds = [len(cells) * u // n_blocks for u in range(n_blocks + 1)]
+    units = [(config, instances, cells[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    rows = [row for block in _run_units(_landscape_unit, units, n_workers) for row in block]
     return BenchmarkReport(kind="landscape", config=config, rows=rows)
 
 
@@ -419,9 +384,12 @@ def efficiency_ratio(
     """Samples-per-target-success of plain sampling at cell_a divided by
     the hybrid's at cell_b. Budgets default to 1200*C(K,2) and 4*C(K,2)
     per trial. Returns NaN when either arm records no success
-    (unestimable), never raises for that. bf_max_iters must be >= 1."""
+    (unestimable), never raises for that. bf_max_iters must be >= 1 and
+    trials >= 0."""
     if bf_max_iters < 1:
         raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     code = build_code(instance.K)
     target = encode(code, instance.ground_state)
     n_vars = code.n_vars
@@ -431,16 +399,15 @@ def efficiency_ratio(
                                  couplings=instance.couplings, family=family)
     params_b = HamiltonianParams(beta=cell_b[0], gamma=cell_b[1],
                                  couplings=instance.couplings, family=family)
-    succ = [0, 0]
-    if trials > 0:
-        # arm A's chains are mcmc_decode's, arm B's hybrid_decode's, at
-        # seeds trial_seed(seed, 31, arm, t), run in lockstep batches
-        targets = np.repeat(matrix_to_vector(code, target)[None], trials, axis=0)
-        arms = ((params_a, budget_a, None), (params_b, budget_b, bf_max_iters))
-        for arm, (params, budget, iters) in enumerate(arms):
-            seeds = [trial_seed(seed, 31, arm, t) for t in range(trials)]
-            hits = _lockstep_hits(code, [params] * trials, budget, seeds, targets, iters)
-            succ[arm] = int(hits[:, 0].sum())
+    # arm A's chains are mcmc_decode's, arm B's hybrid_decode's, at
+    # seeds trial_seed(seed, 31, arm, t), run in lockstep batches
+    targets = np.repeat(matrix_to_vector(code, target)[None], trials, axis=0)
+    arms = ((params_a, budget_a, None), (params_b, budget_b, bf_max_iters))
+    succ = []
+    for arm, (params, budget, iters) in enumerate(arms):
+        seeds = [trial_seed(seed, 31, arm, t) for t in range(trials)]
+        succ.append(int(_lockstep_hits(code, [params] * trials, budget, seeds, targets,
+                                       iters)[:, 0].sum()))
     succ_a, succ_b = succ
     details = {
         "trials": trials, "budget_a": budget_a, "budget_b": budget_b,
@@ -518,7 +485,7 @@ def _worker_count(n_workers: int | None) -> int:
     return (os.cpu_count() or 1) if n_workers is None else n_workers
 
 
-def _run_units(fn, units: list[dict], n_workers: int | None) -> list:
+def _run_units(fn, units: list, n_workers: int | None) -> list:
     n_workers = _worker_count(n_workers)
     if n_workers <= 1 or len(units) <= 1:
         return [fn(u) for u in units]

@@ -118,6 +118,19 @@ def test_decode_gen_iid(capsys):
     assert out.startswith("trial,decoder")
 
 
+@pytest.mark.parametrize("args", [
+    ["decode", "--gen-iid", "5", "0.1", "--iters", "0"],
+    ["decode", "--gen-iid", "5", "abc"],
+    ["decode", "--gen-iid", "5", "0.1", "--csv", "{missing}/x.csv"],
+])
+def test_decode_usage_and_file_errors_exit_2(tmp_path, capsys, args):
+    # exit 1 means a decode failure, so these must not surface as tracebacks
+    args = [a.format(missing=tmp_path / "missing") for a in args]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_decode_csv_append(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     run_cli(["decode", "--gen-iid", "10", "0.05", "--seed", "1", "--csv", str(out_csv)], capsys)
@@ -172,6 +185,15 @@ def test_bench_zero_trials(tmp_path, capsys):
         ["bench", "--decoder", "bf", "--k", "6", "--epsilon", "0.1", "--trials", "0",
          "--threads", "1", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
     assert code == 0
+
+
+def test_bench_negative_trials_refused(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1", "--trials", "-3",
+         "--threads", "1", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "trials" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_unwritable_dir(capsys, tmp_path):

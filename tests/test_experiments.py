@@ -13,6 +13,7 @@ from parity_decode import (
     all_one_matrix,
     bench_iid,
     bf_decode,
+    bp_decode,
     best_cell,
     build_code,
     efficiency_ratio,
@@ -183,38 +184,76 @@ def test_bench_chain_seeds_only_for_sampling(monkeypatch):
         assert len(calls) == 7 * per_trial
 
 
+def _per_trial_row(decoder, K, eps, ki, ei, trials, seed, policy):
+    """(successes, tie failures, iteration sum) of one bench_iid cell,
+    decoded one trial at a time on the same noise and chain seeds."""
+    code, target = build_code(K), all_one_matrix(K)
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
+    ok = fails = iter_sum = 0
+    for t in range(trials):
+        e = sample_iid_errors(code, eps, trial_seed(seed, 11, ki, ei, t, 0))
+        x = (target * e).astype(np.int8)
+        if decoder == "mcmc":
+            success, run = mcmc_decode(code, params, code.n_vars, target,
+                                       trial_seed(seed, 11, ki, ei, t, 1),
+                                       initial=x, store_samples=False)
+            used = run.target_hit
+        else:
+            if decoder == "bf":
+                res = bf_decode(code, x, max_iters=5, tie_policy=policy, target=target)
+            else:
+                res = bp_decode(code, x=x, epsilon=eps, max_iters=5, target=target)
+            success, used = res.success, res.iterations
+            fails += res.tie_failure
+        ok += success
+        iter_sum += used if success else 0
+    return ok, fails, iter_sum
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 @pytest.mark.parametrize("policy", [TiePolicy.KEEP, TiePolicy.FAIL])
 def test_bench_bf_stacks_match_per_trial_loop(monkeypatch, chunk, policy):
-    # BF trials decoded in stacks of `chunk` give the rows of a per-trial
-    # bf_decode loop on the same noise; odd K = 5 and 7 give tied votes
+    # every decoder's trials, with noise drawn in chunks of `chunk` (and
+    # BF decoding each chunk as one stack), give the rows of a per-trial
+    # bf_decode, bp_decode or mcmc_decode loop on the same noise and
+    # chain seeds; odd K = 5 and 7 give tied BF votes
     from parity_decode import experiments
 
     monkeypatch.setattr(experiments, "BF_TRIAL_CHUNK", chunk)
     K_list, eps_list, trials, seed = [5, 7, 8], [0.1, 0.3], 70, 4
-    rep = bench_iid("bf", K_list, eps_list, trials=trials, seed=seed, tie_policy=policy)
-    rows = iter(rep.rows)
-    tie_failures = 0
-    for ki, K in enumerate(K_list):
-        code, target = build_code(K), all_one_matrix(K)
-        for ei, eps in enumerate(eps_list):
-            ok = fails = iter_sum = 0
-            for t in range(trials):
-                e = sample_iid_errors(code, eps, trial_seed(seed, 11, ki, ei, t, 0))
-                res = bf_decode(code, (target * e).astype(np.int8), max_iters=5,
-                                tie_policy=policy, target=target)
-                ok += res.success
-                iter_sum += res.iterations if res.success else 0
-                fails += res.tie_failure
-            row = next(rows)
-            assert (row["K"], row["epsilon"]) == (K, eps)
-            assert (row["successes"], row["failures"], row["tie_failures"]) == (
-                ok, trials - ok, fails)
-            assert row["mean_iterations_success"] == (iter_sum / ok if ok else None)
-            tie_failures += fails
-    assert (tie_failures > 0) == (policy is TiePolicy.FAIL)
-    empty = bench_iid("bf", [5], [0.3], trials=0, seed=seed, tie_policy=policy).rows[0]
-    assert (empty["successes"], empty["failures"], empty["tie_failures"]) == (0, 0, 0)
+    for decoder in ("bf", "bp", "mcmc"):
+        rep = bench_iid(decoder, K_list, eps_list, trials=trials, seed=seed, tie_policy=policy)
+        rows = iter(rep.rows)
+        tie_failures = 0
+        for ki, K in enumerate(K_list):
+            for ei, eps in enumerate(eps_list):
+                ok, fails, iter_sum = _per_trial_row(decoder, K, eps, ki, ei, trials, seed,
+                                                     policy)
+                row = next(rows)
+                assert (row["decoder"], row["K"], row["epsilon"]) == (decoder, K, eps)
+                assert (row["successes"], row["failures"], row["tie_failures"]) == (
+                    ok, trials - ok, fails), decoder
+                assert row["mean_iterations_success"] == (iter_sum / ok if ok else None), decoder
+                tie_failures += fails
+        assert (tie_failures > 0) == (decoder == "bf" and policy is TiePolicy.FAIL)
+        empty = bench_iid(decoder, [5], [0.3], trials=0, seed=seed, tie_policy=policy).rows[0]
+        assert (empty["successes"], empty["failures"], empty["tie_failures"]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("other_codeword", [False, True])
+def test_bench_rows_follow_from_round_tripped_config(tmp_path, other_codeword):
+    # a report's config, read back from its JSON, is all a unit needs to
+    # rebuild its row
+    from parity_decode import experiments
+
+    z = encode(build_code(8), np.array([1, -1, 1, 1, -1, -1, 1, 1]))
+    kwargs = dict(codeword=z, mcmc_budget=50, mcmc_gamma=0.7, mcmc_family="w4",
+                  tie_policy=TiePolicy.KEEP) if other_codeword else {}
+    for decoder in ("bf", "bp", "mcmc"):
+        rep = bench_iid(decoder, [8], [0.1, 0.25], trials=30, seed=5, **kwargs)
+        rep.to_json(tmp_path / "r.json")
+        config = BenchmarkReport.from_json(tmp_path / "r.json").config
+        assert [experiments._bench_unit((config, 0, ei)) for ei in range(2)] == rep.rows
 
 
 # sha256 of the JSON then CSV bytes of small BF and BP reports (FAIL ties),
@@ -243,6 +282,9 @@ def test_bench_refuses_zero_iterations(monkeypatch):
     for decoder in ("bf", "bp"):
         with pytest.raises(ValueError, match="iters"):
             bench_iid(decoder, [5], [0.1], trials=3, iters=0)
+    for decoder in ("bf", "bp", "mcmc"):
+        with pytest.raises(ValueError, match="trials"):
+            bench_iid(decoder, [5], [0.1], trials=-3)
 
 
 def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):
@@ -250,6 +292,7 @@ def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):
         raise AssertionError("a chain ran")
 
     monkeypatch.setattr("parity_decode.experiments._run_lockstep", no_chains)
+    monkeypatch.setattr("parity_decode.experiments._run_units", no_chains)
     inst = gen_instance(5, 1)
     for iters in (0, -7):
         with pytest.raises(ValueError, match="bf_max_iters"):
@@ -257,6 +300,12 @@ def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):
                       trials_per_cell=2, bf_max_iters=iters)
         with pytest.raises(ValueError, match="bf_max_iters"):
             efficiency_ratio(inst, (1.0, 0.5), (1.0, 0.5), trials=2, bf_max_iters=iters)
+    # negative trial counts are refused too, before any unit or chain
+    for strategy in ("mcmc", "hybrid"):
+        with pytest.raises(ValueError, match="trials_per_cell"):
+            landscape([inst], [1.0], [0.5], strategy=strategy, budget=20, trials_per_cell=-2)
+    with pytest.raises(ValueError, match="trials"):
+        efficiency_ratio(inst, (1.0, 0.5), (1.0, 0.5), trials=-1)
 
 
 def test_bench_bp_and_mcmc_run():
