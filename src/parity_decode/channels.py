@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import ParityCode, build_code, validate_spin_matrix, vector_to_matrix
+from .code import ParityCode, build_code, matrix_to_vector, validate_spin_matrix, vector_to_matrix
 
 
 @dataclass(frozen=True)
@@ -67,20 +67,20 @@ def sample_iid_errors(code: ParityCode, epsilon: float, seed) -> np.ndarray:
     epsilon. Deterministic given the seed."""
     if not (0.0 <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    rng = as_generator(seed)
-    flips = rng.random(code.n_vars) < epsilon
-    v = np.where(flips, -1, 1).astype(np.int8)
-    return vector_to_matrix(code, v)
+    return vector_to_matrix(code, _iid_error_vector(code, epsilon, seed))
+
+
+def _iid_error_vector(code: ParityCode, epsilon: float, seed) -> np.ndarray:
+    """sample_iid_errors' draw as an int8 edge vector, epsilon trusted."""
+    return np.where(as_generator(seed).random(code.n_vars) < epsilon, -1, 1).astype(np.int8)
 
 
 def awgn_observe(z: np.ndarray, params: AwgnParams, seed) -> np.ndarray:
-    """Noisy real-valued readout of a spin matrix, as an edge vector of
-    length C(K,2); symmetric pairs share one Gaussian draw."""
+    """Noisy real-valued readout of a spin matrix (K >= 2), as an edge
+    vector of length C(K,2); symmetric pairs share one Gaussian draw."""
     z = validate_spin_matrix(z)
-    K = z.shape[0]
-    rng = as_generator(seed)
-    zf = z[np.triu_indices(K, 1)].astype(np.float64)
-    noise = rng.normal(0.0, params.sigma, size=zf.shape)
+    zf = matrix_to_vector(build_code(len(z)), z).astype(np.float64)
+    noise = as_generator(seed).normal(0.0, params.sigma, size=zf.shape)
     return params.amplitude * zf + noise
 
 

@@ -478,67 +478,52 @@ def bp_decode(
     mapping to +1. Stops early when the hard decision reaches the
     target (or any codeword when no target is given).
 
-    With (x, epsilon) every channel LLR is one of two values, so the
-    first iteration's check messages take at most 3 values (indexed by
-    how many of the other two members are +1) and the second
-    iteration's variable messages at most 3 per variable: both come from
-    value tables, computed with the same elementwise operations as the
-    full message arrays, so the results are bit-identical to them.
+    When every clipped channel LLR has one magnitude (always so for
+    (x, epsilon), never for Gaussian readouts) the first iteration's
+    check messages take at most 3 values (indexed by how many of the
+    other two members are +1) and the second iteration's variable
+    messages at most 3 per variable: both come from value tables,
+    computed with the same elementwise operations as the full message
+    arrays, so the results are bit-identical to them.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if channel_llr is None:
         if x is None or epsilon is None:
             raise ValueError("need either channel_llr or (x, epsilon)")
-        llr = reliability_weight(epsilon)
-        xf = _edge_vector(code, x)
-        lam = llr * xf.astype(np.float64)
-    else:
-        lam = np.asarray(channel_llr, dtype=np.float64).ravel()
-        if len(lam) != code.n_vars:
-            raise ValueError(f"channel_llr length {len(lam)} != n_vars {code.n_vars}")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("channel_llr contains non-finite entries")
+        channel_llr = reliability_weight(epsilon) * _edge_vector(code, x)
+    lam = np.asarray(channel_llr, dtype=np.float64).ravel()
+    if len(lam) != code.n_vars:
+        raise ValueError(f"channel_llr length {len(lam)} != n_vars {code.n_vars}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("channel_llr contains non-finite entries")
     target_f = None if target is None else _edge_vector(code, target)
 
     lam = np.clip(lam, -MSG_CLIP, MSG_CLIP)
-
     posteriors = [lam.copy()] if record else None
-
-    def hard(post: np.ndarray) -> np.ndarray:
-        return np.where(post >= 0, 1, -1).astype(np.int8)
-
-    def reached(h: np.ndarray) -> bool:
-        if target_f is not None:
-            return np.array_equal(h, target_f)
-        return bool(np.all(_syndrome_flat(code, h, "w3") == 1))
-
-    h = hard(lam)
-    done = reached(h)
-    if code.n_checks3 == 0 or done:
-        return DecodeResult(
-            final=vector_to_matrix(code, h), converged=True, success=done,
-            iterations=0, trajectory=None, posteriors=posteriors,
-        )
-
     # Messages live on graph edges arranged as (3, n_checks), see
     # _bp_layout; variable degree is K-2, check degree exactly 3.
     layout, flat = _bp_layout(code)
-    tables = channel_llr is None
-    if tables:
-        # the 2 channel values, the <= 3 first check messages, and the
-        # per-message index into them: how many of the other two members
-        # are +1, from their spin sum in {-2, 0, 2}
-        t = np.tanh(0.5 * _clip(llr * np.array([-1.0, 1.0]), MSG_CLIP))
-        first = _check_messages(np.array([t[0] * t[0], t[1] * t[0], t[1] * t[1]]))
-        spins = xf[layout]
-        which = (spins[0] + spins[1] + spins[2]) - spins
-        which += 2
-        which >>= 1
-        which = which.astype(np.intp)
-    post = lam
-    for it in range(1, max_iters + 1):
+    c = abs(lam[0])
+    tables = bool(np.all(np.abs(lam) == c))
+    post, it = lam, 0
+    while True:
+        h = np.where(post >= 0, 1, -1).astype(np.int8)
+        if target_f is not None:
+            success = np.array_equal(h, target_f)
+        else:
+            success = bool(np.all(_syndrome_flat(code, h, "w3") == 1))
+        if success or not code.n_checks3 or it == max_iters:
+            break
+        it += 1
         if tables and it == 1:
+            # the 2 channel values, the <= 3 first check messages, and the
+            # per-message index into them: how many of the other two
+            # members are +1, from their channel spin sum in {-2, 0, 2}
+            t = np.tanh(0.5 * np.array([-c, c]))
+            first = _check_messages(np.array([t[0] * t[0], t[1] * t[0], t[1] * t[1]]))
+            spins = h[layout]
+            which = ((spins[0] + spins[1] + spins[2] - spins + 2) >> 1).astype(np.intp)
             msg_cv = first[which]
         else:
             # Variable -> check: channel + all incoming except the
@@ -560,18 +545,11 @@ def bp_decode(
             np.multiply(t[0], t[1], out=prod[2])
             msg_cv = _check_messages(prod)
         post = lam + np.bincount(flat, weights=msg_cv.ravel(), minlength=code.n_vars)
-
         if posteriors is not None:
             posteriors.append(post.copy())
-        h = hard(post)
-        if reached(h):
-            return DecodeResult(
-                final=vector_to_matrix(code, h), converged=True, success=True,
-                iterations=it, posteriors=posteriors,
-            )
     return DecodeResult(
-        final=vector_to_matrix(code, h), converged=False, success=reached(h),
-        iterations=max_iters, posteriors=posteriors,
+        final=vector_to_matrix(code, h), converged=success or not code.n_checks3,
+        success=success, iterations=it, posteriors=posteriors,
     )
 
 

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import hard_decide, sample_iid_errors, trial_seed
+from .channels import (
+    _iid_error_vector, hard_decide, reliability_weight, sample_iid_errors, trial_seed,
+)
 from .code import (
     all_one_matrix,
     build_code,
@@ -34,6 +36,7 @@ from .code import (
     is_codeword,
     matrix_to_vector,
     validate_spin_matrix,
+    vector_to_matrix,
 )
 from .decoders import (
     CapacityError,
@@ -132,36 +135,38 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 def _bench_unit(unit) -> dict:
     """The (K_list[ki], eps_list[ei]) row of a bench_iid config. Noise is
-    drawn BF_TRIAL_CHUNK trials at a time; BF decodes a chunk as one
-    stack, BP and sampling decode it row by row."""
+    drawn BF_TRIAL_CHUNK trials at a time as edge-vector rows; BF decodes
+    a chunk as one stack, BP and sampling decode it row by row."""
     config, ki, ei = unit
     decoder, trials, iters = config["decoder"], config["trials"], config["iters"]
     K, eps = config["K_list"][ki], config["eps_list"][ei]
     code = build_code(K)
     cw = config["codeword"]
     target = all_one_matrix(K) if cw is None else np.asarray(cw, dtype=np.int8)
-    target32 = target.astype(np.float32)
+    target_f = matrix_to_vector(code, target)
     tie_policy = TiePolicy(config["tie_policy"])
     if decoder == "mcmc":
-        params = HamiltonianParams(beta=0.0, gamma=config["mcmc_gamma"], couplings=None,
-                                   family=config["mcmc_family"])
+        params = HamiltonianParams(gamma=config["mcmc_gamma"], family=config["mcmc_family"])
         budget = code.n_vars if config["mcmc_budget"] is None else config["mcmc_budget"]
     keys = (config["seed"], 11, ki, ei)
     successes = ties = iter_sum = 0
     for start in range(0, trials, BF_TRIAL_CHUNK):
         ts = range(start, min(start + BF_TRIAL_CHUNK, trials))
-        x = np.stack([target * sample_iid_errors(code, eps, trial_seed(*keys, t, 0)) for t in ts])
+        e = np.stack([_iid_error_vector(code, eps, trial_seed(*keys, t, 0)) for t in ts])
+        x = e * target_f  # (T, n_vars) int8 readouts
         if decoder == "bf":
-            out = _bf_decode_stack(code, x.astype(np.float32), iters, tie_policy, target32)
+            out = _bf_decode_stack(code, vector_to_matrix(code, x.astype(np.float32)), iters,
+                                   tie_policy, target.astype(np.float32))
             ok, used = out.success, out.iterations
             ties += int(out.tie_failure.sum())
         elif decoder == "bp":
-            res = [bp_decode(code, x=row, epsilon=max(eps, 1e-12), max_iters=iters, target=target)
-                   for row in x]
+            llr = reliability_weight(max(eps, 1e-12)) * x
+            res = [bp_decode(code, row, max_iters=iters, target=target) for row in llr]
             ok, used = [r.success for r in res], [r.iterations for r in res]
         else:
             runs = [mcmc_decode(code, params, budget, target, trial_seed(*keys, t, 1),
-                                initial=row, store_samples=False)[1] for t, row in zip(ts, x)]
+                                initial=m, store_samples=False)[1]
+                    for t, m in zip(ts, vector_to_matrix(code, x))]
             ok, used = [r.target_hit is not None for r in runs], [r.target_hit or 0 for r in runs]
         ok = np.asarray(ok, dtype=bool)
         successes += int(ok.sum())
@@ -207,6 +212,8 @@ def bench_iid(
     BF vote count as failures by default, matching the benchmark
     convention; COIN is refused, as the benchmark draws no tie coins. A
     supplied codeword must be a codeword of size K for every K in K_list.
+    Every argument lands in the report's config, so each is checked for
+    every decoder before any unit runs (BP also needs epsilon < 1/2).
     """
     if decoder not in ("bf", "bp", "mcmc"):
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -216,6 +223,14 @@ def bench_iid(
         raise ValueError(f"iters must be >= 1, got {iters}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if any(K < 2 for K in K_list):
+        raise ValueError(f"every K must be >= 2, got {list(K_list)}")
+    eps_max = 0.5 if decoder == "bp" else 1.0
+    if not all(0.0 <= e < eps_max for e in eps_list):
+        raise ValueError(f"every epsilon must be in [0, {eps_max}), got {list(eps_list)}")
+    if mcmc_budget is not None and mcmc_budget < 1:
+        raise ValueError(f"mcmc_budget must be >= 1, got {mcmc_budget}")
+    HamiltonianParams(gamma=mcmc_gamma, family=mcmc_family)  # refuses a bad gamma or family
     if codeword is not None:
         cw = validate_spin_matrix(codeword)
         if any(int(K) != len(cw) for K in K_list):

@@ -81,6 +81,22 @@ def test_awgn_noiseless_limit():
     assert np.array_equal(hard_decide(y), z)
 
 
+@pytest.mark.parametrize("K", [2, 3, 7, 12])
+def test_awgn_observe_reads_pairs_in_upper_triangle_order(K):
+    # one Gaussian draw per pair, pairs in row-major upper-triangle order
+    z = encode(build_code(K), np.where(np.arange(K) % 3 == 0, -1, 1))
+    params = AwgnParams(amplitude=1.5, sigma=0.7)
+    noise = np.random.default_rng(trial_seed(5, K)).normal(0.0, 0.7, size=K * (K - 1) // 2)
+    want = 1.5 * z[np.triu_indices(K, 1)].astype(np.float64) + noise
+    assert awgn_observe(z, params, trial_seed(5, K)).tobytes() == want.tobytes()
+
+
+def test_awgn_observe_refuses_k1():
+    # K = 1 has no pairs: nothing to observe, and no code to decode with
+    with pytest.raises(ValueError, match="K"):
+        awgn_observe(np.ones((1, 1), dtype=np.int8), AwgnParams(1.0, 1.0), 0)
+
+
 def test_awgn_flip_rate_matches_gaussian_tail():
     code = build_code(12)
     z = all_one_matrix(12)

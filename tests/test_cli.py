@@ -4,8 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from parity_decode import BenchmarkReport, all_one_matrix, build_code, encode, write_spin_matrix_csv
-from parity_decode.cli import main
+from parity_decode import (
+    BenchmarkReport,
+    all_one_matrix,
+    bp_decode,
+    build_code,
+    encode,
+    sample_iid_errors,
+    trial_seed,
+    write_spin_matrix_csv,
+)
+from parity_decode.cli import ENV_SEED, main
 
 
 def run_cli(args, capsys):
@@ -118,6 +127,38 @@ def test_decode_gen_iid(capsys):
     assert out.startswith("trial,decoder")
 
 
+def _bp_row(x, epsilon, target):
+    """The row and exit code `decode --decoder bp` should print for x."""
+    res = bp_decode(build_code(len(x)), x=x, epsilon=epsilon, target=target)
+    assert res.ties == 0
+    row = f"0,bp,{len(x)},{epsilon},{res.iterations},{int(res.success)},0"
+    return row, 0 if res.success else 1
+
+
+def test_decode_gen_iid_bp(capsys, monkeypatch):
+    # master seed 0 when neither --seed nor the environment gives one
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    code, out, _ = run_cli(["decode", "--gen-iid", "9", "0.1", "--decoder", "bp"], capsys)
+    x = sample_iid_errors(build_code(9), 0.1, trial_seed(0, 51))
+    row, want = _bp_row(x, 0.1, all_one_matrix(9))
+    assert out.splitlines()[1:] == [row]
+    assert code == want
+
+
+@pytest.mark.parametrize("K, noise, seed", [(9, 0.1, 1), (12, 0.3, 2), (7, 0.45, 3), (2, 0.99, 0)])
+def test_decode_file_bp(tmp_path, capsys, K, noise, seed):
+    # K = 2 has no checks: its flipped pair stays wrong, so the run fails
+    x = sample_iid_errors(build_code(K), noise, seed)
+    assert K > 2 or x[0, 1] == -1
+    path = tmp_path / "x.csv"
+    write_spin_matrix_csv(path, x)
+    code, out, _ = run_cli(["decode", "--input", str(path), "--decoder", "bp",
+                            "--epsilon", "0.2", "--target-allone"], capsys)
+    row, want = _bp_row(x, 0.2, all_one_matrix(K))
+    assert out.splitlines()[1:] == [row]
+    assert code == want
+
+
 @pytest.mark.parametrize("args", [
     ["decode", "--gen-iid", "5", "0.1", "--iters", "0"],
     ["decode", "--gen-iid", "5", "abc"],
@@ -193,6 +234,15 @@ def test_bench_negative_trials_refused(tmp_path, capsys):
          "--threads", "1", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("error: ") and "trials" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bench_refuses_bp_flip_rate_above_half(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["bench", "--decoder", "bp", "--k", "5", "--epsilon", "0.1,0.6", "--trials", "3",
+         "--threads", "1", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "epsilon" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -285,6 +285,23 @@ def test_bench_refuses_zero_iterations(monkeypatch):
     for decoder in ("bf", "bp", "mcmc"):
         with pytest.raises(ValueError, match="trials"):
             bench_iid(decoder, [5], [0.1], trials=-3)
+    # every decoder echoes every value into its config, so all three
+    # refuse what any of them would refuse, before the first unit
+    bad_eps = {"bf": [-0.1, 1.0, math.nan], "mcmc": [-0.1, 1.0], "bp": [-0.1, 0.5, 0.6]}
+    for decoder, eps_values in bad_eps.items():
+        for eps in eps_values:
+            with pytest.raises(ValueError, match="epsilon"):
+                bench_iid(decoder, [5], [0.1, eps], trials=3)
+        with pytest.raises(ValueError, match="K"):
+            bench_iid(decoder, [5, 1], [0.1], trials=3)
+        for budget in (0, -4):
+            with pytest.raises(ValueError, match="mcmc_budget"):
+                bench_iid(decoder, [5], [0.1], trials=3, mcmc_budget=budget)
+        for gamma in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                bench_iid(decoder, [5], [0.1], trials=3, mcmc_gamma=gamma)
+        with pytest.raises(ValueError, match="family"):
+            bench_iid(decoder, [5], [0.1], trials=3, mcmc_family="w5")
 
 
 def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):

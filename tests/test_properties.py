@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from parity_decode import (
+    AwgnParams,
     HamiltonianParams,
     TiePolicy,
+    awgn_observe,
     bf_decode,
     bf_step,
     bp_decode,
@@ -22,6 +24,7 @@ from parity_decode import (
     encode,
     hybrid_decode,
     is_codeword,
+    llr as awgn_llr,
     matrix_to_vector,
     syndrome,
     vector_to_matrix,
@@ -319,8 +322,9 @@ BP_EPSILON = st.one_of(st.just(1e-12), st.floats(0.0, 0.5, exclude_min=True, exc
 @example(K=40, noise=0.2, epsilon=0.1, seed=3, max_iters=5, with_target=True)
 @example(K=40, noise=0.3, epsilon=1e-12, seed=4, max_iters=3, with_target=False)
 def test_bp_decode_matches_reference_loop(K, noise, epsilon, seed, max_iters, with_target):
-    """bp_decode from (x, epsilon) (value tables in iterations 1-2) and
-    from the explicit channel LLRs L*x (plain loop) both equal the frozen
+    """bp_decode from (x, epsilon) and from the explicit channel LLRs L*x
+    (value tables in iterations 1-2 for both), from Gaussian LLRs (plain
+    loop) and from +-c LLRs clipped to one magnitude all equal the frozen
     loop bit for bit: decision, flags, iteration count, every posterior."""
     code = build_code(K)
     x, z = _noisy_state(code, seed, noise)
@@ -332,6 +336,18 @@ def test_bp_decode_matches_reference_loop(K, noise, epsilon, seed, max_iters, wi
                        record=True), ref)
     _same_bp(bp_decode(code, channel_llr=llr, max_iters=max_iters, target=target,
                        record=True), ref)
+    # Gaussian LLRs of varying magnitude take the plain loop in every
+    # iteration; +-c with c above MSG_CLIP clips to one magnitude and
+    # takes the tables
+    params = AwgnParams(amplitude=1.0, sigma=0.5 + noise)
+    theta = awgn_llr(awgn_observe(x, params, seed), params)
+    assert K < 3 or np.unique(np.abs(np.clip(theta, -MSG_CLIP, MSG_CLIP))).size > 1
+    c = MSG_CLIP * (1.0 + epsilon)
+    for lam in (theta, c * matrix_to_vector(code, x)):
+        ref = _ref_bp(code, np.clip(lam, -MSG_CLIP, MSG_CLIP), max_iters,
+                      None if target is None else matrix_to_vector(code, target))
+        _same_bp(bp_decode(code, channel_llr=lam, max_iters=max_iters, target=target,
+                           record=True), ref)
 
 
 # ---------------------------------------------------------------------------
