@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -427,35 +428,58 @@ def flip_spin(code: ParityCode, x: np.ndarray, k: int) -> np.ndarray:
 
 @functools.cache
 def _bp_layout(code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
-    """Variable index of every BP message, (3, n_checks3), and its ravel.
+    """Variable index of every BP message, (3, n_checks3), and the
+    message positions of every variable, (K-2, n_vars).
 
-    Row r holds column 2 - r of checks3_vars (jk, ik, ij), so each
-    message family is one contiguous row. Triangles are in lexicographic
-    order, so the checks in which a pair is jk come before those in which
-    it is ik, and those before the ones in which it is ij: the ravel
-    lists each variable's messages in check order, and np.bincount adds
-    them in the same order as over checks3_vars.ravel(). Cached per code."""
-    rows = np.ascontiguousarray(code.checks3_vars[:, ::-1].T)
-    flat = rows.ravel()
-    for a in (rows, flat):
+    Row r of the layout holds column 2 - r of checks3_vars (jk, ik, ij),
+    so each message family is one contiguous row. Column v of the gather
+    lists v's positions in the layout's ravel in increasing order, so
+    np.add.reduce(msg.ravel()[gather], axis=0) adds each variable's
+    messages in the order np.bincount(layout.ravel(), msg.ravel()) does.
+    Triangles are in lexicographic order, so the checks in which a pair
+    is jk come before those in which it is ik, and those before the ones
+    in which it is ij: that order is the check order of checks3_vars.
+    Cached per code, read-only."""
+    layout = np.ascontiguousarray(code.checks3_vars[:, ::-1].T)
+    order = np.argsort(layout.ravel(), kind="stable")
+    gather = np.ascontiguousarray(order.reshape(code.n_vars, code.K - 2).T)
+    for a in (layout, gather):
         a.setflags(write=False)  # shared by every call in the process
-    return rows, flat
+    return layout, gather
 
 
-def _clip(a: np.ndarray, bound: float) -> np.ndarray:
-    """Clip a float array to [-bound, bound] in place."""
-    np.minimum(a, bound, out=a)
-    np.maximum(a, -bound, out=a)
-    return a
+class _BPBuffers(threading.local):
+    """BP work arrays of the calling thread, one set per code, made on
+    the thread's first decode of that code and kept for the thread's
+    life: two (3, n_checks3) float64 message arrays, the second also
+    viewed as (K-2, n_vars), a (3, n_checks3) intp index array, and
+    writeable copies of _bp_layout's arrays (np.take copies a read-only
+    index array on every call)."""
+
+    def __init__(self):
+        self.by_code = {}
+
+    def get(self, code: ParityCode) -> tuple[np.ndarray, ...]:
+        work = self.by_code.get(code)
+        if work is None:
+            layout, gather = (a.copy() for a in _bp_layout(code))
+            t = np.empty(layout.shape)
+            work = self.by_code[code] = (np.empty(layout.shape), t, t.reshape(gather.shape),
+                                         np.empty(layout.shape, np.intp), layout, gather)
+        return work
+
+
+_bp_buffers = _BPBuffers()
 
 
 def _check_messages(prod: np.ndarray) -> np.ndarray:
     """Check-to-variable messages 2 artanh(prod) from the tanh products
     over the other two members, in place: the product is clipped below
     1 in magnitude, the message at +-MSG_CLIP."""
-    msg = np.arctanh(_clip(prod, 0.9999999999999998), out=prod)
-    msg *= 2.0
-    return _clip(msg, MSG_CLIP)
+    np.clip(prod, -0.9999999999999998, 0.9999999999999998, out=prod)
+    np.arctanh(prod, out=prod)
+    prod *= 2.0
+    return np.clip(prod, -MSG_CLIP, MSG_CLIP, out=prod)
 
 
 def bp_decode(
@@ -485,6 +509,13 @@ def bp_decode(
     messages at most 3 per variable: both come from value tables,
     computed with the same elementwise operations as the full message
     arrays, so the results are bit-identical to them.
+
+    The message arrays live in work buffers of the calling thread, one
+    set per code, reused by every later call (about 1.2 MB per thread at
+    K = 40), so concurrent threads never share one and the loop makes
+    no message-sized temporary. Each posterior adds every variable's
+    messages in check order (an ordered gather-sum, see _bp_layout), as
+    np.bincount over the layout would.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -500,10 +531,11 @@ def bp_decode(
     target_f = None if target is None else _edge_vector(code, target)
 
     lam = np.clip(lam, -MSG_CLIP, MSG_CLIP)
-    posteriors = [lam.copy()] if record else None
+    posteriors = [lam] if record else None
     # Messages live on graph edges arranged as (3, n_checks), see
-    # _bp_layout; variable degree is K-2, check degree exactly 3.
-    layout, flat = _bp_layout(code)
+    # _bp_layout; variable degree is K-2, check degree exactly 3. Every
+    # gather runs in mode="clip", as mode="raise" buffers its output.
+    msg, t, t_by_var, idx, layout, gather = _bp_buffers.get(code)
     c = abs(lam[0])
     tables = bool(np.all(np.abs(lam) == c))
     post, it = lam, 0
@@ -519,34 +551,47 @@ def bp_decode(
         if tables and it == 1:
             # the 2 channel values, the <= 3 first check messages, and the
             # per-message index into them: how many of the other two
-            # members are +1, from their channel spin sum in {-2, 0, 2}
-            t = np.tanh(0.5 * np.array([-c, c]))
-            first = _check_messages(np.array([t[0] * t[0], t[1] * t[0], t[1] * t[1]]))
-            spins = h[layout]
-            which = ((spins[0] + spins[1] + spins[2] - spins + 2) >> 1).astype(np.intp)
-            msg_cv = first[which]
+            # members are +1. From the members' bits b0, b1, b2, in place:
+            # row 0 becomes T = b0 + b1 + b2, rows 1 and 2 T - b1 and
+            # T - b2, and row 0 then 2T - (T - b1) - (T - b2) = T - b0.
+            tc = np.tanh(0.5 * np.array([-c, c]))
+            first = _check_messages(np.array([tc[0] * tc[0], tc[1] * tc[0], tc[1] * tc[1]]))
+            np.take((h > 0).astype(np.intp), layout, out=idx, mode="clip")
+            b0, b1, b2 = idx
+            b0 += b1
+            b0 += b2
+            np.subtract(b0, b1, out=b1)
+            np.subtract(b0, b2, out=b2)
+            b0 *= 2
+            b0 -= b1
+            b0 -= b2
+            np.take(first, idx, out=msg, mode="clip")
         else:
             # Variable -> check: channel + all incoming except the
             # receiver, clipped, kept as tanh(msg / 2).
             if tables and it == 2:
-                table = np.tanh(0.5 * _clip(post[:, None] - first, MSG_CLIP))
-                t = table.ravel()[3 * layout + which]
+                # table[w, v]: variable v's message to a check whose
+                # first message to v was first[w]
+                table = np.tanh(0.5 * np.clip(post - first[:, None], -MSG_CLIP, MSG_CLIP))
+                idx *= code.n_vars
+                idx += layout
+                np.take(table, idx, out=t, mode="clip")
             else:
-                t = post[layout]  # the channel values in iteration 1
+                np.take(post, layout, out=t, mode="clip")  # the channel values in iteration 1
                 if it > 1:
-                    t -= msg_cv
-                    _clip(t, MSG_CLIP)
+                    t -= msg
+                    np.clip(t, -MSG_CLIP, MSG_CLIP, out=t)
                 t *= 0.5
                 np.tanh(t, out=t)
             # Check -> variable: pairwise tanh products exclude the receiver.
-            prod = np.empty_like(t)
-            np.multiply(t[1], t[2], out=prod[0])
-            np.multiply(t[0], t[2], out=prod[1])
-            np.multiply(t[0], t[1], out=prod[2])
-            msg_cv = _check_messages(prod)
-        post = lam + np.bincount(flat, weights=msg_cv.ravel(), minlength=code.n_vars)
+            np.multiply(t[1], t[2], out=msg[0])
+            np.multiply(t[0], t[2], out=msg[1])
+            np.multiply(t[0], t[1], out=msg[2])
+            _check_messages(msg)
+        np.take(msg, gather, out=t_by_var, mode="clip")
+        post = lam + np.add.reduce(t_by_var, axis=0)
         if posteriors is not None:
-            posteriors.append(post.copy())
+            posteriors.append(post)
     return DecodeResult(
         final=vector_to_matrix(code, h), converged=success or not code.n_checks3,
         success=success, iterations=it, posteriors=posteriors,

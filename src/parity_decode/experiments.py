@@ -213,12 +213,20 @@ def bench_iid(
     convention; COIN is refused, as the benchmark draws no tie coins. A
     supplied codeword must be a codeword of size K for every K in K_list.
     Every argument lands in the report's config, so each is checked for
-    every decoder before any unit runs (BP also needs epsilon < 1/2).
+    every decoder before any unit runs (BP also needs epsilon < 1/2);
+    sizes and counts must be integers (numpy integers included), as the
+    config would otherwise record truncated ones.
     """
     if decoder not in ("bf", "bp", "mcmc"):
         raise ValueError(f"unknown decoder {decoder!r}")
     if tie_policy is TiePolicy.COIN:
         raise ValueError("bench_iid needs a deterministic tie policy (keep or fail), not coin")
+    sizes = [("K", K) for K in K_list] + [("trials", trials), ("iters", iters)]
+    if mcmc_budget is not None:
+        sizes.append(("mcmc_budget", mcmc_budget))
+    for name, value in sizes:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if decoder != "mcmc" and iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if trials < 0:
@@ -241,7 +249,8 @@ def bench_iid(
         "decoder": decoder, "K_list": [int(k) for k in K_list],
         "eps_list": [float(e) for e in eps_list], "trials": int(trials),
         "iters": int(iters), "seed": int(seed), "tie_policy": tie_policy.value,
-        "mcmc_budget": mcmc_budget, "mcmc_gamma": mcmc_gamma,
+        "mcmc_budget": None if mcmc_budget is None else int(mcmc_budget),
+        "mcmc_gamma": mcmc_gamma,
         "mcmc_family": mcmc_family,
         "codeword": None if codeword is None else np.asarray(codeword).tolist(),
     }

@@ -1,15 +1,20 @@
 import itertools
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from parity_decode import (
+    AwgnParams,
     CapacityError,
     HamiltonianParams,
     InversionWeights,
     TiePolicy,
     all_one_matrix,
+    awgn_observe,
     bf_decode,
     bf_step,
     bp_decode,
@@ -22,6 +27,7 @@ from parity_decode import (
     flip_spin,
     inversion_function,
     inversion_profile,
+    llr as awgn_llr,
     matrix_to_vector,
     mwd_bruteforce,
     random_spin_matrix,
@@ -352,6 +358,67 @@ def test_bp_posterior_reliability_growth():
         grew += last >= prev
     assert total >= 50
     assert grew / total >= 0.8
+
+
+def _k40_bp_inputs(n):
+    """n (Gaussian LLRs, (x, eps)) bp_decode argument pairs at K = 40 that
+    decode for several iterations: noisy readouts of the all-one word."""
+    code = build_code(40)
+    params = AwgnParams(amplitude=1.0, sigma=1.0)
+    inputs = []
+    for t in range(n):
+        e = sample_iid_errors(code, 0.3, trial_seed(31, t))
+        theta = awgn_llr(awgn_observe(all_one_matrix(40), params, trial_seed(32, t)), params)
+        inputs += [{"channel_llr": theta}, {"x": e, "epsilon": 0.3}]
+    return code, inputs
+
+
+def test_bp_decode_threads_share_no_buffers():
+    # BP's message buffers are per thread: four threads decoding on one
+    # code, each its own mix of inputs, repeat the serial results byte
+    # for byte
+    code, inputs = _k40_bp_inputs(4)
+    serial = [bp_decode(code, max_iters=5, record=True, **kw) for kw in inputs]
+    assert max(r.iterations for r in serial) >= 3
+    orders = [list(range(k, len(inputs), 4)) + list(range((k + 1) % 4, len(inputs), 4))
+              for k in range(4)]
+
+    def work(order):
+        return [bp_decode(code, max_iters=5, record=True, **inputs[i]) for i in order * 10]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, order) for order in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for order, got in zip(orders, results):
+        assert len(got) == 10 * len(order)
+        for res, i in zip(got, order * 10):
+            ref = serial[i]
+            assert np.array_equal(res.final, ref.final)
+            assert (res.success, res.converged, res.iterations) == (
+                ref.success, ref.converged, ref.iterations)
+            assert [p.tobytes() for p in res.posteriors] == [p.tobytes() for p in ref.posteriors]
+
+
+def test_bp_decode_makes_no_message_sized_temporary():
+    # a warm K = 40 decode of 5 iterations, table path and plain loop,
+    # peaks below one (3, C(40, 3)) float64 message array in traced memory
+    code, inputs = _k40_bp_inputs(1)
+    target = encode(code, np.repeat([1, -1], 20))  # unreachable: all 5 iterations run
+    message_bytes = 3 * math.comb(40, 3) * 8
+    for kw in inputs:
+        assert bp_decode(code, max_iters=5, target=target, **kw).iterations == 5
+        tracemalloc.start()
+        try:
+            bp_decode(code, max_iters=5, target=target, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < message_bytes, (sorted(kw), peak)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,23 @@ def test_bench_refuses_zero_iterations(monkeypatch):
                 bench_iid(decoder, [5], [0.1], trials=3, mcmc_gamma=gamma)
         with pytest.raises(ValueError, match="family"):
             bench_iid(decoder, [5], [0.1], trials=3, mcmc_family="w5")
+        # sizes and counts would be truncated in the config
+        for K_list in ([5.7], [5, 6.0], [True]):
+            with pytest.raises(ValueError, match="K must be an integer"):
+                bench_iid(decoder, K_list, [0.1], trials=3)
+        for name, value in (("trials", 3.9), ("trials", 3.0), ("iters", 2.5),
+                            ("mcmc_budget", 4.5), ("mcmc_budget", np.float64(4.0))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                bench_iid(decoder, [5], [0.1], **{"trials": 3, name: value})
+
+
+def test_bench_accepts_numpy_integer_sizes(tmp_path):
+    for decoder in ("bf", "bp", "mcmc"):
+        bench_iid(decoder, [5], [0.1], trials=3, iters=2, seed=4,
+                  mcmc_budget=6).to_json(tmp_path / "plain.json")
+        bench_iid(decoder, [np.int64(5)], [0.1], trials=np.int32(3), iters=np.int64(2), seed=4,
+                  mcmc_budget=np.int16(6)).to_json(tmp_path / "numpy.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):

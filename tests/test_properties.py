@@ -1,6 +1,7 @@
 """Property tests of the edge-vector converters, the syndrome kernel, the
 BF sweep (`bf_step`, `bf_decode`, the stacked BF loop) against an int64
-reference, BP against a frozen copy of its plain message-passing loop,
+reference, BP against a frozen copy of its plain message-passing loop
+(and its gather-sum against np.bincount),
 and the hybrid decoder's block-by-block BF stage, over small K and both check
 families (K = 2 has no triangle and no plaquette checks, K = 3 one
 triangle; odd K gives BF vote ties)."""
@@ -31,7 +32,7 @@ from parity_decode import (
 )
 from parity_decode import mcmc
 from parity_decode.code import _syndrome_flat
-from parity_decode.decoders import _bf_decode_stack, bf_sweep_batch
+from parity_decode.decoders import _bf_decode_stack, _bp_layout, bf_sweep_batch
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FAMILIES = st.sampled_from(["w3", "w4"])
@@ -348,6 +349,29 @@ def test_bp_decode_matches_reference_loop(K, noise, epsilon, seed, max_iters, wi
                       None if target is None else matrix_to_vector(code, target))
         _same_bp(bp_decode(code, channel_llr=lam, max_iters=max_iters, target=target,
                            record=True), ref)
+
+
+@SETTINGS
+@given(K=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), span=st.integers(0, 60),
+       zeros=st.floats(0.0, 1.0))
+@example(K=3, seed=0, span=0, zeros=1.0)
+@example(K=40, seed=1, span=60, zeros=0.0)
+def test_bp_gather_sum_matches_bincount(K, seed, span, zeros):
+    """bp_decode's per-variable message sum, an ordered gather through
+    _bp_layout followed by np.add.reduce over axis 0, equals np.bincount
+    over the layout bit for bit: weights of random sign and magnitudes
+    2**-span .. 2**span, a fraction of them +0.0 or -0.0 (K = 2 has no
+    checks, K = 3 one per variable)."""
+    code = build_code(K)
+    layout, gather = _bp_layout(code)
+    assert gather.shape == (K - 2, code.n_vars)
+    flat = layout.ravel()
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, flat.size) * np.exp2(rng.integers(-span, span + 1, flat.size))
+    w[rng.random(flat.size) < zeros] = 0.0
+    w[rng.random(flat.size) < zeros / 2] = -0.0
+    got = np.add.reduce(w[gather], axis=0)
+    assert got.tobytes() == np.bincount(flat, w, minlength=code.n_vars).tobytes()
 
 
 # ---------------------------------------------------------------------------
