@@ -452,9 +452,10 @@ class _BPBuffers(threading.local):
     """BP work arrays of the calling thread, one set per code, made on
     the thread's first decode of that code and kept for the thread's
     life: two (3, n_checks3) float64 message arrays, the second also
-    viewed as (K-2, n_vars), a (3, n_checks3) intp index array, and
-    writeable copies of _bp_layout's arrays (np.take copies a read-only
-    index array on every call)."""
+    viewed as (K-2, n_vars), a (3, n_checks3) intp index array, the
+    (3, n_vars) float64 value table of iteration 2, and writeable copies
+    of _bp_layout's arrays (np.take copies a read-only index array on
+    every call)."""
 
     def __init__(self):
         self.by_code = {}
@@ -465,7 +466,8 @@ class _BPBuffers(threading.local):
             layout, gather = (a.copy() for a in _bp_layout(code))
             t = np.empty(layout.shape)
             work = self.by_code[code] = (np.empty(layout.shape), t, t.reshape(gather.shape),
-                                         np.empty(layout.shape, np.intp), layout, gather)
+                                         np.empty(layout.shape, np.intp),
+                                         np.empty((3, code.n_vars)), layout, gather)
         return work
 
 
@@ -535,7 +537,7 @@ def bp_decode(
     # Messages live on graph edges arranged as (3, n_checks), see
     # _bp_layout; variable degree is K-2, check degree exactly 3. Every
     # gather runs in mode="clip", as mode="raise" buffers its output.
-    msg, t, t_by_var, idx, layout, gather = _bp_buffers.get(code)
+    msg, t, t_by_var, idx, table, layout, gather = _bp_buffers.get(code)
     c = abs(lam[0])
     tables = bool(np.all(np.abs(lam) == c))
     post, it = lam, 0
@@ -572,7 +574,11 @@ def bp_decode(
             if tables and it == 2:
                 # table[w, v]: variable v's message to a check whose
                 # first message to v was first[w]
-                table = np.tanh(0.5 * np.clip(post - first[:, None], -MSG_CLIP, MSG_CLIP))
+                for w in range(3):
+                    np.subtract(post, first[w], out=table[w])
+                np.clip(table, -MSG_CLIP, MSG_CLIP, out=table)
+                table *= 0.5
+                np.tanh(table, out=table)
                 idx *= code.n_vars
                 idx += layout
                 np.take(table, idx, out=t, mode="clip")

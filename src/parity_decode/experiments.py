@@ -46,7 +46,7 @@ from .decoders import (
     bp_decode,
     count_errors,
 )
-from .mcmc import LOCKSTEP_GROUP, HamiltonianParams, _run_lockstep, mcmc_decode
+from .mcmc import LOCKSTEP_GROUP, HamiltonianParams, _run_chain, _run_lockstep, mcmc_decode
 from .reports import BenchmarkReport, TrajectoryDump
 
 GROUND_STATE_MAX_K = 24
@@ -164,9 +164,8 @@ def _bench_unit(unit) -> dict:
             res = [bp_decode(code, row, max_iters=iters, target=target) for row in llr]
             ok, used = [r.success for r in res], [r.iterations for r in res]
         else:
-            runs = [mcmc_decode(code, params, budget, target, trial_seed(*keys, t, 1),
-                                initial=m, store_samples=False)[1]
-                    for t, m in zip(ts, vector_to_matrix(code, x))]
+            runs = [_run_chain(code, params, budget, trial_seed(*keys, t, 1), target_f, row,
+                               False)[0] for t, row in zip(ts, x)]
             ok, used = [r.target_hit is not None for r in runs], [r.target_hit or 0 for r in runs]
         ok = np.asarray(ok, dtype=bool)
         successes += int(ok.sum())

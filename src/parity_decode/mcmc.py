@@ -32,13 +32,18 @@ w = exp(min v - v), so the log escape rate is -min v + log(sum w).
 `visit_distribution` and `rejection_free_step`. Its step is that formula
 on a single row, the weights in eight numpy calls into preallocated
 buffers, with the coupling term 2 beta J x negated entry by entry and
-the flip's scalars kept in Python (about 14-16 us per step at K=14 w4
-and 16-19 us at K=40 w3 on a 2-vCPU x86 box, against 24-27 us for the
-per-step rebuild it replaced).
+the flip's scalars kept in Python. At low temperature a chain mostly
+oscillates: when a step flips back the pair the previous step flipped,
+the chain is in the state it left two steps ago, and it reuses that
+state's weights, which it keeps in a second buffer, instead of
+recomputing them. On a 2-vCPU AMD EPYC box a step costs about 4.1 us at
+K=14 w4 (beta, gamma) = (3, 4), where 40% of the steps flip back, and
+5.3 us at K=40 w3 gamma = 1 from a noisy readout, where half do (5.2 and
+7.8 us without the reuse); 5.1 us at K=14 w4 (1.5, 0.2), where 2% do.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
 row with its own parameters and stream; `experiments.landscape` and both
 arms of `experiments.efficiency_ratio` run their chains through it. It is
-no cheaper for one chain: about 61-66 us per step at B=1.
+no cheaper for one chain: about 18.7 us per step at B=1 and K=14 w4.
 
 Both reproduce the plain per-step loop bit for bit. A chain draws its
 initial state first, then its uniforms in blocks of UNIFORM_BLOCK with
@@ -185,11 +190,12 @@ def _adjacent_sums(adj: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _initial_state(code: ParityCode, rng: np.random.Generator, initial) -> np.ndarray:
-    """The given initial spin matrix as an edge vector, or a uniformly
-    random one drawn from rng (the first draw of every chain stream)."""
+    """The given initial edge vector, or a uniformly random one drawn
+    from rng (the first draw of every chain stream). A spin matrix is
+    validated and converted."""
     if initial is None:
         return (rng.integers(0, 2, size=code.n_vars) * 2 - 1).astype(np.int8)
-    return _edge_vector(code, initial)
+    return initial if np.ndim(initial) == 1 else _edge_vector(code, initial)
 
 
 class _Chain:
@@ -198,7 +204,16 @@ class _Chain:
     The coupling term 2 beta J x is rebuilt only when `set_params`
     changes beta. Check values are kept as -2 s, the amount each
     member's adjacent sum moves when the check negates, and the entries
-    a flip reads (x_k, J_k, the target's entry) also as Python lists."""
+    a flip reads (x_k, J_k, the target's entry) also as Python lists.
+
+    The cumulative weights, log shift, total and escape rate of the last
+    two pre-flip states are kept in two slots. A step whose previous two
+    flips were one pair starts from the older slot's state, and takes its
+    weights from there: they are a function of the state alone, since the
+    adjacent sums are exact integers and cx entries are negated exactly,
+    so they are the bytes a recomputation would give. Any other step
+    computes into the older slot's buffer. A change of beta or gamma in
+    `set_params` forgets both slots."""
 
     def __init__(self, code: ParityCode, params: HamiltonianParams, xf: np.ndarray,
                  rng: np.random.Generator, target_f: np.ndarray | None = None):
@@ -221,16 +236,22 @@ class _Chain:
             None if target_f is None else int(np.count_nonzero(self.xf != target_f))
         )
         self._v = np.empty(code.n_vars)
-        self._cum = np.empty(code.n_vars)
-        self.beta = self._cx = None
+        # (cum, low, total, rate) of the last two pre-flip states, newest
+        # first; the older slot's cum is where the next weights go
+        self._new = (np.empty(code.n_vars), 0.0, 0.0, 0.0)
+        self._old = (np.empty(code.n_vars), 0.0, 0.0, 0.0)
+        self.beta = self.gamma = self._cx = None
         self.set_params(params.beta, params.gamma)
         self.steps_done = 0
 
     def set_params(self, beta, gamma) -> None:
-        """Use (beta, gamma) from the next step on."""
+        """Use (beta, gamma) from the next step on; a change forgets the
+        weights kept for a flip back."""
         if beta != self.beta:
             self._cx = (None if self.J is None or beta == 0.0
                         else 2.0 * beta * self.J * self.xf)
+        if beta != self.beta or gamma != self.gamma:
+            self._last_k, self._back = -1, False
         self.beta, self.gamma = beta, gamma
         self._gamma = np.array(gamma, dtype=np.float64)  # 0-d: a cheaper ufunc operand
 
@@ -249,24 +270,32 @@ class _Chain:
         pre-flip state)."""
         if u is None:
             u = self.rng.random()
-        v, cum, cx, adj_sum = self._v, self._cum, self._cx, self.adj_sum
-        # v = max(dH, 0) = -log w with dH_k = 2 beta J_k x_k + gamma * (sum
-        # of adjacent checks); w = exp(min v - v) is w / max w, exact even
-        # when every move is steeply uphill and the raw weights underflow
-        np.multiply(self._gamma, self.adj_view, v)
-        if cx is not None:
-            np.add(v, cx, v)
-        np.maximum(v, _ZERO, out=v)
-        low = np.minimum.reduce(v)
-        np.subtract(low, v, v)
-        np.exp(v, v)
-        np.add.accumulate(v, out=cum)
-        total = cum[-1]
+        cx, adj_sum = self._cx, self.adj_sum
+        if self._back:  # the state of two steps back, whose weights the older slot holds
+            slot = self._old
+        else:
+            v, cum = self._v, self._old[0]
+            # v = max(dH, 0) = -log w with dH_k = 2 beta J_k x_k + gamma * (sum
+            # of adjacent checks); w = exp(min v - v) is w / max w, exact even
+            # when every move is steeply uphill and the raw weights underflow
+            np.multiply(self._gamma, self.adj_view, v)
+            if cx is not None:
+                np.add(v, cx, v)
+            np.maximum(v, _ZERO, out=v)
+            low = np.minimum.reduce(v)
+            np.subtract(low, v, v)
+            np.exp(v, v)
+            np.add.accumulate(v, out=cum)
+            total = cum[-1]
+            rate = float(total) if low == 0.0 else float(np.exp(-low) * total)  # exp(0) == 1
+            slot = (cum, low, total, rate)
+        self._old, self._new = self._new, slot
+        cum, low, total, rate = slot
         k = int(cum.searchsorted(u * total, "right"))
         if k == len(cum):  # guard against u * total == total
             k -= 1
         self.shift, self.total = -low, total  # log rate = shift + log(total)
-        rate = float(total) if low == 0.0 else float(np.exp(-low) * total)  # exp(0) == 1
+        self._back, self._last_k = k == self._last_k, k
 
         # flip k: its adjacent checks negate, so n_unsat moves by their
         # pre-flip sum, adj_sum[k]; each member of check c sees its
@@ -344,7 +373,8 @@ def _run_chain(
     schedule=None,
     bf_iters: int | None = None,
 ) -> tuple[SampleRun, np.ndarray | None]:
-    """Run one chain toward the edge vector target_f; returns the run
+    """Run one chain from the edge vector initial (random when None)
+    toward the edge vector target_f; returns the run
     and, when store_samples is set (run.samples), the (budget + 1,
     n_vars) stack of visited edge vectors, initial state first. With
     bf_iters set, each block of UNIFORM_BLOCK steps goes through
@@ -615,7 +645,8 @@ def mcmc_decode(
     recorded per-sample energies use the scheduled parameters of their
     step rather than the base params."""
     target_f = None if target is None else _edge_vector(code, target)
-    run, _ = _run_chain(code, params, budget, seed, target_f, initial, store_samples,
+    xf0 = None if initial is None else _edge_vector(code, initial)
+    run, _ = _run_chain(code, params, budget, seed, target_f, xf0, store_samples,
                         stream_to=stream_to, schedule=schedule)
     return run.target_hit is not None, run
 
@@ -660,7 +691,8 @@ def hybrid_decode(
     if bf_max_iters < 1:
         raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
     target_f = _edge_vector(code, target)
-    run, _ = _run_chain(code, params, budget, seed, target_f, initial, store_samples,
+    xf0 = None if initial is None else _edge_vector(code, initial)
+    run, _ = _run_chain(code, params, budget, seed, target_f, xf0, store_samples,
                         bf_iters=bf_max_iters)
     return run.decoded_target_hit is not None, run
 
@@ -689,8 +721,9 @@ def visit_distribution(
     flat edge vector's bytes. Converges to the Boltzmann distribution of
     the configured energy. Holding times 1/rate are summed as logs, so
     escape rates that underflow to 0 (steep penalties) stay finite."""
+    xf0 = None if initial is None else _edge_vector(code, initial)
     rng = as_generator(seed)
-    chain = _Chain(code, params, _initial_state(code, rng, initial), rng)
+    chain = _Chain(code, params, _initial_state(code, rng, xf0), rng)
     log_hist: dict[bytes, float] = {}
     for start in range(0, steps, UNIFORM_BLOCK):
         for t, u in enumerate(rng.random(min(UNIFORM_BLOCK, steps - start)).tolist(), start):

@@ -2,7 +2,10 @@
 BF sweep (`bf_step`, `bf_decode`, the stacked BF loop) against an int64
 reference, BP against a frozen copy of its plain message-passing loop
 (and its gather-sum against np.bincount),
-and the hybrid decoder's block-by-block BF stage, over small K and both check
+the hybrid decoder's block-by-block BF stage, the single-chain step against
+a frozen copy of its plain loop, and the algebraic identities (syndrome
+multiplicativity, dH = 2 score, gauge invariance, codewords as fixed
+points), over small K and both check
 families (K = 2 has no triangle and no plaquette checks, K = 3 one
 triangle; odd K gives BF vote ties)."""
 
@@ -16,14 +19,18 @@ from hypothesis import example, given, settings, strategies as st
 from parity_decode import (
     AwgnParams,
     HamiltonianParams,
+    InversionWeights,
     TiePolicy,
     awgn_observe,
     bf_decode,
     bf_step,
     bp_decode,
     build_code,
+    decoder_energy,
     encode,
+    flip_spin,
     hybrid_decode,
+    inversion_function,
     is_codeword,
     llr as awgn_llr,
     matrix_to_vector,
@@ -509,6 +516,15 @@ def _spin_matrix(code, seed):
 @example(K=40, family="w3", beta=0.0, gamma=1.0, couplings=False, seed=1, budget=25,
          initial=True, target="initial", ramp=(1.5, 4.0), store=True, stream=True,
          interval=3, block=4)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=0, budget=2400,
+         initial=False, target="codeword", ramp=None, store=True, stream=True,
+         interval=7, block=9)
+@example(K=5, family="w4", beta=0.0, gamma=1000.0, couplings=False, seed=0, budget=300,
+         initial=True, target="codeword", ramp=(0.0, 1000.0), store=True, stream=True,
+         interval=3, block=4)
+@example(K=40, family="w3", beta=0.0, gamma=1.0, couplings=False, seed=1, budget=3000,
+         initial=True, target="initial", ramp=None, store=False, stream=False,
+         interval=7, block=9)
 def test_run_chain_matches_frozen_per_step_loop(K, family, beta, gamma, couplings, seed, budget,
                                                 initial, target, ramp, store, stream,
                                                 interval, block):
@@ -557,6 +573,12 @@ def test_run_chain_matches_frozen_per_step_loop(K, family, beta, gamma, coupling
 @given(K=st.integers(2, 6), family=FAMILIES, beta=CHAIN_STRENGTHS, gamma=CHAIN_STRENGTHS,
        couplings=st.booleans(), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 60),
        burn_in=st.integers(0, 70), initial=st.booleans(), **CHAIN_PATCHES)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=0, steps=2400,
+         burn_in=100, initial=False, interval=7, block=9)
+@example(K=5, family="w4", beta=0.0, gamma=1000.0, couplings=False, seed=0, steps=300,
+         burn_in=0, initial=True, interval=3, block=4)
+@example(K=40, family="w3", beta=0.0, gamma=1.0, couplings=False, seed=1, steps=3000,
+         burn_in=1000, initial=True, interval=7, block=9)
 def test_visit_distribution_matches_frozen_loop(K, family, beta, gamma, couplings, seed, steps,
                                                 burn_in, initial, interval, block):
     """Occupancy dicts equal the frozen loop's: same keys, in the same
@@ -570,6 +592,63 @@ def test_visit_distribution_matches_frozen_loop(K, family, beta, gamma, coupling
         ref = _ref_visit_distribution(code, params, steps, burn_in, seed, x0)
     assert list(got) == list(ref)
     assert np.array(list(got.values())).tobytes() == np.array(list(ref.values())).tobytes()
+
+
+STEEP_STRENGTHS = st.sampled_from([0.0, 0.3, 1.5, 3.0, 4.0, 1000.0])
+
+
+def _switching_schedule(beta, gamma, moves, values, period):
+    """A schedule that holds each (beta, gamma) of `values` for `period`
+    steps, in turn; moves "beta" or "gamma" changes only that strength
+    (the other stays at the base value), "none" repeats values[0]."""
+
+    def schedule(step, budget):
+        b, g = values[0 if moves == "none" else step // period % len(values)]
+        return (beta if moves == "gamma" else b, gamma if moves == "beta" else g)
+
+    return schedule
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(3, 14), family=FAMILIES, beta=STEEP_STRENGTHS, gamma=STEEP_STRENGTHS,
+       seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 300), eps=NOISE,
+       moves=st.sampled_from(["both", "beta", "gamma", "none"]),
+       values=st.lists(st.tuples(STEEP_STRENGTHS, STEEP_STRENGTHS), min_size=1, max_size=3),
+       period=st.sampled_from([1, 2, 3, 5]))
+@example(K=14, family="w4", beta=3.0, gamma=4.0, seed=0, budget=300, eps=0.1, moves="gamma",
+         values=[(3.0, 4.0), (3.0, 1.5)], period=1)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, seed=0, budget=300, eps=0.1, moves="gamma",
+         values=[(3.0, 4.0), (3.0, 1000.0)], period=3)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, seed=1, budget=300, eps=0.1, moves="beta",
+         values=[(3.0, 4.0), (0.3, 4.0)], period=1)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, seed=1, budget=300, eps=0.1, moves="beta",
+         values=[(3.0, 4.0), (1.5, 4.0)], period=5)
+@example(K=14, family="w4", beta=1.5, gamma=0.3, seed=2, budget=300, eps=0.1, moves="both",
+         values=[(3.0, 4.0), (4.0, 3.0)], period=2)
+@example(K=5, family="w4", beta=0.0, gamma=1000.0, seed=3, budget=300, eps=0.1, moves="none",
+         values=[(0.0, 1000.0)], period=1)
+@example(K=14, family="w4", beta=0.0, gamma=0.3, seed=4, budget=300, eps=0.1, moves="none",
+         values=[(3.0, 4.0)], period=1)
+def test_run_chain_schedules_match_frozen_loop(K, family, beta, gamma, seed, budget, eps, moves,
+                                               values, period):
+    """Schedules that move beta, gamma or both, every step or every few
+    steps, or that repeat one pair: `_run_chain` equals the frozen loop
+    bit for bit. Chains start from noisy readouts of a codeword, at
+    strengths steep enough that many steps flip back the previous pair,
+    so weights kept for a flip back meet every kind of parameter change."""
+    code = build_code(K)
+    params = _chain_params(code, beta, gamma, family, True, seed)
+    x0, z = _noisy_state(code, seed, eps)
+    target_f = matrix_to_vector(code, z)
+    schedule = _switching_schedule(beta, gamma, moves, values, period)
+    run, stack = mcmc._run_chain(code, params, budget, seed, target_f, x0, True,
+                                 schedule=schedule)
+    energies, rates, hit, codeword, _, ref_stack = _ref_run_chain(
+        code, params, budget, seed, target_f, x0, True, None, schedule)
+    assert run.energies.tobytes() == energies.tobytes()
+    assert run.escape_rates.tobytes() == rates.tobytes()
+    assert (run.target_hit, run.first_codeword) == (hit, codeword)
+    assert np.array_equal(stack, ref_stack)
 
 
 @SETTINGS
@@ -612,3 +691,93 @@ def test_schedule_values_outside_params_rule_are_refused(K, family, bad, value, 
     with pytest.raises(ValueError, match=rf"{bad} must be finite and >= 0 .*step {at}\b"):
         mcmc.mcmc_decode(code, params, 30, encode(code, np.ones(K)), seed, schedule=schedule)
     assert calls == list(range(at + 1))
+
+
+# ---------------------------------------------------------------------------
+# Algebraic identities over K and both check families
+
+KINDS = st.sampled_from(["bf", "wbf", "gdbf", "mcmc"])
+
+
+@SETTINGS
+@given(K=st.integers(2, 12), family=FAMILIES, seed=st.integers(0, 2**32 - 1), eps=NOISE)
+def test_syndrome_is_multiplicative(K, family, seed, eps):
+    """syndrome(x o e) = syndrome(x) o syndrome(e), for a random state x
+    and an error e at rate eps."""
+    code = build_code(K)
+    x = _spin_matrix(code, seed)
+    e = vector_to_matrix(code, np.where(np.random.default_rng(seed + 1).random(code.n_vars) < eps,
+                                        -1, 1).astype(np.int8))
+    assert np.array_equal(syndrome(code, x * e, family),
+                          syndrome(code, x, family) * syndrome(code, e, family))
+
+
+@SETTINGS
+@given(K=st.integers(2, 10), family=FAMILIES, kind=KINDS, seed=st.integers(0, 2**32 - 1),
+       k=st.integers(0, 2**16))
+def test_flip_energy_change_is_twice_the_score(K, family, kind, seed, k):
+    """E(flip_k x) - E(x) = 2 score_k(x) for all four inversion kinds,
+    with the reference decision at the pre-flip state, to float64
+    resolution of the energies."""
+    code = build_code(K)
+    rng = np.random.default_rng(seed)
+    x = _spin_matrix(code, seed + 1)
+    J = rng.uniform(-1.0, 1.0, code.n_vars)
+    n_checks = code.n_checks3 if family == "w3" or kind == "bf" else code.n_checks4
+    weights = InversionWeights(w0=float(rng.uniform(0, 2)), wk=rng.uniform(0.1, 2.0, n_checks),
+                               beta=float(rng.uniform(0, 2)), gamma=float(rng.uniform(0, 2)))
+    k %= code.n_vars
+    delta = inversion_function(kind, code, x, k, J=J, weights=weights, family=family)
+    e0, e1 = (decoder_energy(kind, code, y, J=J, weights=weights, family=family, reference=x)
+              for y in (x, flip_spin(code, x, k)))
+    scale = max(abs(e0), abs(e1), abs(2 * delta), 1.0)
+    assert abs((e1 - e0) - 2 * delta) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(K=st.integers(2, 12), family=FAMILIES, seed=st.integers(0, 2**32 - 1), eps=NOISE,
+       bp_eps=BP_EPSILON, policy=st.sampled_from([TiePolicy.KEEP, TiePolicy.FAIL]),
+       max_iters=st.integers(1, 6))
+def test_decoders_are_gauge_invariant(K, family, seed, eps, bp_eps, policy, max_iters):
+    """A readout z o e of codeword z decodes as the bare error e does
+    toward the all-one word: BF's outcome, iterations, ties and final
+    state (times z), BP's outcome, iterations and posteriors (times z),
+    and both families' syndromes."""
+    code = build_code(K)
+    x, z = _noisy_state(code, seed, eps)
+    e = (x * z).astype(np.int8)
+    one = np.ones((K, K), dtype=np.int8)
+    assert np.array_equal(syndrome(code, x, family), syndrome(code, e, family))
+    r_code, r_bare = (bf_decode(code, y, max_iters=max_iters, target=t, tie_policy=policy)
+                      for y, t in ((x, z), (e, one)))
+    assert (r_code.success, r_code.iterations, r_code.ties, r_code.tie_failure) == (
+        r_bare.success, r_bare.iterations, r_bare.ties, r_bare.tie_failure)
+    assert np.array_equal(r_code.final, z * r_bare.final)
+    b_code, b_bare = (bp_decode(code, x=y, epsilon=bp_eps, max_iters=max_iters, target=t,
+                                record=True) for y, t in ((x, z), (e, one)))
+    z_f = matrix_to_vector(code, z)
+    assert all(np.array_equal(p, z_f * q) for p, q in zip(b_code.posteriors, b_bare.posteriors))
+    assert len(b_code.posteriors) == len(b_bare.posteriors)
+    assert (b_code.success, b_code.iterations) == (b_bare.success, b_bare.iterations)
+    assert np.array_equal(b_code.final, z * b_bare.final)
+
+
+@SETTINGS
+@given(K=st.integers(2, 12), family=FAMILIES, seed=st.integers(0, 2**32 - 1),
+       policy=POLICIES, bp_eps=BP_EPSILON, max_iters=st.integers(1, 6))
+def test_codewords_are_decoder_fixed_points(K, family, seed, policy, bp_eps, max_iters):
+    """A codeword satisfies every check of either family, and BF (one
+    sweep, a stack of sweeps, the decoder) and BP return it unchanged,
+    at iteration 0, with no ties."""
+    code = build_code(K)
+    z = encode(code, np.where(np.random.default_rng(seed).random(K) < 0.5, 1, -1))
+    assert np.all(syndrome(code, z, family) == 1)
+    rng = np.random.default_rng(seed + 1)
+    out, ties = bf_step(code, z, policy, rng)
+    assert ties == 0 and np.array_equal(out, z)
+    assert np.array_equal(bf_sweep_batch(z[None], max_iters)[0], z)
+    res = bf_decode(code, z, max_iters=max_iters, tie_policy=policy, rng=rng)
+    assert res.success and res.iterations == 0 and res.ties == 0
+    assert np.array_equal(res.final, z)
+    res = bp_decode(code, x=z, epsilon=bp_eps, max_iters=max_iters)
+    assert res.success and res.iterations == 0 and np.array_equal(res.final, z)
