@@ -277,9 +277,29 @@ def _syndrome_flat(code: ParityCode, xf: np.ndarray, family: str) -> np.ndarray:
     raise ValueError(f"unknown syndrome family {family!r} (expected 'w3' or 'w4')")
 
 
+@functools.cache
+def _codeword_pairs(code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
+    """Variable indices of {0, i} and {0, j} for each pair {i, j} with
+    1 <= i < j, in edge order; those pairs are the variables from K - 1
+    on, and {0, i} is variable i - 1."""
+    pairs = code.edges[code.K - 1:].T - 1
+    pairs.setflags(write=False)  # shared by every caller in the process
+    return pairs[0], pairs[1]
+
+
+def _is_codeword_flat(code: ParityCode, xf: np.ndarray) -> np.ndarray:
+    """Whether edge vectors (..., n_vars) are codewords, as (...,) bool.
+
+    A state is a codeword iff x_ij = x_0i x_0j for all 1 <= i < j: the
+    triangles (0, i, j) are then satisfied, and every other triangle is
+    a product of those. C(K-1, 2) comparisons instead of C(K, 3) checks."""
+    a, b = _codeword_pairs(code)
+    return (xf[..., code.K - 1:] == xf[..., a] * xf[..., b]).all(axis=-1)
+
+
 def is_codeword(code: ParityCode, x: np.ndarray) -> bool:
     """True iff every triangle check is satisfied."""
-    return bool(np.all(syndrome(code, x, "w3") == 1))
+    return bool(_is_codeword_flat(code, _edge_vector(code, x)))
 
 
 def error_matrix(x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .code import (
     validate_spin_matrix,
     vector_to_matrix,
     _edge_vector,
+    _is_codeword_flat,
     _syndrome_flat,
 )
 
@@ -200,7 +201,7 @@ def _bf_decode_stack(
         if target is not None:
             done = (cur == target).all(axis=(-2, -1))
         else:
-            done = (_syndrome_flat(code, matrix_to_vector(code, cur), "w3") == 1).all(axis=-1)
+            done = _is_codeword_flat(code, matrix_to_vector(code, cur))
         stop = done | (n == max_iters)
         if stop.any():
             r = rows[stop]
@@ -546,7 +547,7 @@ def bp_decode(
         if target_f is not None:
             success = np.array_equal(h, target_f)
         else:
-            success = bool(np.all(_syndrome_flat(code, h, "w3") == 1))
+            success = bool(_is_codeword_flat(code, h))
         if success or not code.n_checks3 or it == max_iters:
             break
         it += 1

@@ -33,13 +33,14 @@ w = exp(min v - v), so the log escape rate is -min v + log(sum w).
 on a single row, the weights in eight numpy calls into preallocated
 buffers, with the coupling term 2 beta J x negated entry by entry and
 the flip's scalars kept in Python. At low temperature a chain mostly
-oscillates: when a step flips back the pair the previous step flipped,
-the chain is in the state it left two steps ago, and it reuses that
-state's weights, which it keeps in a second buffer, instead of
-recomputing them. On a 2-vCPU AMD EPYC box a step costs about 4.1 us at
-K=14 w4 (beta, gamma) = (3, 4), where 40% of the steps flip back, and
-5.3 us at K=40 w3 gamma = 1 from a noisy readout, where half do (5.2 and
-7.8 us without the reuse); 5.1 us at K=14 w4 (1.5, 0.2), where 2% do.
+moves among a few states: it keeps the weights of its last STATE_MEMO
+distinct pre-flip states, keyed by an exact integer that one XOR per
+flip updates, and a flip's check-value and adjacent-sum update waits
+until the chain reaches a state outside that memo. On a 2-vCPU AMD EPYC
+box a step costs about 3.2 us at K=14 w4 (beta, gamma) = (3, 4), where
+65% of the steps start from a memo-held state, 5.8 us at (1.5, 0.2),
+where 1% do, and 6.6 us at K=40 w3 gamma = 1 from an eps = 0.1 readout,
+where 46% do.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
 row with its own parameters and stream; `experiments.landscape` and both
 arms of `experiments.efficiency_ratio` run their chains through it. It is
@@ -66,6 +67,7 @@ from .code import (
     validate_spin_matrix,
     vector_to_matrix,
     _edge_vector,
+    _is_codeword_flat,
     _syndrome_flat,
 )
 from .decoders import TiePolicy, _coupling_vector, bf_sweep_batch
@@ -74,6 +76,7 @@ ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
 LOCKSTEP_GROUP = 256      # chains advanced together by _run_lockstep
 UNIFORM_BLOCK = 1024      # uniforms pre-drawn, and hybrid states decoded, per block
+STATE_MEMO = 16           # pre-flip states whose weights a single chain keeps
 _ZERO = np.zeros(())  # 0-d operands cost a ufunc call less than Python floats
 
 
@@ -206,14 +209,21 @@ class _Chain:
     member's adjacent sum moves when the check negates, and the entries
     a flip reads (x_k, J_k, the target's entry) also as Python lists.
 
-    The cumulative weights, log shift, total and escape rate of the last
-    two pre-flip states are kept in two slots. A step whose previous two
-    flips were one pair starts from the older slot's state, and takes its
-    weights from there: they are a function of the state alone, since the
-    adjacent sums are exact integers and cx entries are negated exactly,
-    so they are the bytes a recomputation would give. Any other step
-    computes into the older slot's buffer. A change of beta or gamma in
-    `set_params` forgets both slots."""
+    A memo keeps the cumulative weights, log shift, total, escape rate
+    and unsatisfied-check count of the last STATE_MEMO distinct
+    pre-flip states, keyed by an exact integer: bit k is set iff pair k
+    differs from the initial state. A ring index evicts the oldest
+    entry, but never the state just left, so a flip back finds its
+    weights when STATE_MEMO >= 2. The weights are a function of the
+    state and (beta, gamma) alone, since the adjacent sums are exact
+    integers and cx entries are negated exactly, so a state found in the
+    memo reuses the bytes a recomputation would give.
+    A flip updates x, cx and the scalars at once, but only queues its
+    check-value and adjacent-sum update; a flip that undoes the last
+    queued one cancels it. The queue is applied when the chain reaches a
+    state outside the memo, before a drift check, and when `adj_sum` or
+    `s` is read. A change of beta or gamma in `set_params` empties the
+    memo."""
 
     def __init__(self, code: ParityCode, params: HamiltonianParams, xf: np.ndarray,
                  rng: np.random.Generator, target_f: np.ndarray | None = None):
@@ -225,8 +235,8 @@ class _Chain:
         self.adj, self.members, self.size = _flip_table(code, self.family)
         s = _padded_syndrome(code, self.xf, self.family)
         self._h = -2.0 * s
-        self.adj_sum = _adjacent_sums(self.adj, s)
-        self.adj_view = self.adj_sum[:-1]
+        self._adj_sum = _adjacent_sums(self.adj, s)
+        self._adj_view = self._adj_sum[:-1]
         self.n_unsat = int(np.count_nonzero(s == -1))
         self.corr = 0.0 if self.J is None else float((self.J * self.xf).sum())
         self._x = self.xf.tolist()
@@ -236,28 +246,51 @@ class _Chain:
             None if target_f is None else int(np.count_nonzero(self.xf != target_f))
         )
         self._v = np.empty(code.n_vars)
-        # (cum, low, total, rate) of the last two pre-flip states, newest
-        # first; the older slot's cum is where the next weights go
-        self._new = (np.empty(code.n_vars), 0.0, 0.0, 0.0)
-        self._old = (np.empty(code.n_vars), 0.0, 0.0, 0.0)
+        self._rows = list(np.empty((STATE_MEMO, code.n_vars)))  # the memo's cum rows
+        self._memo = {}     # state key -> (cum, shift, total, rate, n_unsat)
+        self._key = 0       # the current state's key
+        self._entry = None  # its memo entry, None when the memo lacks it
+        self._pending = []  # flips whose check-value and adjacent-sum updates wait
         self.beta = self.gamma = self._cx = None
         self.set_params(params.beta, params.gamma)
         self.steps_done = 0
 
     def set_params(self, beta, gamma) -> None:
-        """Use (beta, gamma) from the next step on; a change forgets the
-        weights kept for a flip back."""
+        """Use (beta, gamma) from the next step on; a change empties the
+        weight memo."""
         if beta != self.beta:
             self._cx = (None if self.J is None or beta == 0.0
                         else 2.0 * beta * self.J * self.xf)
         if beta != self.beta or gamma != self.gamma:
-            self._last_k, self._back = -1, False
+            self._sync()  # the next step computes weights from the sums
+            self._memo.clear()
+            self._keys = [-1] * STATE_MEMO  # the key held in each cum row
+            self._ring = 0                  # the row the next miss overwrites
+            self._entry = None
         self.beta, self.gamma = beta, gamma
         self._gamma = np.array(gamma, dtype=np.float64)  # 0-d: a cheaper ufunc operand
+
+    def _sync(self) -> None:
+        """Apply the queued flips' check-value and adjacent-sum updates:
+        each member of a flipped check c sees its adjacent sum move by
+        -2 s_c (add.at: two plaquettes can share two members)."""
+        for k in self._pending:
+            checks = self.adj[k]
+            h = self._h[checks]
+            self._h[checks] = -h
+            np.add.at(self._adj_sum, self.members[k], h.repeat(self.size))
+        self._pending.clear()
+
+    @property
+    def adj_sum(self) -> np.ndarray:
+        """Adjacent check sums, with the dummy variable's trailing 0."""
+        self._sync()
+        return self._adj_sum
 
     @property
     def s(self) -> np.ndarray:
         """Check values, with the dummy check's trailing 0."""
+        self._sync()
         return (self._h * -0.5).astype(np.int8)
 
     @property
@@ -270,37 +303,32 @@ class _Chain:
         pre-flip state)."""
         if u is None:
             u = self.rng.random()
-        cx, adj_sum = self._cx, self.adj_sum
-        if self._back:  # the state of two steps back, whose weights the older slot holds
-            slot = self._old
-        else:
-            v, cum = self._v, self._old[0]
+        cx, entry, key = self._cx, self._entry, self._key
+        if entry is None:  # weights into the oldest row, evicting its state
+            r = self._ring
+            self._ring = (r + 1) % STATE_MEMO
+            self._memo.pop(self._keys[r], None)
+            self._keys[r] = key
+            v, cum = self._v, self._rows[r]
             # v = max(dH, 0) = -log w with dH_k = 2 beta J_k x_k + gamma * (sum
             # of adjacent checks); w = exp(min v - v) is w / max w, exact even
             # when every move is steeply uphill and the raw weights underflow
-            np.multiply(self._gamma, self.adj_view, v)
+            np.multiply(self._gamma, self._adj_view, v)
             if cx is not None:
                 np.add(v, cx, v)
             np.maximum(v, _ZERO, out=v)
-            low = np.minimum.reduce(v)
+            low = v[v.argmin()]
             np.subtract(low, v, v)
             np.exp(v, v)
             np.add.accumulate(v, out=cum)
-            total = cum[-1]
-            rate = float(total) if low == 0.0 else float(np.exp(-low) * total)  # exp(0) == 1
-            slot = (cum, low, total, rate)
-        self._old, self._new = self._new, slot
-        cum, low, total, rate = slot
-        k = int(cum.searchsorted(u * total, "right"))
+            total = cum.item(-1)
+            rate = total if low == 0.0 else float(np.exp(-low) * total)  # exp(0) == 1
+            entry = self._memo[key] = (cum, -low, total, rate, self.n_unsat)
+        cum, self.shift, self.total, rate, _ = entry  # log rate = shift + log(total)
+        k = int(cum.searchsorted(u * self.total, "right"))
         if k == len(cum):  # guard against u * total == total
             k -= 1
-        self.shift, self.total = -low, total  # log rate = shift + log(total)
-        self._back, self._last_k = k == self._last_k, k
 
-        # flip k: its adjacent checks negate, so n_unsat moves by their
-        # pre-flip sum, adj_sum[k]; each member of check c sees its
-        # adjacent sum move by -2 s_c (add.at: two plaquettes can share
-        # two members)
         old = self._x[k]
         self._x[k] = -old
         self.xf[k] = -old
@@ -310,16 +338,28 @@ class _Chain:
             self.corr -= 2.0 * self._J[k] * old
         if self._target is not None:
             self.dist_target += 1 if old == self._target[k] else -1
-        self.n_unsat += int(adj_sum[k])
-        checks = self.adj[k]
-        h = self._h[checks]
-        self._h[checks] = -h
-        np.add.at(adj_sum, self.members[k], h.repeat(self.size))
+        self._key = new_key = key ^ (1 << k)
+        pending = self._pending
+        if pending and pending[-1] == k:
+            pending.pop()
+        else:
+            pending.append(k)
+        self._entry = entry = self._memo.get(new_key)
+        if entry is not None:
+            self.n_unsat = entry[4]
+        else:
+            if self._keys[self._ring] == key:  # keep the state just left for a flip back
+                self._ring = (self._ring + 1) % STATE_MEMO
+            # flipping k negated its adjacent checks: n_unsat moves by
+            # their pre-flip sum, which is minus their sum now
+            self._sync()
+            self.n_unsat -= int(self._adj_sum[k])
 
         self.steps_done += 1
         if self.steps_done % ENERGY_CHECK_INTERVAL == 0:
+            self._sync()
             self.n_unsat, self.corr = _checked_totals(
-                self.code, self.family, self.adj, self.J, self.xf, adj_sum,
+                self.code, self.family, self.adj, self.J, self.xf, self._adj_sum,
                 self.n_unsat, self.corr)
         return k, rate
 
@@ -601,7 +641,7 @@ def _bf_stage(code: ParityCode, states: np.ndarray, target_f: np.ndarray, iters:
     decoded = bf_sweep_batch(vector_to_matrix(code, states), iters)
     decoded_f = matrix_to_vector(code, decoded)
     found = (np.all(decoded_f == target_f, axis=1),
-             np.all(_syndrome_flat(code, decoded_f, "w3") == 1, axis=1))
+             _is_codeword_flat(code, decoded_f))
     for i, mask in enumerate(found):
         if hits[i] < 0 and mask.any():
             hits[i] = start + mask.argmax()

@@ -38,7 +38,7 @@ from parity_decode import (
     vector_to_matrix,
 )
 from parity_decode import mcmc
-from parity_decode.code import _syndrome_flat
+from parity_decode.code import _is_codeword_flat, _syndrome_flat
 from parity_decode.decoders import _bf_decode_stack, _bp_layout, bf_sweep_batch
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -95,6 +95,33 @@ def test_batched_syndrome_matches_rows_and_int64(K, family, batch, seed):
         assert np.array_equal(s[b], row)
         ref = [np.prod([int(vs[b, v]) for v in check if v >= 0]) for check in idx]
         assert np.array_equal(row, np.array(ref, dtype=np.int64).reshape(n_checks))
+
+
+@SETTINGS
+@given(K=st.integers(2, 40), batch=st.lists(st.integers(0, 3), max_size=2),
+       kind=st.sampled_from(["random", "codeword", "sparse"]),
+       dtype=st.sampled_from([np.int8, np.float32]), seed=st.integers(0, 2**32 - 1))
+@example(K=2, batch=[3], kind="random", dtype=np.int8, seed=0)
+@example(K=3, batch=[2, 3], kind="sparse", dtype=np.int8, seed=1)
+@example(K=40, batch=[3], kind="sparse", dtype=np.float32, seed=2)
+def test_codeword_test_matches_triangle_syndrome(K, batch, kind, dtype, seed):
+    """The edge-vector codeword test (x_ij = x_0i x_0j for 1 <= i < j)
+    equals "every triangle check is +1" for random states, codewords and
+    codewords with a few flips, in any batch shape and both stack dtypes."""
+    code = build_code(K)
+    shape = tuple(batch)
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        xs = _edge_vectors(code, shape, seed)
+    else:
+        z = np.where(rng.random(shape + (K,)) < 0.5, 1, -1).astype(np.int8)
+        xs = z[..., code.edges[:, 0]] * z[..., code.edges[:, 1]]
+        if kind == "sparse":
+            xs = np.where(rng.random(xs.shape) < 1.5 / code.n_vars, -xs, xs)
+    xs = xs.astype(dtype)
+    got = _is_codeword_flat(code, xs)
+    assert got.shape == shape and got.dtype == np.bool_
+    assert np.array_equal(got, (_syndrome_flat(code, xs, "w3") == 1).all(axis=-1))
 
 
 @SETTINGS
@@ -491,7 +518,8 @@ def _ref_visit_distribution(code, params, steps, burn_in, seed, initial):
 
 
 CHAIN_STRENGTHS = st.sampled_from([0.0, 0.3, 1.5, 4.0, 1000.0])
-CHAIN_PATCHES = dict(interval=st.sampled_from([3, 7]), block=st.sampled_from([1, 4, 9]))
+CHAIN_PATCHES = dict(interval=st.sampled_from([3, 7]), block=st.sampled_from([1, 4, 9]),
+                     memo=st.sampled_from([1, 2, 16]))
 
 
 def _chain_params(code, beta, gamma, family, couplings, seed):
@@ -512,22 +540,25 @@ def _spin_matrix(code, seed):
        store=st.booleans(), stream=st.booleans(), **CHAIN_PATCHES)
 @example(K=14, family="w4", beta=4.0, gamma=4.0, couplings=True, seed=0, budget=40,
          initial=False, target="codeword", ramp=None, store=True, stream=True,
-         interval=7, block=9)
+         interval=7, block=9, memo=16)
 @example(K=40, family="w3", beta=0.0, gamma=1.0, couplings=False, seed=1, budget=25,
          initial=True, target="initial", ramp=(1.5, 4.0), store=True, stream=True,
-         interval=3, block=4)
+         interval=3, block=4, memo=16)
 @example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=0, budget=2400,
          initial=False, target="codeword", ramp=None, store=True, stream=True,
-         interval=7, block=9)
+         interval=7, block=9, memo=16)
 @example(K=5, family="w4", beta=0.0, gamma=1000.0, couplings=False, seed=0, budget=300,
          initial=True, target="codeword", ramp=(0.0, 1000.0), store=True, stream=True,
-         interval=3, block=4)
+         interval=3, block=4, memo=16)
 @example(K=40, family="w3", beta=0.0, gamma=1.0, couplings=False, seed=1, budget=3000,
          initial=True, target="initial", ramp=None, store=False, stream=False,
-         interval=7, block=9)
+         interval=7, block=9, memo=16)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=501, budget=1200,
+         initial=False, target="codeword", ramp=None, store=True, stream=False,
+         interval=3, block=4, memo=2)
 def test_run_chain_matches_frozen_per_step_loop(K, family, beta, gamma, couplings, seed, budget,
                                                 initial, target, ramp, store, stream,
-                                                interval, block):
+                                                interval, block, memo):
     """`_run_chain` (uniforms drawn in blocks, coupling term kept
     incrementally) equals the frozen loop bit for bit: energies, escape
     rates, first hits, every visited state and the streamed CSV bytes,
@@ -550,7 +581,8 @@ def test_run_chain_matches_frozen_per_step_loop(K, family, beta, gamma, coupling
     schedule = None if ramp is None else mcmc.linear_schedule((beta, ramp[0]), (gamma, ramp[1]))
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", interval), \
-            mock.patch.object(mcmc, "UNIFORM_BLOCK", block):
+            mock.patch.object(mcmc, "UNIFORM_BLOCK", block), \
+            mock.patch.object(mcmc, "STATE_MEMO", memo):
         paths = [os.path.join(tmp, f"{name}.csv") if stream else None
                  for name in ("new", "ref")]
         run, stack = mcmc._run_chain(code, params, budget, seed, target_f, x0, store,
@@ -574,20 +606,21 @@ def test_run_chain_matches_frozen_per_step_loop(K, family, beta, gamma, coupling
        couplings=st.booleans(), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 60),
        burn_in=st.integers(0, 70), initial=st.booleans(), **CHAIN_PATCHES)
 @example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=0, steps=2400,
-         burn_in=100, initial=False, interval=7, block=9)
+         burn_in=100, initial=False, interval=7, block=9, memo=16)
 @example(K=5, family="w4", beta=0.0, gamma=1000.0, couplings=False, seed=0, steps=300,
-         burn_in=0, initial=True, interval=3, block=4)
+         burn_in=0, initial=True, interval=3, block=4, memo=16)
 @example(K=40, family="w3", beta=0.0, gamma=1.0, couplings=False, seed=1, steps=3000,
-         burn_in=1000, initial=True, interval=7, block=9)
+         burn_in=1000, initial=True, interval=7, block=9, memo=16)
 def test_visit_distribution_matches_frozen_loop(K, family, beta, gamma, couplings, seed, steps,
-                                                burn_in, initial, interval, block):
+                                                burn_in, initial, interval, block, memo):
     """Occupancy dicts equal the frozen loop's: same keys, in the same
     order, and bitwise-equal weights."""
     code = build_code(K)
     params = _chain_params(code, beta, gamma, family, couplings, seed)
     x0 = _spin_matrix(code, seed + 1) if initial else None
     with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", interval), \
-            mock.patch.object(mcmc, "UNIFORM_BLOCK", block):
+            mock.patch.object(mcmc, "UNIFORM_BLOCK", block), \
+            mock.patch.object(mcmc, "STATE_MEMO", memo):
         got = mcmc.visit_distribution(code, params, steps, burn_in, seed, initial=x0)
         ref = _ref_visit_distribution(code, params, steps, burn_in, seed, x0)
     assert list(got) == list(ref)
@@ -629,13 +662,18 @@ def _switching_schedule(beta, gamma, moves, values, period):
          values=[(0.0, 1000.0)], period=1)
 @example(K=14, family="w4", beta=0.0, gamma=0.3, seed=4, budget=300, eps=0.1, moves="none",
          values=[(3.0, 4.0)], period=1)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, seed=5, budget=300, eps=0.1, moves="gamma",
+         values=[(3.0, 4.0), (3.0, 3.0)], period=5)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, seed=6, budget=300, eps=0.1, moves="beta",
+         values=[(3.0, 4.0), (4.0, 4.0)], period=5)
 def test_run_chain_schedules_match_frozen_loop(K, family, beta, gamma, seed, budget, eps, moves,
                                                values, period):
     """Schedules that move beta, gamma or both, every step or every few
     steps, or that repeat one pair: `_run_chain` equals the frozen loop
     bit for bit. Chains start from noisy readouts of a codeword, at
-    strengths steep enough that many steps flip back the previous pair,
-    so weights kept for a flip back meet every kind of parameter change."""
+    strengths steep enough that many steps return to a recent state, so
+    weights kept in the chain's memo, and flips whose updates wait, meet
+    every kind of parameter change."""
     code = build_code(K)
     params = _chain_params(code, beta, gamma, family, True, seed)
     x0, z = _noisy_state(code, seed, eps)
