@@ -25,7 +25,6 @@ import numpy as np
 from .channels import check_weight, pair_error_prob, reliability_weight
 from .code import (
     ParityCode,
-    check_matrix,
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
@@ -75,6 +74,13 @@ class DecodeResult:
     posteriors: list | None = None
 
 
+def _check_strengths(where: str = "", **values) -> None:
+    """Refuse any named value, or entry of one, that is not finite and >= 0."""
+    for name, value in values.items():
+        if not (np.isfinite(value) & np.greater_equal(value, 0)).all():
+            raise ValueError(f"{name} must be finite and >= 0{where}, got {value}")
+
+
 @dataclass(frozen=True)
 class InversionWeights:
     """Weights of the inversion-function family.
@@ -91,10 +97,7 @@ class InversionWeights:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.w0 < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("weights must be nonnegative")
-        if np.any(np.asarray(self.wk) < 0):
-            raise ValueError("check weights must be nonnegative")
+        _check_strengths(w0=self.w0, wk=self.wk, beta=self.beta, gamma=self.gamma)
 
 
 def uniform_weights(epsilon: float) -> InversionWeights:
@@ -532,7 +535,16 @@ def bp_decode(
     if not np.all(np.isfinite(lam)):
         raise ValueError("channel_llr contains non-finite entries")
     target_f = None if target is None else _edge_vector(code, target)
+    res = _bp_decode(code, lam, max_iters, target_f, record)
+    res.final = vector_to_matrix(code, res.final)
+    return res
 
+
+def _bp_decode(code: ParityCode, lam: np.ndarray, max_iters: int,
+               target_f: np.ndarray | None, record: bool) -> DecodeResult:
+    """bp_decode's loop on trusted inputs: finite float64 channel LLRs
+    `lam` (n_vars,), max_iters >= 1 and an int8 edge-vector target or
+    None. The result's `final` is the edge-vector decision."""
     lam = np.clip(lam, -MSG_CLIP, MSG_CLIP)
     posteriors = [lam] if record else None
     # Messages live on graph edges arranged as (3, n_checks), see
@@ -600,7 +612,7 @@ def bp_decode(
         if posteriors is not None:
             posteriors.append(post)
     return DecodeResult(
-        final=vector_to_matrix(code, h), converged=success or not code.n_checks3,
+        final=h, converged=success or not code.n_checks3,
         success=success, iterations=it, posteriors=posteriors,
     )
 
@@ -626,11 +638,6 @@ def mwd_bruteforce(code: ParityCode, x: np.ndarray) -> np.ndarray:
     target = _syndrome_flat(code, xf, "w4")
     n = code.n_vars
 
-    # violations[c] = number of -1 members a candidate needs in check c
-    # to reproduce the target parity, mod 2.
-    want_odd = target == -1  # (n_checks4,)
-    member = check_matrix(code, "w4")
-
     chunk = 65536
     for weight in range(n + 1):
         it = itertools.combinations(range(n), weight)
@@ -638,13 +645,10 @@ def mwd_bruteforce(code: ParityCode, x: np.ndarray) -> np.ndarray:
             combos = list(itertools.islice(it, chunk))
             if not combos:
                 break
-            ind = np.zeros((len(combos), n), dtype=np.int64)
-            for r, c in enumerate(combos):
-                ind[r, list(c)] = 1
-            parity_odd = (ind @ member.T) % 2 == 1
-            ok = np.all(parity_odd == want_odd[None, :], axis=1)
-            hit = np.flatnonzero(ok)
+            flips = np.array(combos, dtype=np.intp)  # (rows, weight): the -1s of each row
+            e = np.ones((len(flips), n), dtype=np.int8)
+            e[np.arange(len(flips))[:, None], flips] = -1
+            hit = np.flatnonzero((_syndrome_flat(code, e, "w4") == target).all(axis=1))
             if len(hit):
-                e = np.where(ind[hit[0]] == 1, -1, 1).astype(np.int8)
-                return vector_to_matrix(code, xf * e)
+                return vector_to_matrix(code, xf * e[hit[0]])
     raise RuntimeError("unreachable: weight-n pattern always matches its own syndrome")

@@ -42,6 +42,7 @@ from .decoders import (
     CapacityError,
     TiePolicy,
     _bf_decode_stack,
+    _bp_decode,
     bf_decode,
     bp_decode,
     count_errors,
@@ -78,9 +79,9 @@ class ProblemInstance:
 
 
 def logical_energy(K: int, J: np.ndarray, Z: np.ndarray) -> float:
-    """-sum_{i<j} J_ij Z_i Z_j with zero local fields."""
-    iu = np.triu_indices(K, 1)
-    return float(-(J * (np.asarray(Z)[iu[0]] * np.asarray(Z)[iu[1]])).sum())
+    """-sum_{i<j} J_ij Z_i Z_j with zero local fields, J in code.edges order."""
+    a, b = build_code(K).edges.T
+    return float(-(J * (np.asarray(Z)[a] * np.asarray(Z)[b])).sum())
 
 
 def brute_force_ground_state(K: int, J: np.ndarray, chunk: int = 1 << 16):
@@ -89,7 +90,7 @@ def brute_force_ground_state(K: int, J: np.ndarray, chunk: int = 1 << 16):
     if K > GROUND_STATE_MAX_K:
         raise CapacityError(f"K={K} exceeds exhaustive ground-state bound {GROUND_STATE_MAX_K}")
     J = np.asarray(J, dtype=np.float64).ravel()
-    iu = np.triu_indices(K, 1)
+    a, b = build_code(K).edges.T
     count = 1 << (K - 1)
     best_e = math.inf
     best_z = None
@@ -99,7 +100,7 @@ def brute_force_ground_state(K: int, J: np.ndarray, chunk: int = 1 << 16):
         bits = (np.arange(start, stop)[:, None] >> shifts[None, :]) & 1
         Z = np.ones((stop - start, K), dtype=np.int8)
         Z[:, 1:] = (2 * bits - 1).astype(np.int8)
-        prods = Z[:, iu[0]] * Z[:, iu[1]]
+        prods = Z[:, a] * Z[:, b]
         energies = -(prods @ J)
         i = int(np.argmin(energies))
         if energies[i] < best_e:
@@ -113,9 +114,7 @@ def gen_instance(K: int, seed: int) -> ProblemInstance:
     by exhaustive enumeration. Deterministic per seed."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     J = rng.uniform(-0.25, 0.25, size=K * (K - 1) // 2)
-    Z, E = brute_force_ground_state(K, J)
-    return ProblemInstance(K=K, couplings=J, ground_state=Z, ground_energy=E,
-                           seed=seed, label=f"K{K}-s{seed}")
+    return ProblemInstance.from_couplings(K, J, seed=seed, label=f"K{K}-s{seed}")
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -135,8 +134,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 def _bench_unit(unit) -> dict:
     """The (K_list[ki], eps_list[ei]) row of a bench_iid config. Noise is
-    drawn BF_TRIAL_CHUNK trials at a time as edge-vector rows; BF decodes
-    a chunk as one stack, BP and sampling decode it row by row."""
+    drawn BF_TRIAL_CHUNK trials at a time as edge-vector rows, decoded on
+    trusted cores: BF a chunk as one stack, BP and sampling row by row."""
     config, ki, ei = unit
     decoder, trials, iters = config["decoder"], config["trials"], config["iters"]
     K, eps = config["K_list"][ki], config["eps_list"][ei]
@@ -161,7 +160,7 @@ def _bench_unit(unit) -> dict:
             ties += int(out.tie_failure.sum())
         elif decoder == "bp":
             llr = reliability_weight(max(eps, 1e-12)) * x
-            res = [bp_decode(code, row, max_iters=iters, target=target) for row in llr]
+            res = [_bp_decode(code, row, iters, target_f, False) for row in llr]
             ok, used = [r.success for r in res], [r.iterations for r in res]
         else:
             runs = [_run_chain(code, params, budget, trial_seed(*keys, t, 1), target_f, row,

@@ -70,7 +70,7 @@ from .code import (
     _is_codeword_flat,
     _syndrome_flat,
 )
-from .decoders import TiePolicy, _coupling_vector, bf_sweep_batch
+from .decoders import TiePolicy, _check_strengths, _coupling_vector, bf_sweep_batch
 
 ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
@@ -78,13 +78,6 @@ LOCKSTEP_GROUP = 256      # chains advanced together by _run_lockstep
 UNIFORM_BLOCK = 1024      # uniforms pre-drawn, and hybrid states decoded, per block
 STATE_MEMO = 16           # pre-flip states whose weights a single chain keeps
 _ZERO = np.zeros(())  # 0-d operands cost a ufunc call less than Python floats
-
-
-def _check_strengths(beta, gamma, where: str = "") -> None:
-    """Refuse a beta or gamma that is not finite and >= 0."""
-    for name, value in (("beta", beta), ("gamma", gamma)):
-        if not (np.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0{where}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ class HamiltonianParams:
     family: str = "w4"
 
     def __post_init__(self):
-        _check_strengths(self.beta, self.gamma)
+        _check_strengths(beta=self.beta, gamma=self.gamma)
         if self.family not in ("w3", "w4"):
             raise ValueError(f"unknown syndrome family {self.family!r}")
         if self.couplings is not None:
@@ -383,7 +376,7 @@ def _scheduled(schedule, step: int, budget: int):
     """The (beta, gamma) a schedule returns for a step, checked like
     HamiltonianParams."""
     beta, gamma = schedule(step, budget)
-    _check_strengths(beta, gamma, f" (schedule, step {step})")
+    _check_strengths(f" (schedule, step {step})", beta=beta, gamma=gamma)
     return beta, gamma
 
 
@@ -452,7 +445,7 @@ def _run_chain(
     try:
         if sink is not None:
             sink.write("sample,energy,state_hex\n")
-            sink.write(f"0,{energy(code, params, run.initial)!r},{pack_state_hex(xf0)}\n")
+            sink.write(f"0,{chain.energy!r},{pack_state_hex(xf0)}\n")
         for start in range(0, budget, UNIFORM_BLOCK):
             m = min(UNIFORM_BLOCK, budget - start)
             if stack is not None:

@@ -15,6 +15,7 @@ from parity_decode import (
     write_spin_matrix_csv,
 )
 from parity_decode.cli import ENV_SEED, main
+from parity_decode.reports import TrajectoryDump
 
 
 def run_cli(args, capsys):
@@ -284,6 +285,29 @@ def test_trajectory_cli(tmp_path, capsys):
     assert out_file.exists()
     text = out_file.read_text()
     assert "iteration=0" in text
+
+
+def test_trajectory_cli_mcmc_source(tmp_path, capsys):
+    out_file = tmp_path / "t.csv"
+    code, out, _ = run_cli(
+        ["trajectory", "--source", "mcmc", "--k", "8", "--budget", "200", "--seed", "3",
+         "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out.startswith(f"wrote {out_file}\n")
+    meta = TrajectoryDump.read_csv(out_file).meta
+    assert meta["source"] == "mcmc"
+    assert (meta["K"], meta["budget"], meta["instance"]) == (8, 200, "K8-s0")
+
+
+def test_trajectory_cli_mcmc_source_refuses_k_above_ground_state_bound(tmp_path, capsys):
+    # the default --k 40 has no exhaustive ground state to decode toward
+    out_file = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        ["trajectory", "--source", "mcmc", "--seed", "3", "--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: K=40 exceeds exhaustive ground-state bound 24\n"
+    assert not out_file.exists()
 
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):

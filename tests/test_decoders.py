@@ -287,6 +287,20 @@ def test_couplings_length_checked_by_every_caller():
         "gdbf", code, x, J=J)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("field", ["w0", "beta", "gamma", "wk", "wk entry"])
+def test_inversion_weights_refuse_non_finite_and_negative(field, bad):
+    # HamiltonianParams' rule: NaN passes a plain "< 0" test, so it is
+    # refused explicitly, as are infinities and negative values
+    if field == "wk entry":
+        kwargs, name = {"wk": np.array([1.0, bad, 0.5])}, "wk"
+    else:
+        kwargs, name = {field: bad}, field
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        InversionWeights(**kwargs)
+    InversionWeights(**{name: 0.0})  # zero is allowed
+
+
 def test_uniform_weights_values():
     w = uniform_weights(0.1)
     assert w.w0 == pytest.approx(math.log(9))
@@ -321,6 +335,26 @@ def test_bp_epsilon_validation():
     for bad in (0.0, 0.5, 0.9, -0.1):
         with pytest.raises(ValueError):
             bp_decode(code, x=x, epsilon=bad)
+
+
+def test_bp_decode_refusals():
+    # each bad argument is refused before any message is passed
+    code = build_code(5)
+    lam = np.ones(code.n_vars)
+    x = all_one_matrix(5)
+    cases = [
+        (dict(channel_llr=lam, max_iters=0), r"max_iters must be >= 1"),
+        (dict(), r"need either channel_llr or \(x, epsilon\)"),
+        (dict(x=x), r"need either channel_llr or \(x, epsilon\)"),
+        (dict(epsilon=0.1), r"need either channel_llr or \(x, epsilon\)"),
+        (dict(channel_llr=lam[:-1]), r"channel_llr length 9 != n_vars 10"),
+        (dict(channel_llr=np.ones(code.n_vars + 1)), r"channel_llr length 11 != n_vars 10"),
+    ]
+    for bad in (math.nan, math.inf, -math.inf):
+        cases.append((dict(channel_llr=np.r_[lam[:-1], bad]), "non-finite"))
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            bp_decode(code, **kwargs)
 
 
 def test_bp_llr_input_mode():

@@ -184,6 +184,23 @@ def test_bench_chain_seeds_only_for_sampling(monkeypatch):
         assert len(calls) == 7 * per_trial
 
 
+def test_bench_bp_trials_run_on_the_edge_vector_target(monkeypatch):
+    # the unit validates and converts its target once; no BP trial goes
+    # back through a spin matrix
+    from parity_decode import decoders
+
+    calls = []
+    edge_vector = decoders._edge_vector
+
+    def counting(*args):
+        calls.append(args)
+        return edge_vector(*args)
+
+    monkeypatch.setattr(decoders, "_edge_vector", counting)
+    bench_iid("bp", [5, 6], [0.1], 20)
+    assert len(calls) == 0
+
+
 def _per_trial_row(decoder, K, eps, ki, ei, trials, seed, policy):
     """(successes, tie failures, iteration sum) of one bench_iid cell,
     decoded one trial at a time on the same noise and chain seeds."""

@@ -327,6 +327,14 @@ def test_hybrid_refuses_fewer_than_one_bf_iteration(monkeypatch, iters):
         hybrid_decode(code, params, 20, all_one_matrix(5), 1, bf_max_iters=iters)
 
 
+def test_chain_drivers_refuse_zero_budget():
+    code = build_code(5)
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
+    for decode in (mcmc_decode, hybrid_decode):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            decode(code, params, 0, all_one_matrix(5), 1)
+
+
 def test_hybrid_memory_does_not_grow_with_states():
     """Without stored samples the hybrid holds one block of visited states:
     between two budgets its traced peak grows by the per-step energy and
