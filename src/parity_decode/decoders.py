@@ -478,14 +478,21 @@ class _BPBuffers(threading.local):
 _bp_buffers = _BPBuffers()
 
 
+# Every tanh factor is tanh(m / 2) of a message or channel value m clipped
+# to +-MSG_CLIP, so a product of two is at most tanh(MSG_CLIP / 2)**2 in
+# magnitude: 0.9999999999996256 at 30, below 1 - 2**-52 and so below 1,
+# and twice its artanh, 29.307, is below MSG_CLIP. Check messages thus
+# need no clip; raising MSG_CLIP past either bound fails here, at import.
+_TANH_PRODUCT_MAX = np.tanh(0.5 * MSG_CLIP) ** 2
+assert _TANH_PRODUCT_MAX < 0.9999999999999998 and 2.0 * np.arctanh(_TANH_PRODUCT_MAX) < MSG_CLIP
+
+
 def _check_messages(prod: np.ndarray) -> np.ndarray:
     """Check-to-variable messages 2 artanh(prod) from the tanh products
-    over the other two members, in place: the product is clipped below
-    1 in magnitude, the message at +-MSG_CLIP."""
-    np.clip(prod, -0.9999999999999998, 0.9999999999999998, out=prod)
+    over the other two members, in place; no clip binds (see above)."""
     np.arctanh(prod, out=prod)
     prod *= 2.0
-    return np.clip(prod, -MSG_CLIP, MSG_CLIP, out=prod)
+    return prod
 
 
 def bp_decode(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -511,5 +510,8 @@ def _run_units(fn, units: list, n_workers: int | None) -> list:
     n_workers = _worker_count(n_workers)
     if n_workers <= 1 or len(units) <= 1:
         return [fn(u) for u in units]
+    # imported here: it loads multiprocessing, about 5 ms of every import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(n_workers, len(units))) as pool:
         return list(pool.map(fn, units))

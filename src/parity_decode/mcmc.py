@@ -29,18 +29,20 @@ ENERGY_CHECK_INTERVAL steps they are compared with a full recomputation.
 Two engines share that table and one weight formula: v = max(dH, 0),
 w = exp(min v - v), so the log escape rate is -min v + log(sum w).
 `_Chain` runs one chain, for `mcmc_decode`, `hybrid_decode`,
-`visit_distribution` and `rejection_free_step`. Its step is that formula
-on a single row, the weights in eight numpy calls into preallocated
-buffers, with the coupling term 2 beta J x negated entry by entry and
-the flip's scalars kept in Python. At low temperature a chain mostly
-moves among a few states: it keeps the weights of its last STATE_MEMO
-distinct pre-flip states, keyed by an exact integer that one XOR per
-flip updates, and a flip's check-value and adjacent-sum update waits
-until the chain reaches a state outside that memo. On a 2-vCPU AMD EPYC
-box a step costs about 3.2 us at K=14 w4 (beta, gamma) = (3, 4), where
-65% of the steps start from a memo-held state, 5.8 us at (1.5, 0.2),
-where 1% do, and 6.6 us at K=40 w3 gamma = 1 from an eps = 0.1 readout,
-where 46% do.
+`visit_distribution` and `rejection_free_step`, all through one step
+kernel, `_Chain.advance`: a block of UNIFORM_BLOCK steps in one Python
+frame, the chain's fields held in locals, the weights in eight numpy
+calls into preallocated buffers, the coupling term 2 beta J x negated
+entry by entry and the flip's scalars kept in Python; `_Chain.step` is
+its one-uniform case. At low temperature a chain mostly moves among a
+few states: it keeps the weights of its last STATE_MEMO = 64 distinct
+pre-flip states, keyed by an exact integer that one XOR per flip
+updates, and a flip's check-value and adjacent-sum update waits until
+the chain reaches a state outside that memo. On a 2-vCPU AMD EPYC box a
+step costs about 2.3 us at K=14 w4 (beta, gamma) = (3, 4), where 71% of
+the steps start from a memo-held state (76% are not first visits, so no
+memo could pass that), 4.6 us at (1.5, 0.2), where 1% do, and 5.0 us
+at K=40 w3 gamma = 1 from an eps = 0.1 readout, where 48% do.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
 row with its own parameters and stream; `experiments.landscape` and both
 arms of `experiments.efficiency_ratio` run their chains through it. It is
@@ -76,7 +78,7 @@ ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
 LOCKSTEP_GROUP = 256      # chains advanced together by _run_lockstep
 UNIFORM_BLOCK = 1024      # uniforms pre-drawn, and hybrid states decoded, per block
-STATE_MEMO = 16           # pre-flip states whose weights a single chain keeps
+STATE_MEMO = 64           # pre-flip states whose weights a single chain keeps
 _ZERO = np.zeros(())  # 0-d operands cost a ufunc call less than Python floats
 
 
@@ -113,12 +115,15 @@ class SampleRun:
 
     target_hit / first_codeword are sample indices with 0 meaning the
     initial state and t meaning the state after step t; None if never.
+    The initial state is kept as the edge vector initial_f; `initial`
+    is its spin matrix, converted on first read.
     """
 
     params: HamiltonianParams
     seed: object
     budget: int
-    initial: np.ndarray
+    initial_f: np.ndarray
+    code: ParityCode = field(repr=False)
     samples: list = field(default_factory=list)
     energies: np.ndarray | None = None
     escape_rates: np.ndarray | None = None
@@ -127,6 +132,12 @@ class SampleRun:
     decoded_target_hit: int | None = None
     decoded_any_codeword: int | None = None
     decoded: list | None = None
+
+    @functools.cached_property
+    def initial(self) -> np.ndarray:
+        """The initial state as a spin matrix, converted from the edge
+        vector initial_f on first read."""
+        return vector_to_matrix(self.code, self.initial_f)
 
 
 def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | None:
@@ -197,26 +208,34 @@ def _initial_state(code: ParityCode, rng: np.random.Generator, initial) -> np.nd
 class _Chain:
     """Single rejection-free chain on the flat (edge-vector) state.
 
+    `advance` is the chain's one step kernel: it runs a list of uniforms
+    (a UNIFORM_BLOCK of them for `_run_chain`, one for `step`) in a
+    single Python frame, with the chain's fields in locals, and writes
+    the block's energies and escape rates with one slice assignment each.
     The coupling term 2 beta J x is rebuilt only when `set_params`
     changes beta. Check values are kept as -2 s, the amount each
     member's adjacent sum moves when the check negates, and the entries
     a flip reads (x_k, J_k, the target's entry) also as Python lists.
 
     A memo keeps the cumulative weights, log shift, total, escape rate
-    and unsatisfied-check count of the last STATE_MEMO distinct
+    and unsatisfied-check count of the last STATE_MEMO (64) distinct
     pre-flip states, keyed by an exact integer: bit k is set iff pair k
     differs from the initial state. A ring index evicts the oldest
     entry, but never the state just left, so a flip back finds its
     weights when STATE_MEMO >= 2. The weights are a function of the
     state and (beta, gamma) alone, since the adjacent sums are exact
     integers and cx entries are negated exactly, so a state found in the
-    memo reuses the bytes a recomputation would give.
+    memo reuses the bytes a recomputation would give. A memo row holds
+    C(K, 2) float64s: 64 rows are 46 KB at K=14 and 400 KB at K=40.
     A flip updates x, cx and the scalars at once, but only queues its
     check-value and adjacent-sum update; a flip that undoes the last
     queued one cancels it. The queue is applied when the chain reaches a
     state outside the memo, before a drift check, and when `adj_sum` or
     `s` is read. A change of beta or gamma in `set_params` empties the
-    memo."""
+    memo.
+
+    target_hit and first_codeword are the first sample indices (0 the
+    initial state) at the target and at a codeword, None until then."""
 
     def __init__(self, code: ParityCode, params: HamiltonianParams, xf: np.ndarray,
                  rng: np.random.Generator, target_f: np.ndarray | None = None):
@@ -238,6 +257,8 @@ class _Chain:
         self.dist_target = (
             None if target_f is None else int(np.count_nonzero(self.xf != target_f))
         )
+        self.target_hit = 0 if self.dist_target == 0 else None
+        self.first_codeword = 0 if self.n_unsat == 0 else None
         self._v = np.empty(code.n_vars)
         self._rows = list(np.empty((STATE_MEMO, code.n_vars)))  # the memo's cum rows
         self._memo = {}     # state key -> (cum, shift, total, rate, n_unsat)
@@ -260,7 +281,8 @@ class _Chain:
             self._keys = [-1] * STATE_MEMO  # the key held in each cum row
             self._ring = 0                  # the row the next miss overwrites
             self._entry = None
-        self.beta, self.gamma = beta, gamma
+        # Python floats: the energy is then one, and streams with its repr
+        self.beta, self.gamma = float(beta), float(gamma)
         self._gamma = np.array(gamma, dtype=np.float64)  # 0-d: a cheaper ufunc operand
 
     def _sync(self) -> None:
@@ -294,66 +316,120 @@ class _Chain:
         """Flip one pair, chosen with the uniform u (one draw from the
         chain's stream when None); returns (flip index, escape rate of the
         pre-flip state)."""
-        if u is None:
-            u = self.rng.random()
-        cx, entry, key = self._cx, self._entry, self._key
-        if entry is None:  # weights into the oldest row, evicting its state
-            r = self._ring
-            self._ring = (r + 1) % STATE_MEMO
-            self._memo.pop(self._keys[r], None)
-            self._keys[r] = key
-            v, cum = self._v, self._rows[r]
-            # v = max(dH, 0) = -log w with dH_k = 2 beta J_k x_k + gamma * (sum
-            # of adjacent checks); w = exp(min v - v) is w / max w, exact even
-            # when every move is steeply uphill and the raw weights underflow
-            np.multiply(self._gamma, self._adj_view, v)
+        return self.advance([self.rng.random() if u is None else u])
+
+    def advance(self, us: list, energies=None, rates=None, states=None, sink=None,
+                schedule=None, budget=None, entries=None) -> tuple[int, float]:
+        """Take one step per uniform in us; returns the last step's (flip
+        index, escape rate of its pre-flip state).
+
+        Step i of the block is step t = steps_done + i + 1 of the chain
+        (sample index t). Each optional output is filled per step:
+        energies[t - 1] and rates[t - 1] (one slice assignment each at
+        the end), states[i + 1] the state after the step (states[0] the
+        state before the block), a `sample,energy,state_hex` CSV row to
+        sink, and entries the step's memo entry (cum, shift, total,
+        rate, n_unsat) of its pre-flip state. schedule(t - 1, budget) sets
+        (beta, gamma) before each step."""
+        # v = max(dH, 0) = -log w with dH_k = 2 beta J_k x_k + gamma * (sum of
+        # adjacent checks); w = exp(min v - v) is w / max w, exact even when
+        # every move is steeply uphill and the raw weights underflow
+        memo, keys, rows, pending = self._memo, self._keys, self._rows, self._pending
+        x, xf, J, target = self._x, self.xf, self._J, self._target
+        v, adj_view, adj_sum = self._v, self._adj_view, self._adj_sum
+        cx, gam, beta, gamma = self._cx, self._gamma, self.beta, self.gamma
+        key, entry, ring = self._key, self._entry, self._ring
+        n_unsat, corr, dist = self.n_unsat, self.corr, self.dist_target
+        target_hit, first_codeword = self.target_hit, self.first_codeword
+        track_target = target is not None and target_hit is None
+        track_codeword = first_codeword is None
+        slots, n, interval = len(rows), len(v), ENERGY_CHECK_INTERVAL
+        t0 = t = self.steps_done
+        block_e, block_r = [], []
+        if states is not None:
+            states[0] = xf
+        k = rate = None
+        for u in us:
+            if schedule is not None:
+                b, g = _scheduled(schedule, t, budget)
+                if b != beta or g != gamma:
+                    self.set_params(b, g)
+                    cx, gam, keys = self._cx, self._gamma, self._keys
+                    beta, gamma, ring, entry = self.beta, self.gamma, 0, None
+            if entry is None:  # weights into the oldest row, evicting its state
+                memo.pop(keys[ring], None)
+                keys[ring] = key
+                cum = rows[ring]
+                ring = (ring + 1) % slots
+                np.multiply(gam, adj_view, v)
+                if cx is not None:
+                    np.add(v, cx, v)
+                np.maximum(v, _ZERO, out=v)
+                low = v[v.argmin()]
+                np.subtract(low, v, v)
+                np.exp(v, v)
+                np.add.accumulate(v, out=cum)
+                total = cum.item(-1)
+                rate = total if low == 0.0 else float(np.exp(-low) * total)  # exp(0) == 1
+                entry = memo[key] = (cum, -low, total, rate, n_unsat)
+            else:
+                cum, _, total, rate, _ = entry  # log rate = shift + log(total)
+            if entries is not None:
+                entries.append(entry)
+            k = int(cum.searchsorted(u * total, "right"))
+            if k == n:  # guard against u * total == total
+                k -= 1
+
+            old = x[k]
+            x[k] = -old
+            xf[k] = -old
             if cx is not None:
-                np.add(v, cx, v)
-            np.maximum(v, _ZERO, out=v)
-            low = v[v.argmin()]
-            np.subtract(low, v, v)
-            np.exp(v, v)
-            np.add.accumulate(v, out=cum)
-            total = cum.item(-1)
-            rate = total if low == 0.0 else float(np.exp(-low) * total)  # exp(0) == 1
-            entry = self._memo[key] = (cum, -low, total, rate, self.n_unsat)
-        cum, self.shift, self.total, rate, _ = entry  # log rate = shift + log(total)
-        k = int(cum.searchsorted(u * self.total, "right"))
-        if k == len(cum):  # guard against u * total == total
-            k -= 1
+                cx[k] = -cx[k]
+            if J is not None:
+                corr -= 2.0 * J[k] * old
+            if target is not None:
+                dist += 1 if old == target[k] else -1
+            left, key = key, key ^ (1 << k)
+            if pending and pending[-1] == k:
+                pending.pop()
+            else:
+                pending.append(k)
+            entry = memo.get(key)
+            if entry is not None:
+                n_unsat = entry[4]
+            else:
+                if keys[ring] == left:  # keep the state just left for a flip back
+                    ring = (ring + 1) % slots
+                # flipping k negated its adjacent checks: n_unsat moves by
+                # their pre-flip sum, which is minus their sum now
+                self._sync()
+                n_unsat -= int(adj_sum[k])
 
-        old = self._x[k]
-        self._x[k] = -old
-        self.xf[k] = -old
-        if cx is not None:
-            cx[k] = -cx[k]
-        if self._J is not None:
-            self.corr -= 2.0 * self._J[k] * old
-        if self._target is not None:
-            self.dist_target += 1 if old == self._target[k] else -1
-        self._key = new_key = key ^ (1 << k)
-        pending = self._pending
-        if pending and pending[-1] == k:
-            pending.pop()
-        else:
-            pending.append(k)
-        self._entry = entry = self._memo.get(new_key)
-        if entry is not None:
-            self.n_unsat = entry[4]
-        else:
-            if self._keys[self._ring] == key:  # keep the state just left for a flip back
-                self._ring = (self._ring + 1) % STATE_MEMO
-            # flipping k negated its adjacent checks: n_unsat moves by
-            # their pre-flip sum, which is minus their sum now
-            self._sync()
-            self.n_unsat -= int(self._adj_sum[k])
+            t += 1
+            if t % interval == 0:
+                self._sync()
+                n_unsat, corr = _checked_totals(self.code, self.family, self.adj, self.J, xf,
+                                                adj_sum, n_unsat, corr)
+            e = -beta * corr + gamma * n_unsat
+            block_e.append(e)
+            block_r.append(rate)
+            if states is not None:
+                states[t - t0] = xf
+            if sink is not None:
+                sink.write(f"{t},{e!r},{pack_state_hex(xf)}\n")
+            if track_target and dist == 0:
+                target_hit, track_target = t, False
+            if track_codeword and n_unsat == 0:
+                first_codeword, track_codeword = t, False
 
-        self.steps_done += 1
-        if self.steps_done % ENERGY_CHECK_INTERVAL == 0:
-            self._sync()
-            self.n_unsat, self.corr = _checked_totals(
-                self.code, self.family, self.adj, self.J, self.xf, self._adj_sum,
-                self.n_unsat, self.corr)
+        if energies is not None:
+            energies[t0:t] = block_e
+        if rates is not None:
+            rates[t0:t] = block_r
+        self._key, self._entry, self._ring = key, entry, ring
+        self.n_unsat, self.corr, self.dist_target = n_unsat, corr, dist
+        self.target_hit, self.first_codeword = target_hit, first_codeword
+        self.steps_done = t
         return k, rate
 
 
@@ -418,19 +494,7 @@ def _run_chain(
     rng = as_generator(seed)
     xf0 = _initial_state(code, rng, initial)
     chain = _Chain(code, params, xf0, rng, target_f)
-
-    run = SampleRun(
-        params=params,
-        seed=seed,
-        budget=budget,
-        initial=vector_to_matrix(code, xf0.copy()),
-    )
-    # all checks of either family satisfied iff the state is a codeword
-    track_target, track_codeword = target_f is not None, True
-    if track_target and chain.dist_target == 0:
-        run.target_hit, track_target = 0, False
-    if chain.n_unsat == 0:
-        run.first_codeword, track_codeword = 0, False
+    run = SampleRun(params=params, seed=seed, budget=budget, initial_f=xf0.copy(), code=code)
 
     energies = np.empty(budget, dtype=np.float64)
     rates = np.empty(budget, dtype=np.float64)
@@ -450,21 +514,8 @@ def _run_chain(
             m = min(UNIFORM_BLOCK, budget - start)
             if stack is not None:
                 buf = stack[start:start + m + 1]
-            if buf is not None:  # row 0: the state at sample index start
-                buf[0] = chain.xf
-            for t, u in enumerate(rng.random(m).tolist(), start + 1):
-                if schedule is not None:
-                    chain.set_params(*_scheduled(schedule, t - 1, budget))
-                _, rates[t - 1] = chain.step(u)
-                energies[t - 1] = e = chain.energy
-                if buf is not None:
-                    buf[t - start] = chain.xf
-                if sink is not None:
-                    sink.write(f"{t},{e!r},{pack_state_hex(chain.xf)}\n")
-                if track_target and chain.dist_target == 0:
-                    run.target_hit, track_target = t, False
-                if track_codeword and chain.n_unsat == 0:
-                    run.first_codeword, track_codeword = t, False
+            # advance sets buf row 0 to the state at sample index start
+            chain.advance(rng.random(m).tolist(), energies, rates, buf, sink, schedule, budget)
             if bf_iters is not None and (run.decoded is not None or (decoded_hits < 0).any()):
                 block = _bf_stage(code, buf[:m + 1], target_f, bf_iters, start, decoded_hits)
                 if run.decoded is not None:
@@ -475,6 +526,7 @@ def _run_chain(
 
     run.energies = energies
     run.escape_rates = rates
+    run.target_hit, run.first_codeword = chain.target_hit, chain.first_codeword
     if store_samples:
         run.samples = list(vector_to_matrix(code, stack[1:]))
     if bf_iters is not None:
@@ -757,15 +809,17 @@ def visit_distribution(
     xf0 = None if initial is None else _edge_vector(code, initial)
     rng = as_generator(seed)
     chain = _Chain(code, params, _initial_state(code, rng, xf0), rng)
+    states = np.empty((min(UNIFORM_BLOCK, steps) + 1, code.n_vars), dtype=np.int8)
     log_hist: dict[bytes, float] = {}
     for start in range(0, steps, UNIFORM_BLOCK):
-        for t, u in enumerate(rng.random(min(UNIFORM_BLOCK, steps - start)).tolist(), start):
+        entries = []  # each step's weight entry: log rate = shift + log(total)
+        chain.advance(rng.random(min(UNIFORM_BLOCK, steps - start)).tolist(),
+                      states=states, entries=entries)
+        for t, row, (_, shift, total, _, _) in zip(range(start, steps), states, entries):
             if t < burn_in:
-                chain.step(u)
                 continue
-            key = chain.xf.tobytes()
-            chain.step(u)
-            hold = -(chain.shift + math.log(chain.total))  # log(1 / rate)
+            key = row.tobytes()  # the pre-flip state
+            hold = -(shift + math.log(total))  # log(1 / rate)
             prev = log_hist.get(key, -math.inf)
             log_hist[key] = max(prev, hold) + math.log1p(math.exp(-abs(prev - hold)))
     logs = np.fromiter(log_hist.values(), dtype=np.float64, count=len(log_hist))

@@ -384,6 +384,27 @@ def test_bench_failure_monotone_in_eps():
         assert all(a <= b for a, b in zip(probs, probs[1:])), f"K={K}: {probs}"
 
 
+def test_import_does_not_load_the_process_pool():
+    """`import parity_decode` leaves concurrent.futures.process and
+    multiprocessing unloaded (about 5 ms of import time); only a run
+    with n_workers > 1 imports them."""
+    import os
+    import subprocess
+    import sys
+
+    import parity_decode
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parity_decode.__file__)))
+    probe = ("import sys, parity_decode\n"
+             "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing')"
+             " if m in sys.modules]\n"
+             "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_bench_mcmc_shape_falls_with_k_but_trails_bf():
     # penalty-only sampling at budget C(K,2): failure falls with K yet
     # stays above the parallel bit-flip decoder's

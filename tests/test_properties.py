@@ -29,6 +29,7 @@ from parity_decode import (
     decoder_energy,
     encode,
     flip_spin,
+    gen_instance,
     hybrid_decode,
     inversion_function,
     is_codeword,
@@ -386,6 +387,30 @@ def test_bp_decode_matches_reference_loop(K, noise, epsilon, seed, max_iters, wi
 
 
 @SETTINGS
+@given(K=st.integers(3, 12), noise=NOISE, seed=st.integers(0, 2**32 - 1),
+       max_iters=st.integers(1, 8), with_target=st.booleans())
+@example(K=21, noise=0.3, seed=0, max_iters=8, with_target=True)
+@example(K=40, noise=0.1, seed=1, max_iters=8, with_target=False)
+def test_bp_matches_reference_at_saturating_llrs(K, noise, seed, max_iters, with_target):
+    """Channel LLRs at and far past the message clip: +-MSG_CLIP and
+    +-1e6 on a noisy readout (value tables), and Gaussian LLRs scaled by
+    1e3 so most saturate (plain loop). Every tanh factor then sits at or
+    near tanh(MSG_CLIP / 2), where a product is largest, and bp_decode,
+    which has no clip on its check messages, equals the frozen loop,
+    which clips the products and the messages, bit for bit."""
+    code = build_code(K)
+    x, z = _noisy_state(code, seed, noise)
+    target_f = matrix_to_vector(code, z) if with_target else None
+    xf = matrix_to_vector(code, x).astype(np.float64)
+    params = AwgnParams(amplitude=1.0, sigma=0.5 + noise)
+    gauss = 1e3 * awgn_llr(awgn_observe(x, params, seed), params)
+    for lam in (MSG_CLIP * xf, -MSG_CLIP * xf, 1e6 * xf, gauss):
+        ref = _ref_bp(code, np.clip(lam, -MSG_CLIP, MSG_CLIP), max_iters, target_f)
+        _same_bp(bp_decode(code, channel_llr=lam, max_iters=max_iters,
+                           target=None if target_f is None else z, record=True), ref)
+
+
+@SETTINGS
 @given(K=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), span=st.integers(0, 60),
        zeros=st.floats(0.0, 1.0))
 @example(K=3, seed=0, span=0, zeros=1.0)
@@ -519,7 +544,7 @@ def _ref_visit_distribution(code, params, steps, burn_in, seed, initial):
 
 CHAIN_STRENGTHS = st.sampled_from([0.0, 0.3, 1.5, 4.0, 1000.0])
 CHAIN_PATCHES = dict(interval=st.sampled_from([3, 7]), block=st.sampled_from([1, 4, 9]),
-                     memo=st.sampled_from([1, 2, 16]))
+                     memo=st.sampled_from([1, 2, 16, 64]))
 
 
 def _chain_params(code, beta, gamma, family, couplings, seed):
@@ -556,13 +581,21 @@ def _spin_matrix(code, seed):
 @example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=501, budget=1200,
          initial=False, target="codeword", ramp=None, store=True, stream=False,
          interval=3, block=4, memo=2)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=0, budget=2500,
+         initial=False, target="codeword", ramp=None, store=True, stream=True,
+         interval=1000, block=1024, memo=64)
+@example(K=40, family="w3", beta=0.0, gamma=1.0, couplings=False, seed=1, budget=2100,
+         initial=True, target="initial", ramp=None, store=False, stream=True,
+         interval=1000, block=1024, memo=64)
 def test_run_chain_matches_frozen_per_step_loop(K, family, beta, gamma, couplings, seed, budget,
                                                 initial, target, ramp, store, stream,
                                                 interval, block, memo):
     """`_run_chain` (uniforms drawn in blocks, coupling term kept
     incrementally) equals the frozen loop bit for bit: energies, escape
     rates, first hits, every visited state and the streamed CSV bytes,
-    with budgets crossing both the drift-check interval and the block."""
+    with budgets crossing both the drift-check interval and the block
+    (the K=14 and K=40 examples at the real UNIFORM_BLOCK: drift checks
+    mid-block, budgets that are not a multiple of the block)."""
     import os
     import tempfile
 
@@ -666,6 +699,10 @@ def _switching_schedule(beta, gamma, moves, values, period):
          values=[(3.0, 4.0), (3.0, 3.0)], period=5)
 @example(K=14, family="w4", beta=3.0, gamma=4.0, seed=6, budget=300, eps=0.1, moves="beta",
          values=[(3.0, 4.0), (4.0, 4.0)], period=5)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, seed=7, budget=2100, eps=0.1, moves="both",
+         values=[(3.0, 4.0), (1.5, 4.0), (3.0, 1.5)], period=7)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, seed=8, budget=2100, eps=0.1, moves="gamma",
+         values=[(3.0, 4.0), (3.0, 3.0)], period=700)
 def test_run_chain_schedules_match_frozen_loop(K, family, beta, gamma, seed, budget, eps, moves,
                                                values, period):
     """Schedules that move beta, gamma or both, every step or every few
@@ -687,6 +724,66 @@ def test_run_chain_schedules_match_frozen_loop(K, family, beta, gamma, seed, bud
     assert run.escape_rates.tobytes() == rates.tobytes()
     assert (run.target_hit, run.first_codeword) == (hit, codeword)
     assert np.array_equal(stack, ref_stack)
+
+
+def test_drift_checks_mid_block_with_flips_pending_match_frozen_loop():
+    """At the real UNIFORM_BLOCK and a drift-check interval of 1000, the
+    checks at steps 1000, 2000 and 3000 fall inside blocks, and in a
+    K=14 (3, 4) chain they find flips whose updates still wait: the run
+    equals the frozen loop bit for bit."""
+    code = build_code(14)
+    params = _chain_params(code, 3.0, 4.0, "w4", True, 1)
+    budget = 3500
+    events = []  # queued flips at each _sync, and "check" at each drift check
+    sync, checked = mcmc._Chain._sync, mcmc._checked_totals
+
+    def counting_sync(chain):
+        events.append(len(chain._pending))
+        sync(chain)
+
+    def counting_check(*args):
+        events.append("check")
+        return checked(*args)
+
+    with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", 1000):
+        with mock.patch.object(mcmc._Chain, "_sync", counting_sync), \
+                mock.patch.object(mcmc, "_checked_totals", counting_check):
+            run, stack = mcmc._run_chain(code, params, budget, 1, None, None, True)
+        energies, rates, hit, codeword, _, ref_stack = _ref_run_chain(
+            code, params, budget, 1, None, None, True, None, None)
+    checks = [i for i, e in enumerate(events) if e == "check"]
+    assert len(checks) == 3 and all(events[i - 1] > 0 for i in checks)
+    assert mcmc.UNIFORM_BLOCK == 1024 and budget % mcmc.UNIFORM_BLOCK
+    assert run.energies.tobytes() == energies.tobytes()
+    assert run.escape_rates.tobytes() == rates.tobytes()
+    assert (run.target_hit, run.first_codeword) == (hit, codeword)
+    assert np.array_equal(stack, ref_stack)
+
+
+@pytest.mark.parametrize("K, instance", [(8, 3), (10, 3)])
+def test_hybrid_hits_in_a_later_block_match_frozen_loop(K, instance):
+    """hybrid_decode at the real UNIFORM_BLOCK, on chains whose first
+    decoded target lies past the first block: the decoded hits and, with
+    store_samples, every decoded state equal BF sweeps of the frozen
+    loop's visited states."""
+    code = build_code(K)
+    inst = gen_instance(K, instance)
+    params = HamiltonianParams(beta=3.0, gamma=4.0, couplings=inst.couplings, family="w4")
+    target = encode(code, inst.ground_state)
+    budget, iters = 3000, 5
+    *_, ref_stack = _ref_run_chain(code, params, budget, instance, matrix_to_vector(code, target),
+                                   None, True, None, None)
+    expected = bf_sweep_batch(vector_to_matrix(code, ref_stack), iters)
+    target_hits = [t for t, d in enumerate(expected) if np.array_equal(d, target)]
+    codeword_hits = [t for t, d in enumerate(expected) if is_codeword(code, d)]
+    assert target_hits and target_hits[0] > mcmc.UNIFORM_BLOCK
+    for store in (False, True):
+        ok, run = hybrid_decode(code, params, budget, target, instance, bf_max_iters=iters,
+                                store_samples=store)
+        assert ok and run.decoded_target_hit == target_hits[0]
+        assert run.decoded_any_codeword == codeword_hits[0]
+        if store:
+            assert np.array_equal(np.stack(run.decoded), expected)
 
 
 @SETTINGS
