@@ -33,8 +33,11 @@ w = exp(min v - v), so the log escape rate is -min v + log(sum w).
 kernel, `_Chain.advance`: a block of UNIFORM_BLOCK steps in one Python
 frame, the chain's fields held in locals, the weights in eight numpy
 calls into preallocated buffers, the coupling term 2 beta J x negated
-entry by entry and the flip's scalars kept in Python; `_Chain.step` is
-its one-uniform case. At low temperature a chain mostly moves among a
+entry by entry and the flip's scalars kept in Python. It returns the
+block's energies and each step's weight-memo entry (escape rate, log
+shift and total), and fills an optional state buffer; the callers write
+records, streams and holding times from those. `_Chain.step` is its
+one-uniform case. At low temperature a chain mostly moves among a
 few states: it keeps the weights of its last STATE_MEMO = 64 distinct
 pre-flip states, keyed by an exact integer that one XOR per flip
 updates, and a flip's check-value and adjacent-sum update waits until
@@ -48,10 +51,13 @@ row with its own parameters and stream; `experiments.landscape` and both
 arms of `experiments.efficiency_ratio` run their chains through it. It is
 no cheaper for one chain: about 18.7 us per step at B=1 and K=14 w4.
 
-Both reproduce the plain per-step loop bit for bit. A chain draws its
-initial state first, then its uniforms in blocks of UNIFORM_BLOCK with
-`rng.random(m)`, which yields the same values as m successive
-`rng.random()` calls; `_Chain.step()` without a uniform draws one.
+Both start from one from-scratch formula for a chain's totals (check
+values, adjacent sums, unsatisfied count, correlation), `_totals`, which
+the drift checks and `energy` also use. Both reproduce the plain
+per-step loop bit for bit. A chain draws its initial state first, then
+its uniforms in blocks of UNIFORM_BLOCK with `rng.random(m)`, which
+yields the same values as m successive `rng.random()` calls;
+`_Chain.step()` draws one.
 """
 
 from __future__ import annotations
@@ -146,12 +152,10 @@ def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | 
 
 def energy(code: ParityCode, params: HamiltonianParams, x: np.ndarray) -> float:
     """Exact energy of a state under the configured parameters."""
-    xf = _edge_vector(code, x)
-    J = _couplings_for(code, params)
-    s = _syndrome_flat(code, xf, params.family)
-    pen = params.gamma * 0.5 * float((1 - s).sum())
-    corr = 0.0 if J is None else params.beta * float((J * xf).sum())
-    return -corr + pen
+    adj = _flip_table(code, params.family)[0]
+    _, _, n_unsat, corr = _totals(code, params.family, adj, _couplings_for(code, params),
+                                  _edge_vector(code, x))
+    return float(-params.beta * corr + params.gamma * n_unsat)
 
 
 @functools.cache
@@ -196,13 +200,29 @@ def _adjacent_sums(adj: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _totals(code: ParityCode, family: str, adj: np.ndarray, J: np.ndarray | None,
+            xf: np.ndarray) -> tuple:
+    """A chain's totals from scratch, for edge vectors xf (..., n_vars)
+    and couplings J broadcast against them (None: no couplings): check
+    values as _padded_syndrome, adjacent sums as _adjacent_sums, and the
+    unsatisfied-check counts and correlation sums sum J x, shape (...)."""
+    s = _padded_syndrome(code, xf, family)
+    corr = 0.0 if J is None else (J * xf).sum(axis=-1)
+    return s, _adjacent_sums(adj, s), np.count_nonzero(s == -1, axis=-1), corr
+
+
 def _initial_state(code: ParityCode, rng: np.random.Generator, initial) -> np.ndarray:
-    """The given initial edge vector, or a uniformly random one drawn
-    from rng (the first draw of every chain stream). A spin matrix is
-    validated and converted."""
+    """The given initial state as an edge vector, or a uniformly random
+    one drawn from rng (the first draw of every chain stream). A spin
+    matrix is validated and converted, an edge vector checked."""
     if initial is None:
         return (rng.integers(0, 2, size=code.n_vars) * 2 - 1).astype(np.int8)
-    return initial if np.ndim(initial) == 1 else _edge_vector(code, initial)
+    xf = np.asarray(initial)
+    if xf.ndim != 1:
+        return _edge_vector(code, xf)
+    if xf.shape != (code.n_vars,) or not np.all(np.abs(xf) == 1):
+        raise ValueError(f"initial edge vector must be {code.n_vars} entries of +1 or -1")
+    return xf.astype(np.int8, copy=False)
 
 
 class _Chain:
@@ -210,8 +230,9 @@ class _Chain:
 
     `advance` is the chain's one step kernel: it runs a list of uniforms
     (a UNIFORM_BLOCK of them for `_run_chain`, one for `step`) in a
-    single Python frame, with the chain's fields in locals, and writes
-    the block's energies and escape rates with one slice assignment each.
+    single Python frame, with the chain's fields in locals, and returns
+    the block's energies and the memo entry each step drew its flip from;
+    a state buffer and a (beta, gamma) schedule are its only options.
     The coupling term 2 beta J x is rebuilt only when `set_params`
     changes beta. Check values are kept as -2 s, the amount each
     member's adjacent sum moves when the check negates, and the entries
@@ -245,12 +266,10 @@ class _Chain:
         self.J = _couplings_for(code, params)
         self.family = params.family
         self.adj, self.members, self.size = _flip_table(code, self.family)
-        s = _padded_syndrome(code, self.xf, self.family)
+        s, self._adj_sum, n_unsat, corr = _totals(code, self.family, self.adj, self.J, self.xf)
         self._h = -2.0 * s
-        self._adj_sum = _adjacent_sums(self.adj, s)
         self._adj_view = self._adj_sum[:-1]
-        self.n_unsat = int(np.count_nonzero(s == -1))
-        self.corr = 0.0 if self.J is None else float((self.J * self.xf).sum())
+        self.n_unsat, self.corr = int(n_unsat), float(corr)
         self._x = self.xf.tolist()
         self._J = None if self.J is None else self.J.tolist()
         self._target = None if target_f is None else target_f.tolist()
@@ -312,25 +331,21 @@ class _Chain:
     def energy(self) -> float:
         return float(-self.beta * self.corr + self.gamma * self.n_unsat)
 
-    def step(self, u: float | None = None) -> tuple[int, float]:
-        """Flip one pair, chosen with the uniform u (one draw from the
-        chain's stream when None); returns (flip index, escape rate of the
-        pre-flip state)."""
-        return self.advance([self.rng.random() if u is None else u])
+    def step(self) -> tuple[int, float]:
+        """Flip one pair, chosen with one draw from the chain's stream;
+        returns (flip index, escape rate of the pre-flip state)."""
+        k, _, entries = self.advance([self.rng.random()])
+        return k, entries[0][3]
 
-    def advance(self, us: list, energies=None, rates=None, states=None, sink=None,
-                schedule=None, budget=None, entries=None) -> tuple[int, float]:
-        """Take one step per uniform in us; returns the last step's (flip
-        index, escape rate of its pre-flip state).
+    def advance(self, us: list, states=None, schedule=None) -> tuple[int, list, list]:
+        """Take one step per uniform in us; returns the last flip index,
+        the energy after each step and the memo entry (cum, shift, total,
+        rate, n_unsat) of each step's pre-flip state.
 
-        Step i of the block is step t = steps_done + i + 1 of the chain
-        (sample index t). Each optional output is filled per step:
-        energies[t - 1] and rates[t - 1] (one slice assignment each at
-        the end), states[i + 1] the state after the step (states[0] the
-        state before the block), a `sample,energy,state_hex` CSV row to
-        sink, and entries the step's memo entry (cum, shift, total,
-        rate, n_unsat) of its pre-flip state. schedule(t - 1, budget) sets
-        (beta, gamma) before each step."""
+        states, when given, gets the state before the block in row 0 and
+        the state after step i in row i + 1. schedule(t), when given,
+        returns the (beta, gamma) of chain step t (t = steps_done + i for
+        step i of the block) and is applied before that step."""
         # v = max(dH, 0) = -log w with dH_k = 2 beta J_k x_k + gamma * (sum of
         # adjacent checks); w = exp(min v - v) is w / max w, exact even when
         # every move is steeply uphill and the raw weights underflow
@@ -345,13 +360,13 @@ class _Chain:
         track_codeword = first_codeword is None
         slots, n, interval = len(rows), len(v), ENERGY_CHECK_INTERVAL
         t0 = t = self.steps_done
-        block_e, block_r = [], []
+        block_e, block_entries = [], []
         if states is not None:
             states[0] = xf
-        k = rate = None
+        k = None
         for u in us:
             if schedule is not None:
-                b, g = _scheduled(schedule, t, budget)
+                b, g = schedule(t)
                 if b != beta or g != gamma:
                     self.set_params(b, g)
                     cx, gam, keys = self._cx, self._gamma, self._keys
@@ -373,9 +388,8 @@ class _Chain:
                 rate = total if low == 0.0 else float(np.exp(-low) * total)  # exp(0) == 1
                 entry = memo[key] = (cum, -low, total, rate, n_unsat)
             else:
-                cum, _, total, rate, _ = entry  # log rate = shift + log(total)
-            if entries is not None:
-                entries.append(entry)
+                cum, _, total, _, _ = entry  # log rate = shift + log(total)
+            block_entries.append(entry)
             k = int(cum.searchsorted(u * total, "right"))
             if k == n:  # guard against u * total == total
                 k -= 1
@@ -412,48 +426,42 @@ class _Chain:
                                                 adj_sum, n_unsat, corr)
             e = -beta * corr + gamma * n_unsat
             block_e.append(e)
-            block_r.append(rate)
             if states is not None:
                 states[t - t0] = xf
-            if sink is not None:
-                sink.write(f"{t},{e!r},{pack_state_hex(xf)}\n")
             if track_target and dist == 0:
                 target_hit, track_target = t, False
             if track_codeword and n_unsat == 0:
                 first_codeword, track_codeword = t, False
 
-        if energies is not None:
-            energies[t0:t] = block_e
-        if rates is not None:
-            rates[t0:t] = block_r
         self._key, self._entry, self._ring = key, entry, ring
         self.n_unsat, self.corr, self.dist_target = n_unsat, corr, dist
         self.target_hit, self.first_codeword = target_hit, first_codeword
         self.steps_done = t
-        return k, rate
+        return k, block_e, block_entries
 
 
 def _checked_totals(code, family, adj, J, xf, adj_sum, n_unsat, corr) -> tuple[int, float]:
     """Recompute one chain's unsatisfied-check count, correlation sum and
     adjacent check sums from its state; raise if the incremental values
     drifted, else return the recomputed totals."""
-    ref = _padded_syndrome(code, xf, family)
-    if not np.array_equal(_adjacent_sums(adj, ref)[:-1], adj_sum[:-1]):
+    _, adj_ref, n_ref, corr_ref = _totals(code, family, adj, J, xf)
+    if not np.array_equal(adj_ref[:-1], adj_sum[:-1]):
         raise RuntimeError("incremental adjacent check sums drifted")
-    n_ref = int(np.count_nonzero(ref == -1))
-    corr_ref = 0.0 if J is None else float((J * xf).sum())
+    n_ref, corr_ref = int(n_ref), float(corr_ref)
     drift = abs(n_ref - n_unsat) + abs(corr_ref - corr)
     if drift > ENERGY_DRIFT_TOL:
         raise RuntimeError(f"incremental energy drifted by {drift}")
     return n_ref, corr_ref
 
 
-def _scheduled(schedule, step: int, budget: int):
-    """The (beta, gamma) a schedule returns for a step, checked like
-    HamiltonianParams."""
-    beta, gamma = schedule(step, budget)
-    _check_strengths(f" (schedule, step {step})", beta=beta, gamma=gamma)
-    return beta, gamma
+def _scheduled(schedule, budget: int):
+    """The schedule with its budget bound: step -> (beta, gamma), checked
+    like HamiltonianParams."""
+    def at(step: int):
+        beta, gamma = schedule(step, budget)
+        _check_strengths(f" (schedule, step {step})", beta=beta, gamma=gamma)
+        return beta, gamma
+    return at
 
 
 def rejection_free_step(
@@ -482,8 +490,8 @@ def _run_chain(
     schedule=None,
     bf_iters: int | None = None,
 ) -> tuple[SampleRun, np.ndarray | None]:
-    """Run one chain from the edge vector initial (random when None)
-    toward the edge vector target_f; returns the run
+    """Run one chain from initial (an edge vector or a spin matrix;
+    random when None) toward the edge vector target_f; returns the run
     and, when store_samples is set (run.samples), the (budget + 1,
     n_vars) stack of visited edge vectors, initial state first. With
     bf_iters set, each block of UNIFORM_BLOCK steps goes through
@@ -496,12 +504,13 @@ def _run_chain(
     chain = _Chain(code, params, xf0, rng, target_f)
     run = SampleRun(params=params, seed=seed, budget=budget, initial_f=xf0.copy(), code=code)
 
-    energies = np.empty(budget, dtype=np.float64)
-    rates = np.empty(budget, dtype=np.float64)
+    run.energies, run.escape_rates = np.empty(budget), np.empty(budget)
+    if schedule is not None:
+        schedule = _scheduled(schedule, budget)
     stack = buf = None
     if store_samples:
         stack = np.empty((budget + 1, code.n_vars), dtype=np.int8)
-    elif bf_iters is not None:
+    elif bf_iters is not None or stream_to is not None:
         buf = np.empty((min(UNIFORM_BLOCK, budget) + 1, code.n_vars), dtype=np.int8)
     decoded_hits = np.full(2, -1)  # first decoded target, first decoded codeword
     run.decoded = [] if store_samples and bf_iters is not None else None
@@ -515,7 +524,12 @@ def _run_chain(
             if stack is not None:
                 buf = stack[start:start + m + 1]
             # advance sets buf row 0 to the state at sample index start
-            chain.advance(rng.random(m).tolist(), energies, rates, buf, sink, schedule, budget)
+            _, block_e, entries = chain.advance(rng.random(m).tolist(), buf, schedule)
+            run.energies[start:start + m] = block_e
+            run.escape_rates[start:start + m] = [entry[3] for entry in entries]
+            if sink is not None:
+                sink.writelines(f"{t},{e!r},{pack_state_hex(row)}\n"
+                                for t, (e, row) in enumerate(zip(block_e, buf[1:]), start + 1))
             if bf_iters is not None and (run.decoded is not None or (decoded_hits < 0).any()):
                 block = _bf_stage(code, buf[:m + 1], target_f, bf_iters, start, decoded_hits)
                 if run.decoded is not None:
@@ -524,8 +538,6 @@ def _run_chain(
         if sink is not None:
             sink.close()
 
-    run.energies = energies
-    run.escape_rates = rates
     run.target_hit, run.first_codeword = chain.target_hit, chain.first_codeword
     if store_samples:
         run.samples = list(vector_to_matrix(code, stack[1:]))
@@ -574,23 +586,17 @@ def _run_lockstep(
 
     beta = np.array([p.beta for p in params_rows], dtype=np.float64)
     gamma = np.array([p.gamma for p in params_rows], dtype=np.float64)
-    Js = [_couplings_for(code, p) for p in params_rows]
-    J = np.zeros((B, n))
-    corr = np.zeros(B)
-    # coupling part of dH, 2 beta J x, negated in place on every flip; its
-    # dummy-variable column is +inf, so the dummy's weight is exactly 0
-    cx = np.zeros((B, n + 1))
-    cx[:, n] = np.inf
-    for b, Jb in enumerate(Js):
+    J = np.zeros((B, n))  # a zero row for a chain without couplings
+    for b, p in enumerate(params_rows):
+        Jb = _couplings_for(code, p)
         if Jb is not None:
             J[b] = Jb
-            corr[b] = float((Jb * x[b]).sum())
-            if beta[b] != 0.0:
-                cx[b, :n] = 2.0 * beta[b] * Jb * x[b]
-
-    s = _padded_syndrome(code, x, family)
-    adj_sum = _adjacent_sums(adj, s)
-    n_unsat = np.count_nonzero(s == -1, axis=1)
+    # coupling part of dH, 2 beta J x, negated in place on every flip; its
+    # dummy-variable column is +inf, so the dummy's weight is exactly 0
+    cx = np.empty((B, n + 1))
+    cx[:, :n] = 2.0 * beta[:, None] * J * x
+    cx[:, n] = np.inf
+    s, adj_sum, n_unsat, corr = _totals(code, family, adj, J, x)
     dist = np.count_nonzero(x != targets, axis=1)
     target_hit = np.where(dist == 0, 0, -1)
     first_codeword = np.where(n_unsat == 0, 0, -1)
@@ -655,7 +661,7 @@ def _run_lockstep(
 
             if t % ENERGY_CHECK_INTERVAL == 0:
                 for b in range(B):
-                    n_unsat[b], corr[b] = _checked_totals(code, family, adj, Js[b], x[b],
+                    n_unsat[b], corr[b] = _checked_totals(code, family, adj, J[b], x[b],
                                                           adj_sum[b], n_unsat[b], corr[b])
             if record_energies:
                 rates[:, t - 1] = np.exp(-low) * total
@@ -715,8 +721,8 @@ def mcmc_decode(
     schedule=None,
 ) -> tuple[bool, SampleRun]:
     """Sample `budget` rejection-free steps (random initial state unless
-    one is given) and report whether any visited state, the initial one
-    included, equals the target. The run also records the first visit to
+    one is given, as a spin matrix or its edge vector) and report whether
+    any visited state, the initial one included, equals the target. The run also records the first visit to
     any codeword.
 
     stream_to: optional path; writes one CSV row per sample
@@ -730,8 +736,7 @@ def mcmc_decode(
     recorded per-sample energies use the scheduled parameters of their
     step rather than the base params."""
     target_f = None if target is None else _edge_vector(code, target)
-    xf0 = None if initial is None else _edge_vector(code, initial)
-    run, _ = _run_chain(code, params, budget, seed, target_f, xf0, store_samples,
+    run, _ = _run_chain(code, params, budget, seed, target_f, initial, store_samples,
                         stream_to=stream_to, schedule=schedule)
     return run.target_hit is not None, run
 
@@ -776,8 +781,7 @@ def hybrid_decode(
     if bf_max_iters < 1:
         raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
     target_f = _edge_vector(code, target)
-    xf0 = None if initial is None else _edge_vector(code, initial)
-    run, _ = _run_chain(code, params, budget, seed, target_f, xf0, store_samples,
+    run, _ = _run_chain(code, params, budget, seed, target_f, initial, store_samples,
                         bf_iters=bf_max_iters)
     return run.decoded_target_hit is not None, run
 
@@ -806,15 +810,14 @@ def visit_distribution(
     flat edge vector's bytes. Converges to the Boltzmann distribution of
     the configured energy. Holding times 1/rate are summed as logs, so
     escape rates that underflow to 0 (steep penalties) stay finite."""
-    xf0 = None if initial is None else _edge_vector(code, initial)
     rng = as_generator(seed)
-    chain = _Chain(code, params, _initial_state(code, rng, xf0), rng)
+    chain = _Chain(code, params, _initial_state(code, rng, initial), rng)
     states = np.empty((min(UNIFORM_BLOCK, steps) + 1, code.n_vars), dtype=np.int8)
     log_hist: dict[bytes, float] = {}
     for start in range(0, steps, UNIFORM_BLOCK):
-        entries = []  # each step's weight entry: log rate = shift + log(total)
-        chain.advance(rng.random(min(UNIFORM_BLOCK, steps - start)).tolist(),
-                      states=states, entries=entries)
+        # each step's weight entry: log rate = shift + log(total)
+        _, _, entries = chain.advance(rng.random(min(UNIFORM_BLOCK, steps - start)).tolist(),
+                                      states)
         for t, row, (_, shift, total, _, _) in zip(range(start, steps), states, entries):
             if t < burn_in:
                 continue

@@ -3,8 +3,9 @@
 A BenchmarkReport is a config echo plus homogeneous rows of scalars. It
 serializes to JSON (full fidelity) and to CSV whose first line embeds
 the config as a JSON comment; individual cells are JSON-encoded scalars
-so parsing an emitted file reproduces the report exactly, floats
-included. File names embed a short config hash and the master seed.
+and None an empty cell, written and read in the csv module's default
+dialect, so parsing an emitted file reproduces the report exactly,
+floats included. File names embed a short config hash and the master seed.
 """
 
 from __future__ import annotations
@@ -47,15 +48,17 @@ class BenchmarkReport:
 
     def to_csv(self, path) -> None:
         header = sorted({k for row in self.rows for k in row})
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(
                 "# "
                 + json.dumps({"kind": self.kind, "config": self.config}, sort_keys=True)
                 + "\n"
             )
-            fh.write(",".join(header) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
             for row in self.rows:
-                fh.write(",".join(_cell(row.get(k)) for k in header) + "\n")
+                writer.writerow(None if row.get(k) is None else json.dumps(row[k])
+                                for k in header)
 
     @classmethod
     def from_csv(cls, path) -> "BenchmarkReport":
@@ -67,20 +70,11 @@ class BenchmarkReport:
             reader = csv.reader(fh)
             header = next(reader, [])
             rows = [
-                {k: json.loads(c) for k, c in zip(header, cells) if c != ""}
+                {k: json.loads(c) if c else None for k, c in zip(header, cells)}
                 for cells in reader
                 if cells
             ]
         return cls(kind=meta["kind"], config=meta["config"], rows=rows)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    text = json.dumps(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 @dataclass

@@ -175,6 +175,27 @@ def test_hard_decide_sign_conventions():
     assert np.array_equal(flipped[iu][nonzero], -m[iu][nonzero])
 
 
+@pytest.mark.parametrize("y, code, message", [
+    (np.zeros(9), build_code(5), "!= n_vars 10"),
+    (np.zeros(7), None, "not a pair count"),
+])
+def test_hard_decide_refuses_bad_lengths(y, code, message):
+    with pytest.raises(ValueError, match=message):
+        hard_decide(y, code)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_llr_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        llr(np.array([0.5, bad, -1.0]), AwgnParams(amplitude=1.0, sigma=0.5))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 0.9, -0.1])
+def test_check_weight_refuses_out_of_range(p):
+    with pytest.raises(ValueError, match="check error probability"):
+        check_weight(p)
+
+
 def test_crosstalk_helpers():
     assert reliability_weight(0.25) == pytest.approx(math.log(3))
     p = pair_error_prob(0.25, 0.25)

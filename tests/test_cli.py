@@ -50,6 +50,22 @@ def test_code_info_json_k4_matrices(capsys):
     ]
 
 
+def test_code_info_text_matrices_k4(capsys):
+    code, out, _ = run_cli(["code-info", "--k", "4", "--dump-matrices"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    generator = lines.index("generator:")
+    assert lines[generator + 1:generator + 5] == [
+        "  1 1 1 0 0 0", "  1 0 0 1 1 0", "  0 1 0 1 0 1", "  0 0 1 0 1 1"]
+    assert "checks_w4:" in lines and "checks_w3:" in lines
+
+
+def test_code_info_matrices_refused_above_k8(capsys):
+    code, out, err = run_cli(["code-info", "--k", "9", "--dump-matrices"], capsys)
+    assert code == 2 and out == ""
+    assert "K <= 8" in err
+
+
 def test_code_info_k2(capsys):
     code, out, _ = run_cli(["code-info", "--k", "2", "--json"], capsys)
     assert code == 0

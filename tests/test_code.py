@@ -318,3 +318,23 @@ def test_matrix_csv_diagnostics(tmp_path):
     path.write_text("1,1\n1\n")
     with pytest.raises(MatrixFormatError):
         read_spin_matrix_csv(path)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("1,1\n1,0\n", r"\+1 or -1", 2, 2),
+    ("\n\n", "empty", 1, 1),
+    ("1,1,1\n1,-1,1\n1,1,1\n", "diagonal", 2, 2),
+], ids=["entry", "empty", "diagonal"])
+def test_matrix_csv_refusals_carry_location(tmp_path, text, message, line, column):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixFormatError, match=message) as exc:
+        read_spin_matrix_csv(path)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert f"(line {line}, column {column})" in str(exc.value)
+
+
+def test_codewords_refuses_over_limit():
+    with pytest.raises(ValueError, match="exceeds limit"):
+        codewords(build_code(6), limit=31)
+    assert len(codewords(build_code(6), limit=32)) == 32

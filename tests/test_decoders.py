@@ -287,6 +287,37 @@ def test_couplings_length_checked_by_every_caller():
         "gdbf", code, x, J=J)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda code, x: inversion_function("bf", code, x, 10), "out of range"),
+    (lambda code, x: inversion_function("bf", code, x, -1), "out of range"),
+    (lambda code, x: inversion_profile("wbf", code, x, np.ones(10),
+                                       InversionWeights(wk=np.ones(3)), "w4"), "wk length 3"),
+    (lambda code, x: decoder_energy("wbf", code, x, np.ones(10),
+                                    InversionWeights(wk=np.ones(3)), "w3"), "wk length 3"),
+    (lambda code, x: inversion_function("bp", code, x, 0), "unknown inversion kind"),
+    (lambda code, x: decoder_energy("bp", code, x), "unknown inversion kind"),
+])
+def test_inversion_functions_refuse_bad_arguments(call, message):
+    code = build_code(5)
+    with pytest.raises(ValueError, match=message):
+        call(code, all_one_matrix(5))
+
+
+@pytest.mark.parametrize("family", ["w3", "w4"])
+def test_wbf_scalar_wk_equals_its_vector(family):
+    rng = np.random.default_rng(4)
+    code = build_code(6)
+    x = random_spin_matrix(6, rng)
+    J = rng.uniform(-1, 1, code.n_vars)
+    n = code.n_checks3 if family == "w3" else code.n_checks4
+    scalar = InversionWeights(wk=0.7, beta=1.3)
+    vector = InversionWeights(wk=np.full(n, 0.7), beta=1.3)
+    assert (inversion_profile("wbf", code, x, J, scalar, family).tobytes()
+            == inversion_profile("wbf", code, x, J, vector, family).tobytes())
+    assert (decoder_energy("wbf", code, x, J, scalar, family)
+            == decoder_energy("wbf", code, x, J, vector, family))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
 @pytest.mark.parametrize("field", ["w0", "beta", "gamma", "wk", "wk entry"])
 def test_inversion_weights_refuse_non_finite_and_negative(field, bad):

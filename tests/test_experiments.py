@@ -122,6 +122,22 @@ def test_bench_reproducible_and_roundtrip(tmp_path):
     assert back.rows == rep1.rows and back.config == rep1.config
 
 
+def test_bench_csv_roundtrip_keeps_none_cells(tmp_path):
+    # no trial succeeds, so the mean iteration count over successes is None
+    rep = bench_iid("bf", [12], [0.4], 4, iters=1, seed=2)
+    assert rep.rows[0]["successes"] == 0 and rep.rows[0]["mean_iterations_success"] is None
+    rep.to_csv(tmp_path / "r.csv")
+    back = BenchmarkReport.from_csv(tmp_path / "r.csv")
+    assert (back.kind, back.config, back.rows) == (rep.kind, rep.config, rep.rows)
+
+
+def test_bench_csv_refuses_missing_config_line(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("K,trials\n5,3\n")
+    with pytest.raises(ValueError, match="config comment"):
+        BenchmarkReport.from_csv(path)
+
+
 def test_bench_failure_decreases_with_k():
     rep = bench_iid("bf", [6, 20], [0.1], trials=400, seed=5)
     rows = {r["K"]: r for r in rep.rows}
@@ -599,3 +615,11 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(back.snapshots) == len(dump.snapshots)
     assert all(np.array_equal(a, b) for a, b in zip(back.snapshots, dump.snapshots))
     assert back.meta["K"] == 12
+
+
+def test_trajectory_csv_without_meta_line(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("# iteration=0 errors=1\n1,-1\n-1,1\n\n# iteration=1 errors=0\n1,1\n1,1\n")
+    back = TrajectoryDump.read_csv(path)
+    assert back.meta == {} and back.error_counts == [1, 0]
+    assert [s.tolist() for s in back.snapshots] == [[[1, -1], [-1, 1]], [[1, 1], [1, 1]]]

@@ -169,6 +169,32 @@ def test_drift_check_raises_on_corrupted_adjacent_sums(engine):
                 _run_chain(code, params, 10, 0, targets[0], None, False)
 
 
+@pytest.mark.parametrize("engine", ["lockstep", "single"])
+def test_drift_check_raises_on_corrupted_correlation(engine):
+    code = build_code(5)
+    params = HamiltonianParams(beta=1.0, gamma=1.0, couplings=np.linspace(-1, 1, code.n_vars))
+    targets = np.ones((1, code.n_vars), dtype=np.int8)
+    real = mcmc._totals
+    calls = []
+
+    def corrupted(*args):
+        # corrupt the starting correlation only, not the drift check's reference
+        s, adj_sum, n_unsat, corr = real(*args)
+        if not calls:
+            corr = corr + 0.5
+        calls.append(1)
+        return s, adj_sum, n_unsat, corr
+
+    with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", 4), \
+            mock.patch.object(mcmc, "_totals", corrupted):
+        with pytest.raises(RuntimeError, match="energy drifted"):
+            if engine == "lockstep":
+                _run_lockstep(code, [params], 10, [0], targets)
+            else:
+                _run_chain(code, params, 10, 0, targets[0], None, False)
+    assert len(calls) == 2
+
+
 def test_lockstep_rejects_mixed_families():
     code = build_code(4)
     params = [HamiltonianParams(family="w3"), HamiltonianParams(family="w4")]

@@ -397,6 +397,30 @@ def test_annealing_schedule_hook():
     assert np.count_nonzero(s_end == -1) <= np.count_nonzero(s_start == -1) + 1
 
 
+@pytest.mark.parametrize("decode", [mcmc_decode, hybrid_decode])
+def test_initial_edge_vector_is_checked_and_runs_as_its_matrix(decode):
+    code = build_code(5)
+    params = HamiltonianParams(gamma=1.0)
+    z = all_one_matrix(5)
+    x = random_spin_matrix(5, np.random.default_rng(2))
+    _, by_matrix = decode(code, params, 20, z, 7, initial=x)
+    _, by_vector = decode(code, params, 20, z, 7, initial=matrix_to_vector(code, x).tolist())
+    assert by_matrix.energies.tobytes() == by_vector.energies.tobytes()
+    assert by_vector.initial_f.dtype == np.int8
+    for bad in (np.ones(9), np.zeros(10), np.full(10, 2)):
+        with pytest.raises(ValueError, match="initial edge vector"):
+            decode(code, params, 20, z, 7, initial=bad)
+    with pytest.raises(ValueError, match="initial edge vector"):
+        visit_distribution(code, params, 20, 0, 7, initial=np.ones(9))
+
+
+def test_boltzmann_distribution_refuses_over_limit():
+    code = build_code(5)  # 2^10 states
+    with pytest.raises(ValueError, match="exceeds limit"):
+        boltzmann_distribution(code, HamiltonianParams(), limit=1023)
+    assert len(boltzmann_distribution(code, HamiltonianParams(), limit=1024)) == 1024
+
+
 def test_stream_to_csv(tmp_path):
     from parity_decode import pack_state_hex, unpack_state_hex
 
