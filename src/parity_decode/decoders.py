@@ -81,6 +81,17 @@ def _check_strengths(where: str = "", **values) -> None:
             raise ValueError(f"{name} must be finite and >= 0{where}, got {value}")
 
 
+def _check_count(name: str, value, low: int | None = None) -> None:
+    """Refuse a size, count or iteration number that is not an integer
+    (numpy integers included, bool not) or, with low given, is below
+    low: a float one would be truncated, or never met by a loop's
+    equality test."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class InversionWeights:
     """Weights of the inversion-function family.
@@ -251,8 +262,7 @@ def bf_decode(
     as the one-row case of _bf_decode_stack. Deterministic for KEEP/FAIL
     policies: identical inputs give the identical result.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    _check_count("max_iters", max_iters, 1)
     cur = validate_spin_matrix(x, code.K).astype(np.float32)
     if target is not None:
         target = validate_spin_matrix(target, code.K).astype(np.float32)
@@ -530,8 +540,7 @@ def bp_decode(
     messages in check order (an ordered gather-sum, see _bp_layout), as
     np.bincount over the layout would.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    _check_count("max_iters", max_iters, 1)
     if channel_llr is None:
         if x is None or epsilon is None:
             raise ValueError("need either channel_llr or (x, epsilon)")

@@ -42,6 +42,7 @@ from .decoders import (
     TiePolicy,
     _bf_decode_stack,
     _bp_decode,
+    _check_count,
     bf_decode,
     bp_decode,
     count_errors,
@@ -211,30 +212,23 @@ def bench_iid(
     supplied codeword must be a codeword of size K for every K in K_list.
     Every argument lands in the report's config, so each is checked for
     every decoder before any unit runs (BP also needs epsilon < 1/2);
-    sizes and counts must be integers (numpy integers included), as the
-    config would otherwise record truncated ones.
+    sizes, counts and the seed must be integers (numpy integers
+    included), as the config would otherwise record truncated ones.
     """
     if decoder not in ("bf", "bp", "mcmc"):
         raise ValueError(f"unknown decoder {decoder!r}")
     if tie_policy is TiePolicy.COIN:
         raise ValueError("bench_iid needs a deterministic tie policy (keep or fail), not coin")
-    sizes = [("K", K) for K in K_list] + [("trials", trials), ("iters", iters)]
+    sizes = [("K", K, 2) for K in K_list] + [
+        ("trials", trials, 0), ("iters", iters, None if decoder == "mcmc" else 1),
+        ("seed", seed, 0)]
     if mcmc_budget is not None:
-        sizes.append(("mcmc_budget", mcmc_budget))
-    for name, value in sizes:
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if decoder != "mcmc" and iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if any(K < 2 for K in K_list):
-        raise ValueError(f"every K must be >= 2, got {list(K_list)}")
+        sizes.append(("mcmc_budget", mcmc_budget, 1))
+    for name, value, low in sizes:
+        _check_count(name, value, low)
     eps_max = 0.5 if decoder == "bp" else 1.0
     if not all(0.0 <= e < eps_max for e in eps_list):
         raise ValueError(f"every epsilon must be in [0, {eps_max}), got {list(eps_list)}")
-    if mcmc_budget is not None and mcmc_budget < 1:
-        raise ValueError(f"mcmc_budget must be >= 1, got {mcmc_budget}")
     HamiltonianParams(gamma=mcmc_gamma, family=mcmc_family)  # refuses a bad gamma or family
     if codeword is not None:
         cw = validate_spin_matrix(codeword)
@@ -344,14 +338,17 @@ def landscape(
     budget None uses the conventional defaults: 1200*C(K,2) samples for
     plain sampling, 4*C(K,2) for the hybrid. Chain seeds depend only on
     (seed, cell, instance, trial), so the two strategies at equal budget
-    see identical chains and the hybrid dominates pointwise.
+    see identical chains and the hybrid dominates pointwise. The budget,
+    trial count, seed and BF iterations land in the report's config, so
+    each must be an integer (numpy integers included), as for bench_iid.
     """
     if strategy not in ("mcmc", "hybrid"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "hybrid" and bf_max_iters < 1:
-        raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
-    if trials_per_cell < 0:
-        raise ValueError(f"trials_per_cell must be >= 0, got {trials_per_cell}")
+    _check_count("bf_max_iters", bf_max_iters, 1 if strategy == "hybrid" else None)
+    _check_count("trials_per_cell", trials_per_cell, 0)
+    _check_count("seed", seed, 0)
+    if budget is not None:
+        _check_count("budget", budget, 1)
     instances = list(instances)
     if not instances:
         raise ValueError("need at least one instance")
@@ -405,12 +402,14 @@ def efficiency_ratio(
     """Samples-per-target-success of plain sampling at cell_a divided by
     the hybrid's at cell_b. Budgets default to 1200*C(K,2) and 4*C(K,2)
     per trial. Returns NaN when either arm records no success
-    (unestimable), never raises for that. bf_max_iters must be >= 1 and
-    trials >= 0."""
-    if bf_max_iters < 1:
-        raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    (unestimable), never raises for that. bf_max_iters and given
+    budgets must be integers >= 1, trials and seed integers >= 0."""
+    _check_count("bf_max_iters", bf_max_iters, 1)
+    _check_count("trials", trials, 0)
+    _check_count("seed", seed, 0)
+    for name, budget in (("budget_a", budget_a), ("budget_b", budget_b)):
+        if budget is not None:
+            _check_count(name, budget, 1)
     code = build_code(instance.K)
     target = encode(code, instance.ground_state)
     n_vars = code.n_vars

@@ -45,7 +45,11 @@ the chain reaches a state outside that memo. On a 2-vCPU AMD EPYC box a
 step costs about 2.3 us at K=14 w4 (beta, gamma) = (3, 4), where 71% of
 the steps start from a memo-held state (76% are not first visits, so no
 memo could pass that), 4.6 us at (1.5, 0.2), where 1% do, and 5.0 us
-at K=40 w3 gamma = 1 from an eps = 0.1 readout, where 48% do.
+at K=40 w3 gamma = 1 from an eps = 0.1 readout, where 48% do. The
+hybrid's BF stage reads the memo's misses too: without stored samples
+it decodes every distinct state, the ones whose memo entry a block
+builds (a state's first visit always does) and the final state, rather
+than every step's; at that K=14 cell that is 27% of the steps.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
 row with its own parameters and stream; `experiments.landscape` and both
 arms of `experiments.efficiency_ratio` run their chains through it. It is
@@ -78,7 +82,13 @@ from .code import (
     _is_codeword_flat,
     _syndrome_flat,
 )
-from .decoders import TiePolicy, _check_strengths, _coupling_vector, bf_sweep_batch
+from .decoders import (
+    TiePolicy,
+    _check_count,
+    _check_strengths,
+    _coupling_vector,
+    bf_sweep_batch,
+)
 
 ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
@@ -232,7 +242,8 @@ class _Chain:
     (a UNIFORM_BLOCK of them for `_run_chain`, one for `step`) in a
     single Python frame, with the chain's fields in locals, and returns
     the block's energies and the memo entry each step drew its flip from;
-    a state buffer and a (beta, gamma) schedule are its only options.
+    a state buffer, a (beta, gamma) schedule and a record of the states
+    whose memo entry it builds are its only options.
     The coupling term 2 beta J x is rebuilt only when `set_params`
     changes beta. Check values are kept as -2 s, the amount each
     member's adjacent sum moves when the check negates, and the entries
@@ -337,7 +348,8 @@ class _Chain:
         k, _, entries = self.advance([self.rng.random()])
         return k, entries[0][3]
 
-    def advance(self, us: list, states=None, schedule=None) -> tuple[int, list, list]:
+    def advance(self, us: list, states=None, schedule=None,
+                misses: dict | None = None) -> tuple[int, list, list]:
         """Take one step per uniform in us; returns the last flip index,
         the energy after each step and the memo entry (cum, shift, total,
         rate, n_unsat) of each step's pre-flip state.
@@ -345,7 +357,10 @@ class _Chain:
         states, when given, gets the state before the block in row 0 and
         the state after step i in row i + 1. schedule(t), when given,
         returns the (beta, gamma) of chain step t (t = steps_done + i for
-        step i of the block) and is applied before that step."""
+        step i of the block) and is applied before that step. misses,
+        when given, gets sample index -> state bytes for each pre-flip
+        state whose memo entry the block builds: every state's first
+        visit among them."""
         # v = max(dH, 0) = -log w with dH_k = 2 beta J_k x_k + gamma * (sum of
         # adjacent checks); w = exp(min v - v) is w / max w, exact even when
         # every move is steeply uphill and the raw weights underflow
@@ -387,6 +402,8 @@ class _Chain:
                 total = cum.item(-1)
                 rate = total if low == 0.0 else float(np.exp(-low) * total)  # exp(0) == 1
                 entry = memo[key] = (cum, -low, total, rate, n_unsat)
+                if misses is not None:
+                    misses[t] = xf.tobytes()
             else:
                 cum, _, total, _, _ = entry  # log rate = shift + log(total)
             block_entries.append(entry)
@@ -495,10 +512,15 @@ def _run_chain(
     and, when store_samples is set (run.samples), the (budget + 1,
     n_vars) stack of visited edge vectors, initial state first. With
     bf_iters set, each block of UNIFORM_BLOCK steps goes through
-    _bf_stage as it ends, setting run's decoded hits (and run.decoded
-    under store_samples); only that block of states is held otherwise."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _bf_stage as it ends, setting run's decoded hits: under
+    store_samples every state of the block (for run.decoded), otherwise
+    only its distinct states, the ones whose weight-memo entry the block
+    built, and at the end the final state. A first decoded hit is a
+    state's first visit, and each first visit builds a memo entry, so
+    the hits are the same; a state decoded again, after its entry was
+    evicted or the memo emptied, only comes at a later index. Only that
+    block's states are held without store_samples."""
+    _check_count("budget", budget, 1)
     rng = as_generator(seed)
     xf0 = _initial_state(code, rng, initial)
     chain = _Chain(code, params, xf0, rng, target_f)
@@ -510,10 +532,11 @@ def _run_chain(
     stack = buf = None
     if store_samples:
         stack = np.empty((budget + 1, code.n_vars), dtype=np.int8)
-    elif bf_iters is not None or stream_to is not None:
+    elif stream_to is not None:
         buf = np.empty((min(UNIFORM_BLOCK, budget) + 1, code.n_vars), dtype=np.int8)
     decoded_hits = np.full(2, -1)  # first decoded target, first decoded codeword
     run.decoded = [] if store_samples and bf_iters is not None else None
+    misses = {} if bf_iters is not None and not store_samples else None
     sink = open(stream_to, "w") if stream_to is not None else None
     try:
         if sink is not None:
@@ -523,17 +546,29 @@ def _run_chain(
             m = min(UNIFORM_BLOCK, budget - start)
             if stack is not None:
                 buf = stack[start:start + m + 1]
+            stage = bf_iters is not None and (run.decoded is not None or (decoded_hits < 0).any())
             # advance sets buf row 0 to the state at sample index start
-            _, block_e, entries = chain.advance(rng.random(m).tolist(), buf, schedule)
+            _, block_e, entries = chain.advance(rng.random(m).tolist(), buf, schedule,
+                                                misses if stage else None)
             run.energies[start:start + m] = block_e
             run.escape_rates[start:start + m] = [entry[3] for entry in entries]
             if sink is not None:
                 sink.writelines(f"{t},{e!r},{pack_state_hex(row)}\n"
                                 for t, (e, row) in enumerate(zip(block_e, buf[1:]), start + 1))
-            if bf_iters is not None and (run.decoded is not None or (decoded_hits < 0).any()):
-                block = _bf_stage(code, buf[:m + 1], target_f, bf_iters, start, decoded_hits)
-                if run.decoded is not None:
-                    run.decoded.extend(block[1:] if start else block)
+            if stage:
+                if misses is None:  # every state of the block, for run.decoded
+                    index, states = range(start, start + m + 1), buf[:m + 1]
+                else:  # the block's new states
+                    if start + m == budget:  # the final state starts no step
+                        misses[budget] = chain.xf.tobytes()
+                    index = list(misses)
+                    states = np.frombuffer(b"".join(misses.values()), np.int8).reshape(
+                        len(index), code.n_vars)
+                    misses.clear()
+                if index:
+                    block = _bf_stage(code, states, target_f, bf_iters, index, decoded_hits)
+                    if run.decoded is not None:
+                        run.decoded.extend(block[1:] if start else block)
     finally:
         if sink is not None:
             sink.close()
@@ -571,8 +606,7 @@ def _run_lockstep(
     are skipped. The block's states are at most LOCKSTEP_GROUP *
     (UNIFORM_BLOCK + 1) * C(K, 2) bytes, about 72 MB at K = 24, whatever
     the budget."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_count("budget", budget, 1)
     family = params_rows[0].family
     if any(p.family != family for p in params_rows):
         raise ValueError("lockstep chains must share one check family")
@@ -676,26 +710,27 @@ def _run_lockstep(
                 np.copyto(first_codeword, t, where=at_codeword & (first_codeword < 0))
         if bf_iters is not None:
             for b in np.flatnonzero((decoded_hits < 0).any(axis=0)):
-                _bf_stage(code, buf[b, :m + 1], targets[b], bf_iters, start,
-                          decoded_hits[:, b])
+                _bf_stage(code, buf[b, :m + 1], targets[b], bf_iters,
+                          range(start, start + m + 1), decoded_hits[:, b])
     if bf_iters is not None:
         out["decoded_target_hit"], out["decoded_any_codeword"] = decoded_hits
     return out
 
 
 def _bf_stage(code: ParityCode, states: np.ndarray, target_f: np.ndarray, iters: int,
-              start: int, hits: np.ndarray) -> np.ndarray:
-    """`iters` keep-sign BF sweeps on one block of a chain's visited
-    states (T, n_vars), row 0 at sample index start. Sets each entry of
-    hits (first decoded target, first decoded codeword) still at -1 from
-    this block; returns the decoded matrices (T, K, K)."""
+              index, hits: np.ndarray) -> np.ndarray:
+    """`iters` keep-sign BF sweeps on visited states (T, n_vars) of one
+    block of a chain, row i at sample index index[i] (increasing). Sets
+    each entry of hits (first decoded target, first decoded codeword)
+    still at -1 to the smallest index whose decode hits; returns the
+    decoded matrices (T, K, K)."""
     decoded = bf_sweep_batch(vector_to_matrix(code, states), iters)
     decoded_f = matrix_to_vector(code, decoded)
     found = (np.all(decoded_f == target_f, axis=1),
              _is_codeword_flat(code, decoded_f))
     for i, mask in enumerate(found):
         if hits[i] < 0 and mask.any():
-            hits[i] = start + mask.argmax()
+            hits[i] = index[mask.argmax()]
     return decoded
 
 
@@ -766,8 +801,11 @@ def hybrid_decode(
     store_samples: bool = True,
 ) -> tuple[bool, SampleRun]:
     """Two-stage decoding: sample as in mcmc_decode, and run bf_max_iters
-    (>= 1) BF sweeps on every visited state, block by block as the chain
-    runs; success iff any corrected state equals the target.
+    (an integer >= 1) BF sweeps on every distinct visited state, block by
+    block as the chain runs; success iff any corrected state equals the
+    target. A decode depends on the state alone, so a revisit adds
+    nothing; with store_samples run.decoded still holds one decoded
+    state per visited state.
 
     With the same seed and budget the first stage reproduces the
     mcmc_decode chain exactly, and codewords are BF fixed points, so
@@ -778,8 +816,7 @@ def hybrid_decode(
     if tie_policy is not TiePolicy.KEEP:
         raise ValueError("hybrid stage uses the deterministic keep-sign sweep; "
                          f"tie_policy {tie_policy.value!r} is not supported")
-    if bf_max_iters < 1:
-        raise ValueError(f"bf_max_iters must be >= 1, got {bf_max_iters}")
+    _check_count("bf_max_iters", bf_max_iters, 1)
     target_f = _edge_vector(code, target)
     run, _ = _run_chain(code, params, budget, seed, target_f, initial, store_samples,
                         bf_iters=bf_max_iters)

@@ -25,6 +25,7 @@ from parity_decode import (
     encode,
     energy,
     flip_spin,
+    hybrid_decode,
     inversion_function,
     inversion_profile,
     llr as awgn_llr,
@@ -386,6 +387,31 @@ def test_bp_decode_refusals():
     for kwargs, message in cases:
         with pytest.raises(ValueError, match=message):
             bp_decode(code, **kwargs)
+
+
+def test_iteration_counts_must_be_integers():
+    """bf_decode, bp_decode and hybrid_decode refuse a float, bool or
+    other non-integer iteration count before their loop: BP's stop test
+    `it == max_iters` never holds for 2.5, so on a readout it cannot
+    decode (this K=21 one) it would never stop. Numpy integers run as
+    ints."""
+    code = build_code(21)
+    x = sample_iid_errors(code, 0.35, trial_seed(5))
+    target = all_one_matrix(21)
+    assert not bp_decode(code, x=x, epsilon=0.35, max_iters=20, target=target).success
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
+    decodes = [
+        ("max_iters", lambda n: bf_decode(code, x, max_iters=n, target=target).iterations),
+        ("max_iters", lambda n: bp_decode(code, x=x, epsilon=0.35, max_iters=n,
+                                          target=target).iterations),
+        ("bf_max_iters", lambda n: hybrid_decode(code, params, 20, target, 3,
+                                                 bf_max_iters=n)[1].decoded_any_codeword),
+    ]
+    for name, decode in decodes:
+        for bad in (2.5, 3.0, np.float64(2.0), True, "3", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                decode(bad)
+        assert decode(np.int64(3)) == decode(3)
 
 
 def test_bp_llr_input_mode():

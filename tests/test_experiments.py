@@ -339,7 +339,7 @@ def test_bench_refuses_zero_iterations(monkeypatch):
         for K_list in ([5.7], [5, 6.0], [True]):
             with pytest.raises(ValueError, match="K must be an integer"):
                 bench_iid(decoder, K_list, [0.1], trials=3)
-        for name, value in (("trials", 3.9), ("trials", 3.0), ("iters", 2.5),
+        for name, value in (("trials", 3.9), ("trials", 3.0), ("iters", 2.5), ("seed", 2.5),
                             ("mcmc_budget", 4.5), ("mcmc_budget", np.float64(4.0))):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 bench_iid(decoder, [5], [0.1], **{"trials": 3, name: value})
@@ -373,6 +373,41 @@ def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):
             landscape([inst], [1.0], [0.5], strategy=strategy, budget=20, trials_per_cell=-2)
     with pytest.raises(ValueError, match="trials"):
         efficiency_ratio(inst, (1.0, 0.5), (1.0, 0.5), trials=-1)
+    # and counts the details would record truncated, or as a bool
+    for name, value in (("budget_a", 10.5), ("budget_b", True), ("budget_b", 0),
+                        ("trials", 2.5), ("bf_max_iters", 2.0), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            efficiency_ratio(inst, (1.0, 0.5), (1.0, 0.5), **{"trials": 2, name: value})
+
+
+def test_landscape_refuses_sizes_the_config_would_truncate(monkeypatch, tmp_path):
+    """budget, trials_per_cell, seed and bf_max_iters land in the config as
+    ints, so a float or bool one is refused before any unit, for both
+    strategies, as bench_iid refuses its sizes; numpy integers give the
+    same report bytes as ints."""
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    inst = gen_instance(5, 1)
+    common = dict(beta_grid=[1.0], gamma_grid=[0.5], budget=20, trials_per_cell=2,
+                  bf_max_iters=2)
+    with monkeypatch.context() as patch:
+        patch.setattr("parity_decode.experiments._run_units", no_units)
+        for strategy in ("mcmc", "hybrid"):
+            for name, value in (("budget", 10.5), ("budget", 20.0), ("budget", True),
+                                ("trials_per_cell", 1.5), ("trials_per_cell", np.float64(2.0)),
+                                ("bf_max_iters", 2.5), ("bf_max_iters", False),
+                                ("seed", 1.7)):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    landscape([inst], strategy=strategy, **{**common, name: value})
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                landscape([inst], strategy=strategy, **{**common, "budget": 0})
+    for strategy in ("mcmc", "hybrid"):
+        landscape([inst], strategy=strategy, **common).to_json(tmp_path / "plain.json")
+        landscape([inst], strategy=strategy, **{name: np.int32(v) if isinstance(v, int) else v
+                                                for name, v in common.items()}
+                  ).to_json(tmp_path / "numpy.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_bench_bp_and_mcmc_run():
@@ -604,6 +639,15 @@ def test_trajectory_mcmc_source_and_bp():
     )
     assert len(dump.snapshots) == len(dump.error_counts)
     assert dump.meta["decoder"] == "bp"
+
+
+def test_trajectory_refuses_non_integer_iterations():
+    # BP's stop test `it == max_iters` never holds for a float count
+    for decoder in ("bf", "bp"):
+        for iters in (2.5, True):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                trajectory_demo({"kind": "iid", "K": 21, "epsilon": 0.35}, decoder=decoder,
+                                seed=5, iters=iters)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

@@ -333,6 +333,9 @@ def test_chain_drivers_refuse_zero_budget():
     for decode in (mcmc_decode, hybrid_decode):
         with pytest.raises(ValueError, match="budget must be >= 1"):
             decode(code, params, 0, all_one_matrix(5), 1)
+        for budget in (20.5, 20.0, True):
+            with pytest.raises(ValueError, match="budget must be an integer"):
+                decode(code, params, budget, all_one_matrix(5), 1)
 
 
 def test_hybrid_memory_does_not_grow_with_states():
@@ -353,6 +356,46 @@ def test_hybrid_memory_does_not_grow_with_states():
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / 20_000 < 32
+
+
+def test_hybrid_stage_decodes_new_states_only(monkeypatch):
+    """Without stored samples the BF stage decodes the states whose weight
+    memo entry the chain builds, and the final state, not every visited
+    state: on a K = 14 (3, 4) chain whose decoded target never comes, so
+    every block is decoded, at most (memo misses + blocks) rows, under
+    35% of the budget + 1 the stage decoded before."""
+    from parity_decode import mcmc
+
+    inst = gen_instance(14, 0)
+    code = build_code(14)
+    target = encode(code, inst.ground_state)
+    params = HamiltonianParams(beta=3.0, gamma=4.0, couplings=inst.couplings, family="w4")
+    budget, seed = 20_000, trial_seed(0, 31, 0, 1)
+    rows, built = [], []  # rows decoded per BF call, memo misses per block
+    sweep, advance = mcmc.bf_sweep_batch, mcmc._Chain.advance
+
+    def counting_sweep(stack, iters):
+        rows.append(len(stack))
+        return sweep(stack, iters)
+
+    def counting_advance(chain, us, states=None, schedule=None, misses=None):
+        misses = {} if misses is None else misses
+        before = len(misses)
+        out = advance(chain, us, states, schedule, misses)
+        built.append(len(misses) - before)
+        return out
+
+    monkeypatch.setattr(mcmc, "bf_sweep_batch", counting_sweep)
+    monkeypatch.setattr(mcmc._Chain, "advance", counting_advance)
+    ok, run = hybrid_decode(code, params, budget, target, seed, store_samples=False)
+    monkeypatch.undo()
+    blocks = -(-budget // mcmc.UNIFORM_BLOCK)
+    assert not ok and run.decoded_target_hit is None and len(built) == blocks
+    assert sum(rows) <= sum(built) + blocks
+    assert sum(rows) < 0.35 * (budget + 1)
+    _, stored = hybrid_decode(code, params, budget, target, seed)
+    assert (run.decoded_target_hit, run.decoded_any_codeword) == (
+        stored.decoded_target_hit, stored.decoded_any_codeword)
 
 
 def test_average_error_matrix():

@@ -786,6 +786,66 @@ def test_hybrid_hits_in_a_later_block_match_frozen_loop(K, instance):
             assert np.array_equal(np.stack(run.decoded), expected)
 
 
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(2, 9), family=FAMILIES, beta=CHAIN_STRENGTHS, gamma=CHAIN_STRENGTHS,
+       couplings=st.booleans(), seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 80),
+       iters=st.integers(1, 3), initial=st.booleans(),
+       target=st.sampled_from(["codeword", "initial", "ground"]),
+       ramp=st.one_of(st.none(), st.tuples(CHAIN_STRENGTHS, CHAIN_STRENGTHS)), **CHAIN_PATCHES)
+@example(K=3, family="w3", beta=1.5, gamma=0.3, couplings=True, seed=1, budget=1, iters=1,
+         initial=False, target="codeword", ramp=None, interval=7, block=4, memo=16)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=3, budget=3000, iters=1,
+         initial=False, target="ground", ramp=None, interval=1000, block=1024, memo=64)
+@example(K=14, family="w4", beta=3.0, gamma=4.0, couplings=True, seed=8, budget=3000, iters=5,
+         initial=False, target="ground", ramp=None, interval=1000, block=1024, memo=64)
+def test_hybrid_stage_on_new_states_matches_frozen_loop(K, family, beta, gamma, couplings, seed,
+                                                        budget, iters, initial, target, ramp,
+                                                        interval, block, memo):
+    """Without stored samples `_run_chain` BF-decodes only the states
+    whose weight-memo entry it builds, and the final state; its first
+    decoded target and codeword hits equal those of BF sweeps over every
+    state the frozen loop visits. Memos of 1 and 2 states evict states
+    the chain comes back to, and linear ramps empty the memo at every
+    step. In the K=3 example the first hits are at the final state,
+    which starts no step and so builds no memo entry. The K=14 examples run at the real UNIFORM_BLOCK and STATE_MEMO
+    on an instance's ground state: with one sweep the first decoded
+    codeword lies in the second block (at 1209), with five the first
+    decoded target in the first (at 191)."""
+    code = build_code(K)
+    x0 = _spin_matrix(code, seed + 1) if initial else None
+    if target == "ground":
+        inst = gen_instance(K, seed % 16)
+        params = HamiltonianParams(beta=beta, gamma=gamma, couplings=inst.couplings,
+                                   family=family)
+        target_f = matrix_to_vector(code, encode(code, inst.ground_state))
+    else:
+        params = _chain_params(code, beta, gamma, family, couplings, seed)
+        if target == "codeword":
+            z = np.where(np.random.default_rng(seed + 3).random(K) < 0.5, 1, -1)
+            start = encode(code, z)
+        else:
+            start = x0 if initial else vector_to_matrix(
+                code, mcmc._initial_state(code, np.random.default_rng(seed), None))
+        target_f = matrix_to_vector(code, start)
+    schedule = None if ramp is None else mcmc.linear_schedule((beta, ramp[0]), (gamma, ramp[1]))
+    with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", interval), \
+            mock.patch.object(mcmc, "UNIFORM_BLOCK", block), \
+            mock.patch.object(mcmc, "STATE_MEMO", memo):
+        run, stack = mcmc._run_chain(code, params, budget, seed, target_f, x0, False,
+                                     schedule=schedule, bf_iters=iters)
+        *_, ref_stack = _ref_run_chain(code, params, budget, seed, target_f, x0, True, None,
+                                       schedule)
+    expected = bf_sweep_batch(vector_to_matrix(code, ref_stack), iters)
+    target_m = vector_to_matrix(code, target_f)
+    target_hits = [t for t, d in enumerate(expected) if np.array_equal(d, target_m)]
+    codeword_hits = [t for t, d in enumerate(expected) if is_codeword(code, d)]
+    assert stack is None and run.decoded is None
+    assert run.decoded_target_hit == (target_hits[0] if target_hits else None)
+    assert run.decoded_any_codeword == (codeword_hits[0] if codeword_hits else None)
+    if K == 14 and iters == 1:
+        assert run.decoded_any_codeword > mcmc.UNIFORM_BLOCK
+
+
 @SETTINGS
 @given(K=st.integers(2, 9), family=FAMILIES, beta=CHAIN_STRENGTHS, gamma=CHAIN_STRENGTHS,
        couplings=st.booleans(), seed=st.integers(0, 2**32 - 1))
