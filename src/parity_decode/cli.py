@@ -205,13 +205,14 @@ def cmd_decode(args) -> int:
     return 0 if res.success else 1
 
 
-def _write_report(report, out_dir: str) -> tuple[str, str]:
+def _write_report(report, out_dir: str) -> None:
+    """Write the report's CSV and JSON files under out_dir, printing
+    `wrote <path>` for each."""
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, report.default_stem())
-    csv_path, json_path = stem + ".csv", stem + ".json"
-    report.to_csv(csv_path)
-    report.to_json(json_path)
-    return csv_path, json_path
+    for path, write in ((stem + ".csv", report.to_csv), (stem + ".json", report.to_json)):
+        write(path)
+        print(f"wrote {path}")
 
 
 def cmd_bench(args) -> int:
@@ -222,9 +223,7 @@ def cmd_bench(args) -> int:
         mcmc_gamma=args.gamma, mcmc_family=args.syndrome_family,
         n_workers=args.threads,
     )
-    csv_path, json_path = _write_report(report, args.out_dir)
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    _write_report(report, args.out_dir)
     print("decoder  K    epsilon  trials  failure_prob")
     for row in report.rows:
         print(f"{row['decoder']:7s}  {row['K']:<4d} {row['epsilon']:<8.3g} "
@@ -242,9 +241,7 @@ def cmd_landscape(args) -> int:
         trials_per_cell=args.trials, seed=seed, bf_max_iters=args.bf_iters,
         n_workers=args.threads,
     )
-    csv_path, json_path = _write_report(report, args.out_dir)
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    _write_report(report, args.out_dir)
     best = best_cell(report)
     print(f"best cell: beta={best['beta']} gamma={best['gamma']} "
           f"target_rate={best['target_rate']:.3f} any_rate={best['any_codeword_rate']:.3f}")

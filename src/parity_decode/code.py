@@ -264,17 +264,28 @@ def syndrome(code: ParityCode, x: np.ndarray, family: str = "w3") -> np.ndarray:
     return _syndrome_flat(code, _edge_vector(code, x), family)
 
 
+def _family(code: ParityCode, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """(members, adjacency) of one check family: "w3" gives checks3_vars
+    and checks3_of_var, "w4" checks4_vars and checks4_of_var. The one
+    place a family name is turned into arrays, and so the one refusal of
+    an unknown family."""
+    if family == "w3":
+        return code.checks3_vars, code.checks3_of_var
+    if family == "w4":
+        return code.checks4_vars, code.checks4_of_var
+    raise ValueError(f"unknown syndrome family {family!r} (expected 'w3' or 'w4')")
+
+
 def _syndrome_flat(code: ParityCode, xf: np.ndarray, family: str) -> np.ndarray:
     """Check values of edge vectors, (..., n_vars) -> (..., n_checks), in
     the dtype of xf (products of +-1 are exact in any integer type)."""
-    if family == "w3":
-        idx = code.checks3_vars
-        return xf[..., idx[:, 0]] * xf[..., idx[:, 1]] * xf[..., idx[:, 2]]
-    if family == "w4":
-        idx = code.checks4_vars
-        vals = np.where(idx >= 0, xf[..., idx], 1)
-        return vals[..., 0] * vals[..., 1] * vals[..., 2] * vals[..., 3]
-    raise ValueError(f"unknown syndrome family {family!r} (expected 'w3' or 'w4')")
+    first, *rest = _family(code, family)[0].T
+    # a -1 member, the fictitious diagonal spin, reads the appended +1
+    xp = np.concatenate([xf, np.ones_like(xf[..., :1])], axis=-1)
+    s = xp[..., first]
+    for col in rest:
+        s = s * xp[..., col]
+    return s
 
 
 @functools.cache
@@ -352,18 +363,10 @@ def generator_matrix(code: ParityCode) -> np.ndarray:
 
 def check_matrix(code: ParityCode, family: str = "w3") -> np.ndarray:
     """n_checks x n_vars binary parity-check matrix of one family."""
-    if family == "w3":
-        rows, idx = code.n_checks3, code.checks3_vars
-    elif family == "w4":
-        rows, idx = code.n_checks4, code.checks4_vars
-    else:
-        raise ValueError(f"unknown syndrome family {family!r}")
-    H = np.zeros((rows, code.n_vars), dtype=np.uint8)
-    for c in range(rows):
-        for v in idx[c]:
-            if v >= 0:
-                H[c, v] = 1
-    return H
+    members = _family(code, family)[0]
+    H = np.zeros((len(members), code.n_vars + 1), dtype=np.uint8)
+    H[np.arange(len(members))[:, None], members] = 1  # -1 members mark the dropped last column
+    return H[:, :-1]
 
 
 def gf2_product_is_zero(A: np.ndarray, B_t: np.ndarray) -> bool:

@@ -29,6 +29,7 @@ from .code import (
     validate_spin_matrix,
     vector_to_matrix,
     _edge_vector,
+    _family,
     _is_codeword_flat,
     _syndrome_flat,
 )
@@ -301,7 +302,7 @@ _KINDS = ("bf", "wbf", "gdbf", "mcmc")
 
 
 def _check_weight_vector(code: ParityCode, weights: InversionWeights, family: str) -> np.ndarray:
-    n = code.n_checks3 if family == "w3" else code.n_checks4
+    n = len(_family(code, family)[0])
     wk = np.asarray(weights.wk, dtype=np.float64)
     if wk.ndim == 0:
         return np.full(n, float(wk))
@@ -328,8 +329,7 @@ def _adjacent_sum(code: ParityCode, s: np.ndarray, family: str, per_check: np.nd
     The adjacency's -1 padding (w4) reads the appended trailing 0, so a
     code without checks (K = 2) sums to zeros."""
     vals = s.astype(np.float64) if per_check is None else s * per_check
-    adj = code.checks3_of_var if family == "w3" else code.checks4_of_var
-    return np.append(vals, 0.0)[adj].sum(axis=1)
+    return np.append(vals, 0.0)[_family(code, family)[1]].sum(axis=1)
 
 
 def inversion_profile(

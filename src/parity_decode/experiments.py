@@ -241,7 +241,7 @@ def bench_iid(
         "eps_list": [float(e) for e in eps_list], "trials": int(trials),
         "iters": int(iters), "seed": int(seed), "tie_policy": tie_policy.value,
         "mcmc_budget": None if mcmc_budget is None else int(mcmc_budget),
-        "mcmc_gamma": mcmc_gamma,
+        "mcmc_gamma": float(mcmc_gamma),
         "mcmc_family": mcmc_family,
         "codeword": None if codeword is None else np.asarray(codeword).tolist(),
     }

@@ -26,8 +26,13 @@ k negates each adjacent check c and moves the sum of every member of c
 by -2 s_c(old); the integer sums are exact, and every
 ENERGY_CHECK_INTERVAL steps they are compared with a full recomputation.
 
-Two engines share that table and one weight formula: v = max(dH, 0),
-w = exp(min v - v), so the log escape rate is -min v + log(sum w).
+Two engines share that table, and each writes the same weight formula
+for its own array shape: v = max(dH, 0), w = exp(min v - v), so the log
+escape rate is -min v + log(sum w). One function for both shapes would
+take the minimum as v.min(axis=-1), which costs about 0.7 us on one
+C(14, 2) row where the single chain's v[v.argmin()] costs 0.16 us
+(2-vCPU AMD EPYC), so every weight-memo miss would cost about 0.5 us
+more.
 `_Chain` runs one chain, for `mcmc_decode`, `hybrid_decode`,
 `visit_distribution` and `rejection_free_step`, all through one step
 kernel, `_Chain.advance`: a block of UNIFORM_BLOCK steps in one Python
@@ -46,10 +51,11 @@ step costs about 2.3 us at K=14 w4 (beta, gamma) = (3, 4), where 71% of
 the steps start from a memo-held state (76% are not first visits, so no
 memo could pass that), 4.6 us at (1.5, 0.2), where 1% do, and 5.0 us
 at K=40 w3 gamma = 1 from an eps = 0.1 readout, where 48% do. The
-hybrid's BF stage reads the memo's misses too: without stored samples
-it decodes every distinct state, the ones whose memo entry a block
-builds (a state's first visit always does) and the final state, rather
-than every step's; at that K=14 cell that is 27% of the steps.
+hybrid's BF stage reads the memo's misses too: it decodes every
+distinct state, the ones whose memo entry a block builds (a state's
+first visit always does) and the final state, rather than every step's;
+at that K=14 cell that is 27% of the steps. A run that stores its
+samples decodes the stored stack after the chain instead.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
 row with its own parameters and stream; `experiments.landscape` and both
 arms of `experiments.efficiency_ratio` run their chains through it. It is
@@ -79,8 +85,10 @@ from .code import (
     validate_spin_matrix,
     vector_to_matrix,
     _edge_vector,
+    _family,
     _is_codeword_flat,
     _syndrome_flat,
+    build_code,
 )
 from .decoders import (
     TiePolicy,
@@ -111,8 +119,7 @@ class HamiltonianParams:
 
     def __post_init__(self):
         _check_strengths(beta=self.beta, gamma=self.gamma)
-        if self.family not in ("w3", "w4"):
-            raise ValueError(f"unknown syndrome family {self.family!r}")
+        _family(build_code(2), self.family)  # refuses an unknown family
         if self.couplings is not None:
             object.__setattr__(
                 self, "couplings", np.asarray(self.couplings, dtype=np.float64).ravel()
@@ -178,10 +185,7 @@ def _flip_table(code: ParityCode, family: str) -> tuple[np.ndarray, np.ndarray, 
     plaquettes). Padding points to a dummy check, column n_checks, whose
     value is kept at 0, and to a dummy variable, column n_vars, whose
     adjacent sum is never read."""
-    if family == "w3":
-        adj, check_vars = code.checks3_of_var, code.checks3_vars
-    else:
-        adj, check_vars = code.checks4_of_var, code.checks4_vars
+    check_vars, adj = _family(code, family)
     size = check_vars.shape[1]
     adj = np.where(adj >= 0, adj, len(check_vars))
     check_vars = np.vstack([np.where(check_vars >= 0, check_vars, code.n_vars),
@@ -511,15 +515,17 @@ def _run_chain(
     random when None) toward the edge vector target_f; returns the run
     and, when store_samples is set (run.samples), the (budget + 1,
     n_vars) stack of visited edge vectors, initial state first. With
-    bf_iters set, each block of UNIFORM_BLOCK steps goes through
-    _bf_stage as it ends, setting run's decoded hits: under
-    store_samples every state of the block (for run.decoded), otherwise
-    only its distinct states, the ones whose weight-memo entry the block
-    built, and at the end the final state. A first decoded hit is a
-    state's first visit, and each first visit builds a memo entry, so
-    the hits are the same; a state decoded again, after its entry was
-    evicted or the memo emptied, only comes at a later index. Only that
-    block's states are held without store_samples."""
+    bf_iters set, _bf_stage sets run's decoded hits. Without
+    store_samples it runs as each block of UNIFORM_BLOCK steps ends, on
+    the block's distinct states, the ones whose weight-memo entry the
+    block built, and at the end the final state, until both hits are
+    found: a first decoded hit is a state's first visit, and each first
+    visit builds a memo entry, while a state decoded again, after its
+    entry was evicted or the memo emptied, only comes at a later index.
+    Only that block's states are held. With store_samples the stored
+    stack is decoded once after the chain, UNIFORM_BLOCK states at a
+    time, for run.decoded (one decoded state per sample index) and the
+    hits."""
     _check_count("budget", budget, 1)
     rng = as_generator(seed)
     xf0 = _initial_state(code, rng, initial)
@@ -535,7 +541,6 @@ def _run_chain(
     elif stream_to is not None:
         buf = np.empty((min(UNIFORM_BLOCK, budget) + 1, code.n_vars), dtype=np.int8)
     decoded_hits = np.full(2, -1)  # first decoded target, first decoded codeword
-    run.decoded = [] if store_samples and bf_iters is not None else None
     misses = {} if bf_iters is not None and not store_samples else None
     sink = open(stream_to, "w") if stream_to is not None else None
     try:
@@ -546,7 +551,7 @@ def _run_chain(
             m = min(UNIFORM_BLOCK, budget - start)
             if stack is not None:
                 buf = stack[start:start + m + 1]
-            stage = bf_iters is not None and (run.decoded is not None or (decoded_hits < 0).any())
+            stage = misses is not None and (decoded_hits < 0).any()
             # advance sets buf row 0 to the state at sample index start
             _, block_e, entries = chain.advance(rng.random(m).tolist(), buf, schedule,
                                                 misses if stage else None)
@@ -555,20 +560,14 @@ def _run_chain(
             if sink is not None:
                 sink.writelines(f"{t},{e!r},{pack_state_hex(row)}\n"
                                 for t, (e, row) in enumerate(zip(block_e, buf[1:]), start + 1))
-            if stage:
-                if misses is None:  # every state of the block, for run.decoded
-                    index, states = range(start, start + m + 1), buf[:m + 1]
-                else:  # the block's new states
-                    if start + m == budget:  # the final state starts no step
-                        misses[budget] = chain.xf.tobytes()
-                    index = list(misses)
+            if stage:  # the block's new states
+                if start + m == budget:  # the final state starts no step
+                    misses[budget] = chain.xf.tobytes()
+                if misses:
                     states = np.frombuffer(b"".join(misses.values()), np.int8).reshape(
-                        len(index), code.n_vars)
+                        len(misses), code.n_vars)
+                    _bf_stage(code, states, target_f, bf_iters, list(misses), decoded_hits)
                     misses.clear()
-                if index:
-                    block = _bf_stage(code, states, target_f, bf_iters, index, decoded_hits)
-                    if run.decoded is not None:
-                        run.decoded.extend(block[1:] if start else block)
     finally:
         if sink is not None:
             sink.close()
@@ -576,6 +575,10 @@ def _run_chain(
     run.target_hit, run.first_codeword = chain.target_hit, chain.first_codeword
     if store_samples:
         run.samples = list(vector_to_matrix(code, stack[1:]))
+        if bf_iters is not None:
+            run.decoded = [d for start in range(0, budget + 1, UNIFORM_BLOCK)
+                           for d in _bf_stage(code, stack[start:start + UNIFORM_BLOCK], target_f,
+                                              bf_iters, range(start, budget + 1), decoded_hits)]
     if bf_iters is not None:
         run.decoded_target_hit, run.decoded_any_codeword = (
             None if hit < 0 else int(hit) for hit in decoded_hits)
@@ -588,8 +591,7 @@ def _run_lockstep(
     budget: int,
     seeds,
     targets: np.ndarray,
-    record_states: bool = False,
-    record_energies: bool = False,
+    record: bool = False,
     bf_iters: int | None = None,
 ) -> dict:
     """Advance B independent chains in lockstep on (B, n_vars) arrays.
@@ -598,14 +600,14 @@ def _run_lockstep(
     seeds[b] and the edge-vector target targets[b] (random initial
     state, fixed parameters, one family for all rows), bit for bit.
     Returns a dict of arrays: target_hit and first_codeword (B,) with -1
-    for never; states (B, budget + 1, n_vars) int8, initial state first,
-    when record_states; energies and escape_rates (B, budget) when
-    record_energies; with bf_iters set, hybrid_decode's first hits
-    decoded_target_hit and decoded_any_codeword (B,), from _bf_stage run
-    row by row on each block of UNIFORM_BLOCK steps. Rows with both hits
-    are skipped. The block's states are at most LOCKSTEP_GROUP *
-    (UNIFORM_BLOCK + 1) * C(K, 2) bytes, about 72 MB at K = 24, whatever
-    the budget."""
+    for never; with record set, states (B, budget + 1, n_vars) int8,
+    initial state first, and energies and escape_rates (B, budget), as
+    _run_chain's stack and records; with bf_iters set, hybrid_decode's
+    first hits decoded_target_hit and decoded_any_codeword (B,), from
+    _bf_stage run row by row on each block of UNIFORM_BLOCK steps. Rows
+    with both hits are skipped. Without record, the block's states are
+    at most LOCKSTEP_GROUP * (UNIFORM_BLOCK + 1) * C(K, 2) bytes, about
+    72 MB at K = 24, whatever the budget."""
     _check_count("budget", budget, 1)
     family = params_rows[0].family
     if any(p.family != family for p in params_rows):
@@ -636,14 +638,13 @@ def _run_lockstep(
     first_codeword = np.where(n_unsat == 0, 0, -1)
     out = {"target_hit": target_hit, "first_codeword": first_codeword}
     buf = None
-    if record_states:
+    if record:
         states = out["states"] = np.empty((B, budget + 1, n), dtype=np.int8)
+        energies = out["energies"] = np.empty((B, budget))
+        rates = out["escape_rates"] = np.empty((B, budget))
     elif bf_iters is not None:
         buf = np.empty((B, min(UNIFORM_BLOCK, budget) + 1, n), dtype=np.int8)
     decoded_hits = np.full((2, B), -1)  # first decoded target, first decoded codeword
-    if record_energies:
-        energies = out["energies"] = np.empty((B, budget))
-        rates = out["escape_rates"] = np.empty((B, budget))
 
     # flat views and per-row offsets for 1-D fancy indexing
     xr, Jr, tr = x.ravel(), J.ravel(), targets.ravel()
@@ -659,7 +660,7 @@ def _run_lockstep(
     for start in range(0, budget, UNIFORM_BLOCK):
         m = min(UNIFORM_BLOCK, budget - start)
         block = np.stack([rng.random(m) for rng in rngs], axis=1)
-        if record_states:
+        if record:
             buf = states[:, start:start + m + 1]
         if buf is not None:  # row 0: the state at sample index start
             buf[:, 0] = x
@@ -697,7 +698,7 @@ def _run_lockstep(
                 for b in range(B):
                     n_unsat[b], corr[b] = _checked_totals(code, family, adj, J[b], x[b],
                                                           adj_sum[b], n_unsat[b], corr[b])
-            if record_energies:
+            if record:
                 rates[:, t - 1] = np.exp(-low) * total
                 energies[:, t - 1] = -beta * corr + gamma * n_unsat
             if buf is not None:
@@ -719,8 +720,8 @@ def _run_lockstep(
 
 def _bf_stage(code: ParityCode, states: np.ndarray, target_f: np.ndarray, iters: int,
               index, hits: np.ndarray) -> np.ndarray:
-    """`iters` keep-sign BF sweeps on visited states (T, n_vars) of one
-    block of a chain, row i at sample index index[i] (increasing). Sets
+    """`iters` keep-sign BF sweeps on visited states (T, n_vars) of a
+    chain, row i at sample index index[i] (increasing). Sets
     each entry of hits (first decoded target, first decoded codeword)
     still at -1 to the smallest index whose decode hits; returns the
     decoded matrices (T, K, K)."""
@@ -740,7 +741,12 @@ def pack_state_hex(xf: np.ndarray) -> str:
 
 
 def unpack_state_hex(text: str, n_vars: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(text), dtype=np.uint8))[:n_vars]
+    """Edge vector of n_vars spins from pack_state_hex's text, which must
+    hold ceil(n_vars / 8) bytes."""
+    raw = bytes.fromhex(text)
+    if len(raw) != -(-n_vars // 8):
+        raise ValueError(f"state hex holds {len(raw)} bytes, not ceil({n_vars} / 8)")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_vars]
     return np.where(bits == 1, -1, 1).astype(np.int8)
 
 
@@ -804,8 +810,9 @@ def hybrid_decode(
     (an integer >= 1) BF sweeps on every distinct visited state, block by
     block as the chain runs; success iff any corrected state equals the
     target. A decode depends on the state alone, so a revisit adds
-    nothing; with store_samples run.decoded still holds one decoded
-    state per visited state.
+    nothing. With store_samples the stored states are decoded once after
+    the chain instead, and run.decoded holds one decoded state per
+    sample index, the initial state first.
 
     With the same seed and budget the first stage reproduces the
     mcmc_decode chain exactly, and codewords are BF fixed points, so
@@ -846,7 +853,10 @@ def visit_distribution(
     """Holding-time-weighted occupancy of visited states, keyed by the
     flat edge vector's bytes. Converges to the Boltzmann distribution of
     the configured energy. Holding times 1/rate are summed as logs, so
-    escape rates that underflow to 0 (steep penalties) stay finite."""
+    escape rates that underflow to 0 (steep penalties) stay finite.
+    steps and burn_in must be integers >= 0."""
+    _check_count("steps", steps, 0)
+    _check_count("burn_in", burn_in, 0)
     rng = as_generator(seed)
     chain = _Chain(code, params, _initial_state(code, rng, initial), rng)
     states = np.empty((min(UNIFORM_BLOCK, steps) + 1, code.n_vars), dtype=np.int8)

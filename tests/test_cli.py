@@ -282,6 +282,21 @@ def test_landscape_cli_small(tmp_path, capsys):
     assert "best cell" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1", "--trials", "4"],
+    ["landscape", "--k", "5", "--instances", "1", "--beta", "1.0", "--gamma", "0.5",
+     "--budget", "20", "--trials", "2"],
+])
+def test_report_commands_print_each_written_path_once(tmp_path, capsys, args):
+    code, out, _ = run_cli(args + ["--seed", "3", "--threads", "1", "--out-dir", str(tmp_path)],
+                           capsys)
+    assert code == 0
+    stem = os.path.join(str(tmp_path), os.path.splitext(sorted(os.listdir(tmp_path))[0])[0])
+    lines = out.splitlines()
+    assert lines[:2] == [f"wrote {stem}.csv", f"wrote {stem}.json"]
+    assert sum(line.startswith("wrote ") for line in lines) == 2
+
+
 def test_landscape_cli_refuses_zero_bf_iters(tmp_path, capsys):
     code, _, err = run_cli(
         ["landscape", "--k", "5", "--instances", "1", "--beta", "1.0", "--gamma", "0.5",

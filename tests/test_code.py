@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from parity_decode import (
+    HamiltonianParams,
     MatrixFormatError,
     all_one_matrix,
     build_code,
     check_matrix,
     codewords,
+    count_errors,
     encode,
     error_matrix,
     generator_matrix,
@@ -24,7 +26,7 @@ from parity_decode import (
     vector_to_matrix,
     write_spin_matrix_csv,
 )
-from parity_decode.code import gf2_product_is_zero
+from parity_decode.code import gf2_product_is_zero, validate_logical_state
 
 # Reference matrices for K = 4, edge order (12,13,14,23,24,34).
 G4 = np.array([
@@ -288,6 +290,53 @@ def test_validate_spin_matrix_errors():
     nodiag[1, 1] = -1
     with pytest.raises(ValueError):
         validate_spin_matrix(nodiag)
+
+
+def test_size_and_entry_refusals():
+    code = build_code(4)
+    with pytest.raises(ValueError, match="has size 3, expected 4"):
+        validate_spin_matrix(all_one_matrix(3), K=4)
+    with pytest.raises(ValueError, match="entries must be"):
+        validate_logical_state([1, -1, 0, 1], K=4)
+    with pytest.raises(ValueError, match="length 3, expected 4"):
+        validate_logical_state([1, -1, 1], K=4)
+    for m in (np.ones((3, 3)), np.ones((4, 5)), np.ones(6)):
+        with pytest.raises(ValueError, match="does not match K=4"):
+            matrix_to_vector(code, m)
+    for v in (np.ones(5), np.ones((2, 7)), np.int8(1)):
+        with pytest.raises(ValueError, match="does not match n_vars=6"):
+            vector_to_matrix(code, v)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        error_matrix(all_one_matrix(3), all_one_matrix(4))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        count_errors(all_one_matrix(3), all_one_matrix(4))
+
+
+@pytest.mark.parametrize("family", ["w5", "W3", "", None])
+def test_unknown_family_refused_with_one_message(family):
+    code = build_code(4)
+    message = rf"unknown syndrome family {family!r} \(expected 'w3' or 'w4'\)"
+    with pytest.raises(ValueError, match=message):
+        syndrome(code, all_one_matrix(4), family)
+    with pytest.raises(ValueError, match=message):
+        check_matrix(code, family)
+    with pytest.raises(ValueError, match=message):
+        HamiltonianParams(family=family)
+
+
+def test_check_matrix_reads_each_family_member(rng_seed=5):
+    """Row c of check_matrix marks exactly the stored members of check c
+    (not the fictitious diagonal ones), so H x over GF(2) gives the
+    syndrome of any state."""
+    rng = np.random.default_rng(rng_seed)
+    for K in (2, 3, 5, 8):
+        code = build_code(K)
+        for family in ("w3", "w4"):
+            H = check_matrix(code, family)
+            m = random_spin_matrix(K, rng)
+            bits = (matrix_to_vector(code, m) == -1).astype(np.int64)
+            assert np.array_equal(1 - 2 * (H.astype(np.int64) @ bits % 2),
+                                  syndrome(code, m, family))
 
 
 def test_vector_matrix_roundtrip():

@@ -354,6 +354,39 @@ def test_bench_accepts_numpy_integer_sizes(tmp_path):
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
+def test_bench_records_gamma_as_a_float(tmp_path):
+    """mcmc_gamma lands in the config as a Python float: a numpy float32
+    one is written, and 1 and 1.0 give one config hash and the same
+    report bytes."""
+    for decoder in ("bf", "mcmc"):
+        blobs, stems = set(), set()
+        for gamma in (1.0, 1, np.float32(1.0), np.float64(1.0)):
+            rep = bench_iid(decoder, [5], [0.1], trials=3, iters=2, seed=4, mcmc_gamma=gamma)
+            assert type(rep.config["mcmc_gamma"]) is float
+            rep.to_json(tmp_path / "r.json")
+            rep.to_csv(tmp_path / "r.csv")
+            blobs.add((tmp_path / "r.json").read_bytes() + (tmp_path / "r.csv").read_bytes())
+            stems.add(rep.default_stem())
+        assert len(blobs) == 1 and len(stems) == 1
+
+
+def test_experiment_entry_refusals():
+    with pytest.raises(ValueError, match="couplings length 5 != C\\(4,2\\)"):
+        ProblemInstance.from_couplings(4, np.zeros(5))
+    with pytest.raises(ValueError, match="unknown decoder 'sa'"):
+        bench_iid("sa", [5], [0.1], trials=3)
+    with pytest.raises(ValueError, match="same K"):
+        landscape(_tiny_instances(K=5, n=1) + _tiny_instances(K=6, n=1), beta_grid=[1.0],
+                  gamma_grid=[0.5], budget=5, trials_per_cell=1)
+    with pytest.raises(ValueError, match="empty report"):
+        best_cell(BenchmarkReport(kind="landscape", config={}, rows=[]))
+    for kind in ("awgn", None):
+        with pytest.raises(ValueError, match=f"unknown source kind {kind!r}"):
+            trajectory_demo({"kind": kind, "K": 5, "epsilon": 0.1})
+    with pytest.raises(ValueError, match="unknown decoder 'mwd'"):
+        trajectory_demo({"kind": "iid", "K": 5, "epsilon": 0.1}, decoder="mwd")
+
+
 def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):
     def no_chains(*args, **kwargs):
         raise AssertionError("a chain ran")

@@ -61,7 +61,7 @@ def _assert_rows_match_single_chains(code, params, budget, seeds, targets, iters
     batch's decoded hits, with and without recorded states, equal
     hybrid_decode's."""
     out = _run_lockstep(code, params, budget, seeds, targets,
-                        record_states=True, record_energies=True, bf_iters=iters)
+                        record=True, bf_iters=iters)
     streamed = _run_lockstep(code, params, budget, seeds, targets, bf_iters=iters)
     assert "states" not in streamed
     for b in range(len(seeds)):
@@ -137,7 +137,7 @@ def test_lockstep_crosses_drift_checks_on_a_long_chain():
     targets = np.stack([matrix_to_vector(code, encode(code, inst.ground_state))] * 3)
     budget = 2 * mcmc.UNIFORM_BLOCK + 17
     with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", 500):
-        out = _run_lockstep(code, params, budget, [1, 2, 3], targets, record_energies=True)
+        out = _run_lockstep(code, params, budget, [1, 2, 3], targets, record=True)
         for b, seed in enumerate([1, 2, 3]):
             run, _ = _run_chain(code, params[b], budget, seed, targets[b], None, False)
             assert out["energies"][b].tobytes() == run.energies.tobytes()

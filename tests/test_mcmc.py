@@ -241,6 +241,20 @@ def test_boltzmann_visit_distribution_small():
     assert tv < 0.05
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("steps", 2.5, "steps must be an integer"),
+    ("steps", True, "steps must be an integer"),
+    ("steps", -3, "steps must be >= 0"),
+    ("burn_in", -1, "burn_in must be >= 0"),
+    ("burn_in", 1.5, "burn_in must be an integer"),
+])
+def test_visit_distribution_refuses_bad_counts(name, value, message):
+    code = build_code(4)
+    args = {"steps": 20, "burn_in": 2, name: value}
+    with pytest.raises(ValueError, match=message):
+        visit_distribution(code, HamiltonianParams(), seed=1, **args)
+
+
 def test_visit_distribution_finite_when_escape_rates_underflow():
     # gamma = 1000 from a codeword: exp(shift) underflows, so recorded
     # escape rates are exactly 0; the holding-time weights must not
@@ -495,6 +509,21 @@ def test_stream_to_csv(tmp_path):
     # pack/unpack round-trip
     xf = matrix_to_vector(code, run.samples[-1])
     assert np.array_equal(unpack_state_hex(pack_state_hex(xf), code.n_vars), xf)
+
+
+def test_unpack_state_hex_refuses_a_wrong_byte_count():
+    """The text must hold exactly ceil(n_vars / 8) bytes: "ab" used to
+    give 8 spins for n_vars = 20."""
+    from parity_decode import pack_state_hex, unpack_state_hex
+
+    for text, n_vars in (("ab", 20), ("abcd", 20), ("abcdef01", 20), ("", 1), ("00", 0)):
+        message = rf"holds {len(text) // 2} bytes, not ceil\({n_vars} / 8\)"
+        with pytest.raises(ValueError, match=message):
+            unpack_state_hex(text, n_vars)
+    assert unpack_state_hex("abcdef", 20).shape == (20,)
+    for n_vars in (0, 1, 8, 9, 20):
+        xf = np.where(np.arange(n_vars) % 3 == 0, -1, 1).astype(np.int8)
+        assert np.array_equal(unpack_state_hex(pack_state_hex(xf), n_vars), xf)
 
 
 def test_average_error_matrix_empty_run():
