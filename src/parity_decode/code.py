@@ -104,6 +104,24 @@ class ParityCode:
         )
 
 
+def _check_count(name: str, value, low: int | None = None) -> None:
+    """Refuse a size, count or iteration number that is not an integer
+    (numpy integers included, bool not) or, with low given, is below
+    low: a float one would be truncated, or never met by a loop's
+    equality test."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_strengths(where: str = "", **values) -> None:
+    """Refuse any named value, or entry of one, that is not finite and >= 0."""
+    for name, value in values.items():
+        if not (np.isfinite(value) & np.greater_equal(value, 0)).all():
+            raise ValueError(f"{name} must be finite and >= 0{where}, got {value}")
+
+
 _BUILD_LOCK = threading.Lock()  # functools.cache alone lets concurrent first calls build twice
 
 
@@ -114,70 +132,46 @@ def build_code(K: int) -> ParityCode:
     returns the same instance, whose arrays are read-only.
     Raises ValueError for K < 2.
     """
-    if not isinstance(K, (int, np.integer)) or isinstance(K, bool):
-        raise ValueError(f"K must be an integer, got {K!r}")
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+    _check_count("K", K, 2)
     with _BUILD_LOCK:
         return _construct(int(K))
+
+
+def _member_positions(members: np.ndarray, n_vars: int, width: int) -> np.ndarray:
+    """Where each variable occurs in members.ravel(), as (n_vars, width):
+    row v lists v's flat positions in increasing order, padded with -1.
+    The -1 (fictitious) members are skipped. Divided by the row length
+    of members, a position is its check: this gives checks3_of_var,
+    checks4_of_var and BP's gather."""
+    flat = members.ravel()
+    pos = np.flatnonzero(flat >= 0)
+    pos = pos[np.argsort(flat[pos], kind="stable")]
+    var = flat[pos]
+    counts = np.bincount(var, minlength=n_vars)
+    rank = np.arange(len(pos)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.full((n_vars, width), -1, dtype=np.int64)
+    out[var, rank] = pos
+    return out
 
 
 @functools.cache
 def _construct(K: int) -> ParityCode:
     """Deterministic index structure of the code for K >= 2, every array
     read-only."""
-    edges = np.array(list(itertools.combinations(range(K), 2)), dtype=np.int64)
-    edges = edges.reshape(-1, 2)
+    edges = np.stack(np.triu_indices(K, 1), axis=1)
     n_vars = len(edges)
-
     pair_index = np.full((K, K), -1, dtype=np.int64)
-    for v, (i, j) in enumerate(edges):
-        pair_index[i, j] = v
-        pair_index[j, i] = v
+    pair_index[edges[:, 0], edges[:, 1]] = pair_index[edges[:, 1], edges[:, 0]] = np.arange(n_vars)
 
     # Triangle checks: every triple i<j<k, touching edges ij, ik, jk.
-    triples = list(itertools.combinations(range(K), 3))
-    checks3 = np.array(triples, dtype=np.int64).reshape(-1, 3)
-    if len(triples):
-        checks3_vars = np.stack(
-            [
-                pair_index[checks3[:, 0], checks3[:, 1]],
-                pair_index[checks3[:, 0], checks3[:, 2]],
-                pair_index[checks3[:, 1], checks3[:, 2]],
-            ],
-            axis=1,
-        )
-    else:
-        checks3_vars = np.empty((0, 3), dtype=np.int64)
-
-    # Plaquette checks: quadruple (k, k+1, m, m+1) touches the spins
-    # {k,m}, {k+1,m}, {k+1,m+1}, {k,m+1}. When k+1 == m the member
-    # {k+1,m} is the fictitious diagonal spin, entered as -1.
-    quads = []
-    quad_vars = []
-    for k in range(K - 1):
-        for m in range(k + 1, K - 1):
-            quads.append((k, k + 1, m, m + 1))
-            members = [(k, m), (k + 1, m), (k + 1, m + 1), (k, m + 1)]
-            quad_vars.append([-1 if a == b else pair_index[a, b] for a, b in members])
-    checks4 = np.array(quads, dtype=np.int64).reshape(-1, 4)
-    checks4_vars = np.array(quad_vars, dtype=np.int64).reshape(-1, 4)
-
-    # Per-variable adjacency.
-    if len(triples):
-        order = np.argsort(checks3_vars.ravel(), kind="stable")
-        checks3_of_var = (order // 3).reshape(n_vars, K - 2)
-    else:
-        checks3_of_var = np.empty((n_vars, 0), dtype=np.int64)
-
-    lists4: list[list[int]] = [[] for _ in range(n_vars)]
-    for c, row in enumerate(checks4_vars):
-        for v in row:
-            if v >= 0:
-                lists4[v].append(c)
-    checks4_of_var = np.full((n_vars, 4), -1, dtype=np.int64)
-    for v, cs in enumerate(lists4):
-        checks4_of_var[v, : len(cs)] = cs
+    checks3 = np.array(list(itertools.combinations(range(K), 3)), dtype=np.int64).reshape(-1, 3)
+    checks3_vars = np.ascontiguousarray(pair_index[checks3[:, [0, 0, 1]], checks3[:, [1, 2, 2]]])
+    # Plaquette checks: quadruple (k, k+1, m, m+1), k < m, touches the
+    # spins {k,m}, {k+1,m}, {k+1,m+1}, {k,m+1}. When k+1 == m the member
+    # {k+1,m} is the diagonal, which pair_index marks -1 (fictitious).
+    k, m = np.triu_indices(K - 1, 1)
+    checks4 = np.stack([k, k + 1, m, m + 1], axis=1)
+    checks4_vars = np.ascontiguousarray(pair_index[checks4[:, [0, 1, 1, 0]], checks4[:, [2, 2, 3, 3]]])
 
     arrays = dict(
         edges=edges,
@@ -186,8 +180,8 @@ def _construct(K: int) -> ParityCode:
         checks3_vars=checks3_vars,
         checks4=checks4,
         checks4_vars=checks4_vars,
-        checks3_of_var=checks3_of_var,
-        checks4_of_var=checks4_of_var,
+        checks3_of_var=_member_positions(checks3_vars, n_vars, K - 2) // 3,
+        checks4_of_var=_member_positions(checks4_vars, n_vars, 4) // 4,
     )
     for a in arrays.values():
         a.setflags(write=False)  # shared by every caller in the process
@@ -334,6 +328,13 @@ def random_spin_matrix(K: int, rng: np.random.Generator) -> np.ndarray:
     return vector_to_matrix(build_code(K), v)
 
 
+def _spin_rows(numbers: np.ndarray, n: int) -> np.ndarray:
+    """+-1 rows (len(numbers), n) as int8: entry b is +1 where bit b of
+    the number is set, -1 where it is clear. The one enumeration of spin
+    states from integers."""
+    return (2 * ((numbers[:, None] >> np.arange(n)) & 1) - 1).astype(np.int8)
+
+
 def codewords(code: ParityCode, limit: int = 1 << 20) -> np.ndarray:
     """All 2^(K-1) codeword matrices, stacked (count, K, K).
 
@@ -343,9 +344,7 @@ def codewords(code: ParityCode, limit: int = 1 << 20) -> np.ndarray:
     count = 1 << (code.K - 1)
     if count > limit:
         raise ValueError(f"2^(K-1) = {count} codewords exceeds limit {limit}")
-    bits = (np.arange(count)[:, None] >> np.arange(code.K - 1)[None, :]) & 1
-    Z = np.ones((count, code.K), dtype=np.int8)
-    Z[:, 1:] = (2 * bits - 1).astype(np.int8)
+    Z = _spin_rows(2 * np.arange(count) + 1, code.K)  # bit 0 set: spin 0 is +1
     return np.einsum("ni,nj->nij", Z, Z).astype(np.int8)
 
 
@@ -355,9 +354,7 @@ def codewords(code: ParityCode, limit: int = 1 << 20) -> np.ndarray:
 def generator_matrix(code: ParityCode) -> np.ndarray:
     """K x n_vars binary generator: two 1s per column, at the pair ends."""
     G = np.zeros((code.K, code.n_vars), dtype=np.uint8)
-    for v, (i, j) in enumerate(code.edges):
-        G[i, v] = 1
-        G[j, v] = 1
+    G[code.edges.T, np.arange(code.n_vars)] = 1
     return G
 
 
@@ -388,38 +385,38 @@ def write_spin_matrix_csv(path, m: np.ndarray) -> None:
 
 def read_spin_matrix_csv(path) -> np.ndarray:
     """Parse and validate a spin-matrix CSV; reports 1-based line/column
-    for malformed input."""
-    rows: list[list[int]] = []
+    for malformed input. Blank lines are skipped."""
     with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            row = []
-            for cn, cell in enumerate(cells, start=1):
-                try:
-                    val = int(cell.strip())
-                except ValueError:
-                    raise MatrixFormatError(f"non-integer cell {cell.strip()!r}", ln, cn)
-                if val not in (1, -1):
-                    raise MatrixFormatError(f"entry must be +1 or -1, got {val}", ln, cn)
-                row.append(val)
-            rows.append(row)
-    if not rows:
+        return _parse_spin_rows([(ln, line) for ln, line in enumerate(fh, start=1) if line.strip()])
+
+
+def _parse_spin_rows(rows: list[tuple[int, str]]) -> np.ndarray:
+    """Validated int8 spin matrix from its CSV rows, given as (1-based
+    file line, text) pairs: every refusal names the row's file line."""
+    parsed = []
+    for ln, text in rows:
+        row = []
+        for cn, cell in enumerate(text.strip().split(","), start=1):
+            try:
+                val = int(cell.strip())
+            except ValueError:
+                raise MatrixFormatError(f"non-integer cell {cell.strip()!r}", ln, cn)
+            if val not in (1, -1):
+                raise MatrixFormatError(f"entry must be +1 or -1, got {val}", ln, cn)
+            row.append(val)
+        parsed.append(row)
+    if not parsed:
         raise MatrixFormatError("empty matrix file", 1, 1)
-    K = len(rows)
-    for ln, row in enumerate(rows, start=1):
+    K = len(parsed)
+    for (ln, _), row in zip(rows, parsed):
         if len(row) != K:
             raise MatrixFormatError(f"expected {K} columns, got {len(row)}", ln, len(row))
-    m = np.array(rows, dtype=np.int8)
-    for i in range(K):
-        if m[i, i] != 1:
-            raise MatrixFormatError("diagonal entry must be +1", i + 1, i + 1)
-    for i in range(K):
-        for j in range(i + 1, K):
-            if m[i, j] != m[j, i]:
-                raise MatrixFormatError(
-                    f"matrix not symmetric at ({i + 1},{j + 1})", j + 1, i + 1
-                )
+    m = np.array(parsed, dtype=np.int8)
+    bad = np.flatnonzero(np.diag(m) != 1).tolist()
+    if bad:
+        raise MatrixFormatError("diagonal entry must be +1", rows[bad[0]][0], bad[0] + 1)
+    bad = np.argwhere(np.triu(m != m.T, 1)).tolist()  # (i, j), i < j, first row first
+    if bad:
+        i, j = bad[0]
+        raise MatrixFormatError(f"matrix not symmetric at ({i + 1},{j + 1})", rows[j][0], i + 1)
     return m

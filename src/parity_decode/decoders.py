@@ -28,9 +28,12 @@ from .code import (
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
+    _check_count,
+    _check_strengths,
     _edge_vector,
     _family,
     _is_codeword_flat,
+    _member_positions,
     _syndrome_flat,
 )
 
@@ -73,24 +76,6 @@ class DecodeResult:
     tie_failure: bool = False
     trajectory: list | None = None
     posteriors: list | None = None
-
-
-def _check_strengths(where: str = "", **values) -> None:
-    """Refuse any named value, or entry of one, that is not finite and >= 0."""
-    for name, value in values.items():
-        if not (np.isfinite(value) & np.greater_equal(value, 0)).all():
-            raise ValueError(f"{name} must be finite and >= 0{where}, got {value}")
-
-
-def _check_count(name: str, value, low: int | None = None) -> None:
-    """Refuse a size, count or iteration number that is not an integer
-    (numpy integers included, bool not) or, with low given, is below
-    low: a float one would be truncated, or never met by a loop's
-    equality test."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -382,8 +367,7 @@ def inversion_function(
     A negative score means flipping spin k lowers the matching decoder
     energy; the energy change equals exactly twice the score.
     """
-    if not (0 <= k < code.n_vars):
-        raise ValueError(f"variable index k={k} out of range [0, {code.n_vars})")
+    _check_var_index(code, k)
     return float(inversion_profile(kind, code, x, J, weights, family)[k])
 
 
@@ -428,10 +412,20 @@ def decoder_energy(
     return float(-w.beta * (J * xf).sum() + w.gamma * 0.5 * (1.0 - s).sum())
 
 
+def _check_var_index(code: ParityCode, k) -> None:
+    """Refuse a variable index that is not an integer (bool not) in
+    [0, n_vars)."""
+    if (not isinstance(k, (int, np.integer)) or isinstance(k, bool)
+            or not 0 <= k < code.n_vars):
+        raise ValueError(f"variable index k={k} out of range [0, {code.n_vars})")
+
+
 def flip_spin(code: ParityCode, x: np.ndarray, k: int) -> np.ndarray:
-    """Copy of x with variable node k (one symmetric pair) negated."""
+    """Copy of the spin matrix x with variable node k (one symmetric
+    pair) negated."""
+    _check_var_index(code, k)
+    out = validate_spin_matrix(x, code.K)  # a fresh int8 copy
     i, j = code.edges[k]
-    out = np.array(x, dtype=np.int8, copy=True)
     out[i, j] *= -1
     out[j, i] *= -1
     return out
@@ -455,8 +449,7 @@ def _bp_layout(code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
     in which it is ij: that order is the check order of checks3_vars.
     Cached per code, read-only."""
     layout = np.ascontiguousarray(code.checks3_vars[:, ::-1].T)
-    order = np.argsort(layout.ravel(), kind="stable")
-    gather = np.ascontiguousarray(order.reshape(code.n_vars, code.K - 2).T)
+    gather = np.ascontiguousarray(_member_positions(layout, code.n_vars, code.K - 2).T)
     for a in (layout, gather):
         a.setflags(write=False)  # shared by every call in the process
     return layout, gather

@@ -36,13 +36,14 @@ from .code import (
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
+    _check_count,
+    _spin_rows,
 )
 from .decoders import (
     CapacityError,
     TiePolicy,
     _bf_decode_stack,
     _bp_decode,
-    _check_count,
     bf_decode,
     bp_decode,
     count_errors,
@@ -94,12 +95,9 @@ def brute_force_ground_state(K: int, J: np.ndarray, chunk: int = 1 << 16):
     count = 1 << (K - 1)
     best_e = math.inf
     best_z = None
-    shifts = np.arange(K - 1)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        bits = (np.arange(start, stop)[:, None] >> shifts[None, :]) & 1
-        Z = np.ones((stop - start, K), dtype=np.int8)
-        Z[:, 1:] = (2 * bits - 1).astype(np.int8)
+        Z = _spin_rows(2 * np.arange(start, stop) + 1, K)  # bit 0 set: spin 0 is +1
         prods = Z[:, a] * Z[:, b]
         energies = -(prods @ J)
         i = int(np.argmin(energies))
@@ -461,8 +459,15 @@ def trajectory_demo(
     "family": str optional} decodes the final state of a sampling chain
     against the instance's encoded ground state.
     """
+    if decoder not in ("bf", "bp"):
+        raise ValueError(f"unknown decoder {decoder!r}")
+    if decoder == "bp":
+        reliability_weight(bp_epsilon)  # refuses a flip rate outside (0, 1/2)
+    _check_count("seed", seed, 0)
+    _check_count("max_iters", iters, 1)  # the decoders' name for it
     kind = source.get("kind")
     if kind == "iid":
+        _check_count("K", source["K"], 2)
         K = int(source["K"])
         code = build_code(K)
         target = all_one_matrix(K)
@@ -472,7 +477,8 @@ def trajectory_demo(
         inst = source["instance"]
         code = build_code(inst.K)
         target = encode(code, inst.ground_state)
-        budget = int(source.get("budget", 4 * code.n_vars))
+        budget = source.get("budget", 4 * code.n_vars)
+        _check_count("budget", budget, 1)
         params = HamiltonianParams(
             beta=float(source["beta"]), gamma=float(source["gamma"]),
             couplings=inst.couplings, family=source.get("family", "w4"),
@@ -480,20 +486,18 @@ def trajectory_demo(
         _, run = mcmc_decode(code, params, budget, target, trial_seed(seed, 41, 1))
         x = run.samples[-1]
         meta = {"source": "mcmc", "K": inst.K, "beta": params.beta,
-                "gamma": params.gamma, "budget": budget, "instance": inst.label}
+                "gamma": params.gamma, "budget": int(budget), "instance": inst.label}
     else:
         raise ValueError(f"unknown source kind {kind!r}")
 
-    meta.update({"decoder": decoder, "iters": iters, "seed": seed})
+    meta.update({"decoder": decoder, "iters": int(iters), "seed": int(seed)})
     if decoder == "bf":
         res = bf_decode(code, x, max_iters=iters, target=target, record_trajectory=True)
         snaps = res.trajectory
-    elif decoder == "bp":
+    else:
         res = bp_decode(code, x=x, epsilon=bp_epsilon, max_iters=iters,
                         target=target, record=True)
         snaps = [hard_decide(p, code) for p in res.posteriors]
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
     meta.update({"success": bool(res.success), "iterations": int(res.iterations)})
     errors = [count_errors(s, target) for s in snaps]
     return TrajectoryDump(meta=meta, snapshots=snaps, error_counts=errors)

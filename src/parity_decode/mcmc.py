@@ -84,16 +84,17 @@ from .code import (
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
+    _check_count,
+    _check_strengths,
     _edge_vector,
     _family,
     _is_codeword_flat,
+    _spin_rows,
     _syndrome_flat,
     build_code,
 )
 from .decoders import (
     TiePolicy,
-    _check_count,
-    _check_strengths,
     _coupling_vector,
     bf_sweep_batch,
 )
@@ -886,8 +887,7 @@ def boltzmann_distribution(
     count = 1 << n
     if count > limit:
         raise ValueError(f"2^{n} states exceeds limit {limit}")
-    bits = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1
-    states = (2 * bits - 1).astype(np.int8)
+    states = _spin_rows(np.arange(count), n)
     J = _couplings_for(code, params)
     s = _syndrome_flat(code, states, params.family)
     pen = params.gamma * 0.5 * (1 - s).sum(axis=1)

@@ -15,6 +15,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .code import _parse_spin_rows
+
 
 @dataclass
 class BenchmarkReport:
@@ -98,27 +100,25 @@ class TrajectoryDump:
 
     @classmethod
     def read_csv(cls, path) -> "TrajectoryDump":
-        import numpy as np
-
+        """Parse a dump; each snapshot is validated as a spin-matrix file
+        is, and a refusal names its line in the dump."""
         meta = {}
         snapshots: list = []
         error_counts: list = []
         block: list = []
         with open(path) as fh:
-            first = fh.readline()
-            if first.startswith("# ") and "iteration=" not in first:
-                meta = json.loads(first[2:])
-            else:
-                fh.seek(0)
-            for line in fh:
-                line = line.strip()
-                if line.startswith("#"):
-                    if block:
-                        snapshots.append(np.array(block, dtype=np.int8))
-                        block = []
-                    error_counts.append(int(line.split("errors=")[1]))
-                elif line:
-                    block.append([int(v) for v in line.split(",")])
-            if block:
-                snapshots.append(np.array(block, dtype=np.int8))
+            lines = list(enumerate(fh, start=1))
+        if lines and lines[0][1].startswith("# ") and "iteration=" not in lines[0][1]:
+            meta = json.loads(lines.pop(0)[1][2:])
+        for ln, line in lines:
+            line = line.strip()
+            if line.startswith("#"):
+                if block:
+                    snapshots.append(_parse_spin_rows(block))
+                    block = []
+                error_counts.append(int(line.split("errors=")[1]))
+            elif line:
+                block.append((ln, line))
+        if block:
+            snapshots.append(_parse_spin_rows(block))
         return cls(meta=meta, snapshots=snapshots, error_counts=error_counts)

@@ -27,6 +27,7 @@ from parity_decode import (
     write_spin_matrix_csv,
 )
 from parity_decode.code import gf2_product_is_zero, validate_logical_state
+from parity_decode.decoders import _bp_layout
 
 # Reference matrices for K = 4, edge order (12,13,14,23,24,34).
 G4 = np.array([
@@ -339,6 +340,32 @@ def test_check_matrix_reads_each_family_member(rng_seed=5):
                                   syndrome(code, m, family))
 
 
+def _scan_positions(members, n_vars, width):
+    """Each variable's flat positions in a member table, found by a plain
+    scan per variable, padded with -1."""
+    flat = np.asarray(members).ravel()
+    out = np.full((n_vars, width), -1, dtype=np.int64)
+    for v in range(n_vars):
+        pos = np.flatnonzero(flat == v)
+        out[v, :len(pos)] = pos
+    return out
+
+
+@pytest.mark.parametrize("K", range(2, 41))
+def test_adjacency_tables_match_a_per_variable_scan(K):
+    code = build_code(K)
+    n = code.n_vars
+    layout, gather = _bp_layout(code)
+    expected = {
+        "checks3_of_var": (code.checks3_of_var, _scan_positions(code.checks3_vars, n, K - 2) // 3),
+        "checks4_of_var": (code.checks4_of_var, _scan_positions(code.checks4_vars, n, 4) // 4),
+        "gather": (gather, np.ascontiguousarray(_scan_positions(layout, n, K - 2).T)),
+    }
+    for name, (got, ref) in expected.items():
+        assert got.dtype == ref.dtype and got.flags.c_contiguous, name
+        assert np.array_equal(got, ref), name
+
+
 def test_vector_matrix_roundtrip():
     rng = np.random.default_rng(31)
     code = build_code(7)
@@ -381,6 +408,21 @@ def test_matrix_csv_refusals_carry_location(tmp_path, text, message, line, colum
         read_spin_matrix_csv(path)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert f"(line {line}, column {column})" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("\n\n1,1\n1,1,1\n", "expected 2 columns, got 3", 4, 3),
+    ("\n1,1\n\n1,-1\n", "diagonal", 4, 2),
+    ("\n\n1,-1\n\n1,1\n", r"not symmetric at \(1,2\)", 5, 1),
+    ("\n1,x\n1,1\n", "non-integer cell 'x'", 2, 2),
+], ids=["ragged", "diagonal", "symmetry", "cell"])
+def test_matrix_csv_refusals_name_the_file_line_after_blank_lines(tmp_path, text, message,
+                                                                   line, column):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixFormatError, match=message) as exc:
+        read_spin_matrix_csv(path)
+    assert (exc.value.line, exc.value.column) == (line, column)
 
 
 def test_codewords_refuses_over_limit():

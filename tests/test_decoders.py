@@ -304,6 +304,28 @@ def test_inversion_functions_refuse_bad_arguments(call, message):
         call(code, all_one_matrix(5))
 
 
+@pytest.mark.parametrize("k", [-1, 10, 1.5, True, np.float64(2.0), "3"])
+def test_flip_spin_and_inversion_function_refuse_a_bad_index(k):
+    code = build_code(5)
+    x = all_one_matrix(5)
+    for call in (lambda: flip_spin(code, x, k), lambda: inversion_function("bf", code, x, k)):
+        with pytest.raises(ValueError, match=r"variable index k=.* out of range \[0, 10\)"):
+            call()
+
+
+def test_flip_spin_validates_its_matrix():
+    code = build_code(5)
+    for bad in (np.zeros((5, 5)), all_one_matrix(4), -all_one_matrix(5)):
+        with pytest.raises(ValueError, match="spin matrix"):
+            flip_spin(code, bad, 0)
+    x = all_one_matrix(5)
+    for k in (0, np.int64(9)):
+        out = flip_spin(code, x, k)
+        i, j = code.edges[k]
+        assert out.dtype == np.int8 and out[i, j] == out[j, i] == -1
+        assert np.count_nonzero(out != x) == 2 and x.min() == 1  # a copy; x untouched
+
+
 @pytest.mark.parametrize("family", ["w3", "w4"])
 def test_wbf_scalar_wk_equals_its_vector(family):
     rng = np.random.default_rng(4)

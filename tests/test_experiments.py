@@ -29,6 +29,7 @@ from parity_decode import (
     trial_seed,
     wilson_interval,
 )
+from parity_decode import MatrixFormatError, experiments
 from parity_decode.experiments import brute_force_ground_state
 from parity_decode.reports import TrajectoryDump
 
@@ -681,6 +682,59 @@ def test_trajectory_refuses_non_integer_iterations():
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 trajectory_demo({"kind": "iid", "K": 21, "epsilon": 0.35}, decoder=decoder,
                                 seed=5, iters=iters)
+
+
+@pytest.mark.parametrize("source, kwargs, message", [
+    ("iid", {"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ("iid", {"seed": True}, "seed must be an integer"),
+    ("iid", {"seed": -1}, "seed must be >= 0"),
+    ("iid", {"iters": 0}, "max_iters must be >= 1"),
+    ("iid_K", {}, "K must be an integer, got 5.7"),
+    ("iid", {"decoder": "bp", "bp_epsilon": 0.5}, r"flip probability must be in \(0, 0.5\)"),
+    ("iid", {"decoder": "bp", "bp_epsilon": 0.0}, "flip probability"),
+    ("mcmc", {"decoder": "mwd"}, "unknown decoder 'mwd'"),
+    ("mcmc", {"seed": 1.0}, "seed must be an integer"),
+    ("mcmc_budget", {}, "budget must be an integer, got 10.5"),
+], ids=["seed-float", "seed-bool", "seed-negative", "iters-zero", "K-float", "bp-eps-half",
+        "bp-eps-zero", "mcmc-decoder", "mcmc-seed", "mcmc-budget"])
+def test_trajectory_refuses_bad_arguments_before_any_readout(monkeypatch, source, kwargs, message):
+    def no_readout(*args, **kwargs):
+        raise AssertionError("a readout was built")
+
+    monkeypatch.setattr(experiments, "sample_iid_errors", no_readout)
+    monkeypatch.setattr(experiments, "mcmc_decode", no_readout)
+    mcmc = {"kind": "mcmc", "instance": gen_instance(6, 0), "beta": 1.0, "gamma": 0.5}
+    source = {"iid": {"kind": "iid", "K": 5, "epsilon": 0.1},
+              "iid_K": {"kind": "iid", "K": 5.7, "epsilon": 0.1},
+              "mcmc": mcmc, "mcmc_budget": {**mcmc, "budget": 10.5}}[source]
+    with pytest.raises(ValueError, match=message):
+        trajectory_demo(source, **kwargs)
+
+
+def test_trajectory_records_numpy_integers_as_ints(tmp_path):
+    dump = trajectory_demo({"kind": "iid", "K": np.int64(6), "epsilon": 0.1},
+                           decoder="bf", seed=np.int64(2), iters=np.int64(3), bp_epsilon=0.5)
+    dump.write_csv(tmp_path / "iid.csv")  # bp_epsilon is not read by bf
+    assert TrajectoryDump.read_csv(tmp_path / "iid.csv").meta == dump.meta
+    assert [type(dump.meta[k]) for k in ("K", "seed", "iters")] == [int] * 3
+    dump = trajectory_demo({"kind": "mcmc", "instance": gen_instance(6, 0), "beta": 1.0,
+                            "gamma": 0.5, "budget": np.int64(10)}, seed=1)
+    dump.write_csv(tmp_path / "mcmc.csv")
+    assert dump.meta["budget"] == 10 and type(dump.meta["budget"]) is int
+
+
+@pytest.mark.parametrize("block, message, line, column", [
+    ("1,2\n-1,1\n", r"\+1 or -1, got 2", 4, 2),
+    ("1,1\n1\n", "expected 2 columns, got 1", 5, 1),
+    ("1,-1\n1,1\n", r"not symmetric at \(1,2\)", 5, 1),
+    ("1,1\n1,-1\n", "diagonal", 5, 2),
+], ids=["entry", "ragged", "symmetry", "diagonal"])
+def test_trajectory_csv_validates_each_snapshot(tmp_path, block, message, line, column):
+    path = tmp_path / "traj.csv"
+    path.write_text('# {"K": 2}\n# iteration=0 errors=0\n\n' + block)
+    with pytest.raises(MatrixFormatError, match=message) as exc:
+        TrajectoryDump.read_csv(path)
+    assert (exc.value.line, exc.value.column) == (line, column)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
