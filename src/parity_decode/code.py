@@ -379,8 +379,13 @@ def gf2_product_is_zero(A: np.ndarray, B_t: np.ndarray) -> bool:
 def write_spin_matrix_csv(path, m: np.ndarray) -> None:
     m = validate_spin_matrix(m)
     with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        _write_spin_rows(fh, m)
+
+
+def _write_spin_rows(fh, m: np.ndarray) -> None:
+    """The K rows of a spin matrix as comma-separated integer lines."""
+    for row in m:
+        fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
 def read_spin_matrix_csv(path) -> np.ndarray:

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -286,16 +285,6 @@ def count_errors(x: np.ndarray, z: np.ndarray) -> int:
 _KINDS = ("bf", "wbf", "gdbf", "mcmc")
 
 
-def _check_weight_vector(code: ParityCode, weights: InversionWeights, family: str) -> np.ndarray:
-    n = len(_family(code, family)[0])
-    wk = np.asarray(weights.wk, dtype=np.float64)
-    if wk.ndim == 0:
-        return np.full(n, float(wk))
-    if len(wk) != n:
-        raise ValueError(f"wk length {len(wk)} != {n} checks of family {family!r}")
-    return wk
-
-
 def _coupling_vector(code: ParityCode, J, needed_by: str | None = None) -> np.ndarray | None:
     """Couplings as a float64 edge vector, one per pair. None passes
     through unless `needed_by` names what requires couplings."""
@@ -309,12 +298,42 @@ def _coupling_vector(code: ParityCode, J, needed_by: str | None = None) -> np.nd
     return J
 
 
-def _adjacent_sum(code: ParityCode, s: np.ndarray, family: str, per_check: np.ndarray | None = None):
-    """Per-variable sums of (optionally weighted) adjacent check values.
-    The adjacency's -1 padding (w4) reads the appended trailing 0, so a
-    code without checks (K = 2) sums to zeros."""
-    vals = s.astype(np.float64) if per_check is None else s * per_check
-    return np.append(vals, 0.0)[_family(code, family)[1]].sum(axis=1)
+def _inversion_terms(kind: str, code: ParityCode, x: np.ndarray, J, weights, family: str,
+                     reference, use: str):
+    """The one definition of each inversion kind, as the terms of its
+    energy E = -sum_v a_v x_v r_v - sum_c w_c s_c(x) + offset:
+
+        kind   a         w        r          offset
+        bf     1         1        reference  0                 (triangle checks always)
+        wbf    beta|J|   wk       reference  0
+        gdbf   J         1        1          0
+        mcmc   beta J    gamma/2  1          gamma n_checks / 2
+
+    Flipping x_k, with r the pre-flip state, raises E by twice the score
+    a_k x_k r_k + sum_i w_i s_i over k's checks. Returns the per-variable
+    linear terms a x r, the weighted check values w s, the offset and
+    the family's adjacency table; `reference` None reads as all +1, and
+    `use` names the caller in the couplings refusal."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown inversion kind {kind!r}")
+    xf = _edge_vector(code, x)
+    w = weights or InversionWeights()
+    J = _coupling_vector(code, J, None if kind == "bf" else f"{kind} {use}")
+    fam = "w3" if kind == "bf" else family
+    s = _syndrome_flat(code, xf, fam)
+    r = 1 if reference is None or kind in ("gdbf", "mcmc") else _edge_vector(code, reference)
+    offset = 0.0
+    if kind == "bf":
+        a, wc = 1.0, 1.0
+    elif kind == "wbf":
+        a, wc = w.beta * np.abs(J), np.asarray(w.wk, dtype=np.float64)
+        if wc.ndim and len(wc) != len(s):
+            raise ValueError(f"wk length {len(wc)} != {len(s)} checks of family {fam!r}")
+    elif kind == "gdbf":
+        a, wc = J, 1.0
+    else:
+        a, wc, offset = w.beta * J, 0.5 * w.gamma, 0.5 * w.gamma * len(s)
+    return a * xf * r, wc * s, offset, _family(code, fam)[1]
 
 
 def inversion_profile(
@@ -326,23 +345,10 @@ def inversion_profile(
     family: str = "w3",
 ) -> np.ndarray:
     """Scores of all C(K,2) spins at once; see inversion_function."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown inversion kind {kind!r}")
-    xf = _edge_vector(code, x)
-    w = weights or InversionWeights()
-    J = _coupling_vector(code, J, None if kind == "bf" else f"{kind} inversion")
-
-    fam = "w3" if kind == "bf" else family
-    s = _syndrome_flat(code, xf, fam)
-    if kind == "bf":
-        return 1.0 + _adjacent_sum(code, s, fam)
-    if kind == "wbf":
-        wk = _check_weight_vector(code, w, fam)
-        return w.beta * np.abs(J) + _adjacent_sum(code, s, fam, wk)
-    if kind == "gdbf":
-        return J * xf + _adjacent_sum(code, s, fam)
-    # sampling decoder
-    return w.beta * J * xf + 0.5 * w.gamma * _adjacent_sum(code, s, fam)
+    linear, checks, _, adj = _inversion_terms(kind, code, x, J, weights, family, x, "inversion")
+    # the adjacency's -1 padding (w4) reads the appended trailing 0, so a
+    # code without checks (K = 2) adds zeros
+    return linear + np.append(checks, 0.0)[adj].sum(axis=1)
 
 
 def inversion_function(
@@ -393,23 +399,9 @@ def decoder_energy(
     state, which is how the decoders use it. gdbf/mcmc carry the
     couplings directly and need no reference.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown inversion kind {kind!r}")
-    xf = _edge_vector(code, x)
-    w = weights or InversionWeights()
-    fam = "w3" if kind == "bf" else family
-    s = _syndrome_flat(code, xf, fam)
-    J = _coupling_vector(code, J, None if kind == "bf" else f"{kind} energy")
-
-    if kind in ("bf", "wbf"):
-        rf = np.ones(code.n_vars, np.int8) if reference is None else _edge_vector(code, reference)
-        if kind == "bf":
-            return float(-(xf * rf).sum() - s.sum())
-        wk = _check_weight_vector(code, w, fam)
-        return float(-w.beta * (np.abs(J) * xf * rf).sum() - (wk * s).sum())
-    if kind == "gdbf":
-        return float(-(J * xf).sum() - s.sum())
-    return float(-w.beta * (J * xf).sum() + w.gamma * 0.5 * (1.0 - s).sum())
+    linear, checks, offset, _ = _inversion_terms(kind, code, x, J, weights, family,
+                                                 reference, "energy")
+    return float(-linear.sum() - checks.sum() + offset)
 
 
 def _check_var_index(code: ParityCode, k) -> None:
@@ -434,7 +426,6 @@ def flip_spin(code: ParityCode, x: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Belief propagation on the triangle-check graph
 
-@functools.cache
 def _bp_layout(code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
     """Variable index of every BP message, (3, n_checks3), and the
     message positions of every variable, (K-2, n_vars).
@@ -447,11 +438,9 @@ def _bp_layout(code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
     Triangles are in lexicographic order, so the checks in which a pair
     is jk come before those in which it is ik, and those before the ones
     in which it is ij: that order is the check order of checks3_vars.
-    Cached per code, read-only."""
+    Built once per thread and code, by _BPBuffers."""
     layout = np.ascontiguousarray(code.checks3_vars[:, ::-1].T)
     gather = np.ascontiguousarray(_member_positions(layout, code.n_vars, code.K - 2).T)
-    for a in (layout, gather):
-        a.setflags(write=False)  # shared by every call in the process
     return layout, gather
 
 
@@ -460,9 +449,9 @@ class _BPBuffers(threading.local):
     the thread's first decode of that code and kept for the thread's
     life: two (3, n_checks3) float64 message arrays, the second also
     viewed as (K-2, n_vars), a (3, n_checks3) intp index array, the
-    (3, n_vars) float64 value table of iteration 2, and writeable copies
-    of _bp_layout's arrays (np.take copies a read-only index array on
-    every call)."""
+    (3, n_vars) float64 value table of iteration 2, and the thread's own
+    _bp_layout arrays, kept writeable as np.take copies a read-only
+    index array on every call."""
 
     def __init__(self):
         self.by_code = {}
@@ -470,7 +459,7 @@ class _BPBuffers(threading.local):
     def get(self, code: ParityCode) -> tuple[np.ndarray, ...]:
         work = self.by_code.get(code)
         if work is None:
-            layout, gather = (a.copy() for a in _bp_layout(code))
+            layout, gather = _bp_layout(code)
             t = np.empty(layout.shape)
             work = self.by_code[code] = (np.empty(layout.shape), t, t.reshape(gather.shape),
                                          np.empty(layout.shape, np.intp),

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
-from .code import _parse_spin_rows
+from .code import MatrixFormatError, _parse_spin_rows, _write_spin_rows
 
 
 @dataclass
@@ -79,6 +80,9 @@ class BenchmarkReport:
         return cls(kind=meta["kind"], config=meta["config"], rows=rows)
 
 
+_ITERATION_HEADER = re.compile(r"# iteration=([0-9]+) errors=([0-9]+)")
+
+
 @dataclass
 class TrajectoryDump:
     """Per-iteration snapshots of a decode, with error counts against a
@@ -94,31 +98,40 @@ class TrajectoryDump:
             fh.write("# " + json.dumps(self.meta, sort_keys=True) + "\n")
             for n, (snap, errs) in enumerate(zip(self.snapshots, self.error_counts)):
                 fh.write(f"# iteration={n} errors={errs}\n")
-                for row in snap:
-                    fh.write(",".join(str(int(v)) for v in row) + "\n")
+                _write_spin_rows(fh, snap)
                 fh.write("\n")
 
     @classmethod
     def read_csv(cls, path) -> "TrajectoryDump":
-        """Parse a dump; each snapshot is validated as a spin-matrix file
-        is, and a refusal names its line in the dump."""
+        """Parse a dump as write_csv writes it: headers
+        '# iteration=<n> errors=<m>' with n = 0, 1, 2, ... and m >= 0,
+        each followed by one K x K snapshot, K the meta's (else the first
+        snapshot's). Each snapshot is validated as a spin-matrix file is;
+        every refusal is a MatrixFormatError naming its line in the dump."""
         meta = {}
-        snapshots: list = []
-        error_counts: list = []
-        block: list = []
         with open(path) as fh:
             lines = list(enumerate(fh, start=1))
         if lines and lines[0][1].startswith("# ") and "iteration=" not in lines[0][1]:
             meta = json.loads(lines.pop(0)[1][2:])
+        blocks: list = []  # (header line, error count, [(line, row text)])
         for ln, line in lines:
             line = line.strip()
             if line.startswith("#"):
-                if block:
-                    snapshots.append(_parse_spin_rows(block))
-                    block = []
-                error_counts.append(int(line.split("errors=")[1]))
+                header = _ITERATION_HEADER.fullmatch(line)
+                if not header or header[1] != str(len(blocks)):
+                    raise MatrixFormatError(f"expected '# iteration={len(blocks)} errors=<m>'", ln)
+                blocks.append((ln, int(header[2]), []))
             elif line:
-                block.append((ln, line))
-        if block:
-            snapshots.append(_parse_spin_rows(block))
-        return cls(meta=meta, snapshots=snapshots, error_counts=error_counts)
+                if not blocks:
+                    raise MatrixFormatError("spin row before the first iteration header", ln)
+                blocks[-1][2].append((ln, line))
+        snapshots: list = []
+        for ln, _, rows in blocks:
+            if not rows:
+                raise MatrixFormatError(f"iteration {len(snapshots)} has no snapshot", ln)
+            snap = _parse_spin_rows(rows)
+            K = meta.get("K", len(snapshots[0]) if snapshots else len(snap))
+            if len(snap) != K:
+                raise MatrixFormatError(f"snapshot is {len(snap)}x{len(snap)}, expected K={K}", ln)
+            snapshots.append(snap)
+        return cls(meta=meta, snapshots=snapshots, error_counts=[errs for _, errs, _ in blocks])

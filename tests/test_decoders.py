@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,6 +20,7 @@ from parity_decode import (
     bf_step,
     bp_decode,
     build_code,
+    check_matrix,
     codewords,
     count_errors,
     decoder_energy,
@@ -38,7 +40,7 @@ from parity_decode import (
     uniform_weights,
     vector_to_matrix,
 )
-from parity_decode.decoders import bf_sweep_batch
+from parity_decode.decoders import _bp_buffers, bf_sweep_batch
 
 
 def single_error(K, v=0):
@@ -326,6 +328,55 @@ def test_flip_spin_validates_its_matrix():
         assert np.count_nonzero(out != x) == 2 and x.min() == 1  # a copy; x untouched
 
 
+def _frozen_score_and_energy(kind, code, x, J, weights, family, reference):
+    """The four score and four energy formulas as each kind wrote them
+    out on its own, before all kinds shared one term rule: adjacent sums
+    through the dense check matrix, energies through the check values."""
+    fam = "w3" if kind == "bf" else family
+    H = check_matrix(code, fam).astype(np.float64)
+    xf = matrix_to_vector(code, x).astype(np.float64)
+    s = syndrome(code, x, fam).astype(np.float64)
+    rf = np.ones(code.n_vars) if reference is None else matrix_to_vector(code, reference)
+    beta, gamma = weights.beta, weights.gamma
+    if kind == "bf":
+        return 1.0 + H.T @ s, -(xf * rf).sum() - s.sum()
+    if kind == "wbf":
+        wk = np.broadcast_to(np.asarray(weights.wk, dtype=np.float64), s.shape)
+        return (beta * np.abs(J) + H.T @ (wk * s),
+                -beta * (np.abs(J) * xf * rf).sum() - (wk * s).sum())
+    if kind == "gdbf":
+        return J * xf + H.T @ s, -(J * xf).sum() - s.sum()
+    return (beta * J * xf + 0.5 * gamma * (H.T @ s),
+            -beta * (J * xf).sum() + gamma * 0.5 * (1.0 - s).sum())
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_inversion_kinds_match_their_frozen_formulas(K):
+    # every kind's scores and energy against the formulas written out
+    # per kind: both families (bf always triangles), scalar and vector
+    # wk, with and without a reference
+    rng = np.random.default_rng(700 + K)
+    code = build_code(K)
+    for family, scalar_wk, with_reference in itertools.product(("w3", "w4"), (True, False),
+                                                               (True, False)):
+        n_checks = code.n_checks3 if family == "w3" else code.n_checks4
+        x, reference = (random_spin_matrix(K, rng) for _ in range(2))
+        J = rng.normal(0.0, 1.5, code.n_vars)
+        weights = InversionWeights(
+            w0=float(rng.uniform(0, 2)),
+            wk=float(rng.uniform(0, 3)) if scalar_wk else rng.uniform(0, 3, n_checks),
+            beta=float(rng.uniform(0, 3)),
+            gamma=float(rng.uniform(0, 5)),
+        )
+        reference = reference if with_reference else None
+        for kind in ("bf", "wbf", "gdbf", "mcmc"):
+            score, e = _frozen_score_and_energy(kind, code, x, J, weights, family, reference)
+            got = inversion_profile(kind, code, x, J, weights, family)
+            np.testing.assert_allclose(got, score, rtol=1e-12, atol=1e-12, err_msg=kind)
+            assert decoder_energy(kind, code, x, J, weights, family, reference) == pytest.approx(
+                e, rel=1e-12, abs=1e-12), kind
+
+
 @pytest.mark.parametrize("family", ["w3", "w4"])
 def test_wbf_scalar_wk_equals_its_vector(family):
     rng = np.random.default_rng(4)
@@ -515,6 +566,50 @@ def test_bp_decode_threads_share_no_buffers():
             assert (res.success, res.converged, res.iterations) == (
                 ref.success, ref.converged, ref.iterations)
             assert [p.tobytes() for p in res.posteriors] == [p.tobytes() for p in ref.posteriors]
+
+
+def test_bp_work_arrays_are_built_per_thread():
+    # each thread builds its own BP work arrays, layout and gather
+    # included, on its first decode of a code: four fresh threads
+    # decoding K = 21 and K = 40 readouts at once repeat the serial
+    # results byte for byte and hold no array in common
+    cases = []
+    for K in (21, 40):
+        code = build_code(K)
+        for t in range(3):
+            e = sample_iid_errors(code, 0.25, trial_seed(41, 10 * K + t))
+            cases.append((code, {"x": e, "epsilon": 0.25}))
+    serial = [bp_decode(code, max_iters=5, record=True, **kw) for code, kw in cases]
+    assert max(r.iterations for r in serial) >= 2
+    start = threading.Barrier(4)
+    results, buffers = [None] * 4, [None] * 4
+
+    def work(n):
+        start.wait()
+        order = cases[n % 2:] + cases[:n % 2]
+        results[n] = [bp_decode(code, max_iters=5, record=True, **kw) for code, kw in order]
+        buffers[n] = [_bp_buffers.get(build_code(K)) for K in (21, 40)]
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads) and None not in results
+    for n, got in enumerate(results):
+        for res, ref in zip(got, serial[n % 2:] + serial[:n % 2]):
+            assert res.final.tobytes() == ref.final.tobytes() and res.iterations == ref.iterations
+            assert [p.tobytes() for p in res.posteriors] == [p.tobytes() for p in ref.posteriors]
+    arrays = [a for per_thread in buffers + [[_bp_buffers.get(build_code(K)) for K in (21, 40)]]
+              for arrays_of_code in per_thread for a in arrays_of_code]
+    assert len({id(a) for a in arrays}) == len(arrays)
+    for a, b in itertools.combinations(arrays, 2):
+        assert a is b.base or b is a.base or not np.shares_memory(a, b)
 
 
 def test_bp_decode_makes_no_message_sized_temporary():

@@ -754,3 +754,53 @@ def test_trajectory_csv_without_meta_line(tmp_path):
     back = TrajectoryDump.read_csv(path)
     assert back.meta == {} and back.error_counts == [1, 0]
     assert [s.tolist() for s in back.snapshots] == [[[1, -1], [-1, 1]], [[1, 1], [1, 1]]]
+
+
+@pytest.mark.parametrize("K, text, message, line", [
+    (2, "# iteration=0\n1,1\n1,1\n", "expected '# iteration=0 errors=<m>'", 2),
+    (2, "# iteration=0 errors=x\n1,1\n1,1\n", "expected '# iteration=0 errors=<m>'", 2),
+    (2, "# iteration=0 errors=-1\n1,1\n1,1\n", "expected '# iteration=0 errors=<m>'", 2),
+    (2, "# iteration=1 errors=0\n1,1\n1,1\n", "expected '# iteration=0 errors=<m>'", 2),
+    (2, "# iteration=0 errors=0\n1,1\n1,1\n# iteration=0 errors=0\n1,1\n1,1\n",
+     "expected '# iteration=1 errors=<m>'", 5),
+    (2, "# a comment\n# iteration=0 errors=0\n1,1\n1,1\n", "expected '# iteration=0", 2),
+    (2, "1,1\n1,1\n# iteration=0 errors=0\n1,1\n1,1\n", "before the first iteration header", 2),
+    (2, "# iteration=0 errors=1\n\n", "iteration 0 has no snapshot", 2),
+    (2, "# iteration=0 errors=0\n1,1\n1,1\n# iteration=1 errors=0\n", "iteration 1 has no", 5),
+    (2, "# iteration=0 errors=0\n1,1\n1,1\n# iteration=1 errors=0\n1,1,1\n1,1,1\n1,1,1\n",
+     "snapshot is 3x3, expected K=2", 5),
+    (3, "# iteration=0 errors=0\n1,1\n1,1\n", "snapshot is 2x2, expected K=3", 2),
+], ids=["no-errors", "errors-x", "errors-negative", "first-iteration-1", "repeated-iteration",
+        "stray-comment", "rows-before-header", "empty-last-block", "header-at-end",
+        "size-change", "size-not-meta-K"])
+def test_trajectory_csv_refuses_what_write_csv_never_writes(tmp_path, K, text, message, line):
+    # headers only as write_csv writes them, one K x K snapshot under each
+    path = tmp_path / "traj.csv"
+    path.write_text(f'# {{"K": {K}}}\n' + text)
+    with pytest.raises(MatrixFormatError, match=message) as exc:
+        TrajectoryDump.read_csv(path)
+    assert exc.value.line == line
+
+
+def test_trajectory_csv_without_meta_keeps_the_first_snapshot_size(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("# iteration=0 errors=0\n1,1\n1,1\n\n"
+                    "# iteration=1 errors=0\n1,1,1\n1,1,1\n1,1,1\n")
+    with pytest.raises(MatrixFormatError, match="snapshot is 3x3, expected K=2") as exc:
+        TrajectoryDump.read_csv(path)
+    assert exc.value.line == 5
+
+
+def test_trajectory_csv_bytes(tmp_path):
+    # write_csv's rows go through the spin-matrix row writer; the bytes
+    # are pinned, and read_csv gives the dump back
+    dump = TrajectoryDump(meta={"K": 2, "source": "iid"},
+                          snapshots=[np.array([[1, -1], [-1, 1]], np.int8), np.ones((2, 2), np.int8)],
+                          error_counts=[1, 0])
+    path = tmp_path / "traj.csv"
+    dump.write_csv(path)
+    assert path.read_bytes() == (b'# {"K": 2, "source": "iid"}\n# iteration=0 errors=1\n1,-1\n-1,1\n\n'
+                                 b"# iteration=1 errors=0\n1,1\n1,1\n\n")
+    back = TrajectoryDump.read_csv(path)
+    assert (back.meta, back.error_counts) == (dump.meta, dump.error_counts)
+    assert [s.tolist() for s in back.snapshots] == [s.tolist() for s in dump.snapshots]
