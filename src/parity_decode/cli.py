@@ -38,6 +38,9 @@ from .experiments import (
 )
 
 ENV_SEED = "PARITY_DECODE_SEED"
+# trajectory --k default per source: the mcmc source's exhaustive ground
+# state stops at K = 24, so it takes the paper's landscape size
+TRAJECTORY_K = {"iid": 40, "mcmc": 14}
 
 
 def _master_seed(value: int | None) -> int:
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-policy", choices=["keep", "fail"], default="fail")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: available parallelism)")
+                   help="worker processes, >= 1 (default: available parallelism)")
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("landscape", help="(beta, gamma) success landscape")
@@ -114,12 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--bf-iters", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes, >= 1 (default: available parallelism)")
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("trajectory", help="per-iteration decode snapshots")
     p.add_argument("--source", choices=["iid", "mcmc"], default="iid")
-    p.add_argument("--k", type=int, default=40)
+    p.add_argument("--k", type=int, default=None,
+                   help="logical spins (default 40 for --source iid, 14 for --source mcmc)")
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--beta", type=float, default=1.5)
     p.add_argument("--gamma", type=float, default=0.1)
@@ -250,10 +255,11 @@ def cmd_landscape(args) -> int:
 
 def cmd_trajectory(args) -> int:
     seed = _master_seed(args.seed)
+    K = TRAJECTORY_K[args.source] if args.k is None else args.k
     if args.source == "iid":
-        source = {"kind": "iid", "K": args.k, "epsilon": args.epsilon}
+        source = {"kind": "iid", "K": K, "epsilon": args.epsilon}
     else:
-        inst = gen_instance(args.k, args.instance_seed)
+        inst = gen_instance(K, args.instance_seed)
         source = {"kind": "mcmc", "instance": inst, "beta": args.beta,
                   "gamma": args.gamma}
         if args.budget is not None:

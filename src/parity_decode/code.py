@@ -104,15 +104,16 @@ class ParityCode:
         )
 
 
-def _check_count(name: str, value, low: int | None = None) -> None:
-    """Refuse a size, count or iteration number that is not an integer
-    (numpy integers included, bool not) or, with low given, is below
-    low: a float one would be truncated, or never met by a loop's
-    equality test."""
+def _check_count(name: str, value, low: int | None = None) -> int:
+    """The size, count or iteration number value as a Python int.
+    Refuses one that is not an integer (numpy integers included, bool
+    not) or, with low given, is below low: a float one would be
+    truncated, or never met by a loop's equality test."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def _check_strengths(where: str = "", **values) -> None:
@@ -132,9 +133,9 @@ def build_code(K: int) -> ParityCode:
     returns the same instance, whose arrays are read-only.
     Raises ValueError for K < 2.
     """
-    _check_count("K", K, 2)
+    K = _check_count("K", K, 2)
     with _BUILD_LOCK:
-        return _construct(int(K))
+        return _construct(K)
 
 
 def _member_positions(members: np.ndarray, n_vars: int, width: int) -> np.ndarray:

@@ -81,7 +81,10 @@ class DecodeResult:
 class InversionWeights:
     """Weights of the inversion-function family.
 
-    w0: weight of the channel hard decision (weighted-BF).
+    w0: weight of the channel hard decision. It is validated and
+        stored, but no inversion kind reads it: whether weighted BF
+        should scale its channel term by w0 waits for the paper's full
+        text.
     wk: per-check weights, scalar or a vector over the check family.
     beta: channel reliability / correlation-strength factor.
     gamma: penalty strength (sampling decoder only).

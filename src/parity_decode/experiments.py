@@ -71,6 +71,8 @@ class ProblemInstance:
 
     @classmethod
     def from_couplings(cls, K: int, couplings, seed=None, label="") -> "ProblemInstance":
+        K = _check_count("K", K, 2)
+        seed = None if seed is None else _check_count("seed", seed, 0)
         couplings = np.asarray(couplings, dtype=np.float64).ravel()
         if len(couplings) != K * (K - 1) // 2:
             raise ValueError(f"couplings length {len(couplings)} != C({K},2)")
@@ -217,32 +219,27 @@ def bench_iid(
         raise ValueError(f"unknown decoder {decoder!r}")
     if tie_policy is TiePolicy.COIN:
         raise ValueError("bench_iid needs a deterministic tie policy (keep or fail), not coin")
-    sizes = [("K", K, 2) for K in K_list] + [
-        ("trials", trials, 0), ("iters", iters, None if decoder == "mcmc" else 1),
-        ("seed", seed, 0)]
-    if mcmc_budget is not None:
-        sizes.append(("mcmc_budget", mcmc_budget, 1))
-    for name, value, low in sizes:
-        _check_count(name, value, low)
+    config = {
+        "decoder": decoder, "K_list": [_check_count("K", K, 2) for K in K_list],
+        "eps_list": [float(e) for e in eps_list], "trials": _check_count("trials", trials, 0),
+        "iters": _check_count("iters", iters, None if decoder == "mcmc" else 1),
+        "seed": _check_count("seed", seed, 0), "tie_policy": tie_policy.value,
+        "mcmc_budget": None if mcmc_budget is None else _check_count("mcmc_budget", mcmc_budget, 1),
+        "mcmc_gamma": float(mcmc_gamma),
+        "mcmc_family": mcmc_family,
+        "codeword": None if codeword is None else np.asarray(codeword).tolist(),
+    }
+    n_workers = _worker_count(n_workers)
     eps_max = 0.5 if decoder == "bp" else 1.0
     if not all(0.0 <= e < eps_max for e in eps_list):
         raise ValueError(f"every epsilon must be in [0, {eps_max}), got {list(eps_list)}")
     HamiltonianParams(gamma=mcmc_gamma, family=mcmc_family)  # refuses a bad gamma or family
     if codeword is not None:
         cw = validate_spin_matrix(codeword)
-        if any(int(K) != len(cw) for K in K_list):
+        if any(K != len(cw) for K in config["K_list"]):
             raise ValueError(f"codeword has size {len(cw)}, but K_list is {list(K_list)}")
         if not is_codeword(build_code(len(cw)), cw):
             raise ValueError("codeword violates a triangle check")
-    config = {
-        "decoder": decoder, "K_list": [int(k) for k in K_list],
-        "eps_list": [float(e) for e in eps_list], "trials": int(trials),
-        "iters": int(iters), "seed": int(seed), "tie_policy": tie_policy.value,
-        "mcmc_budget": None if mcmc_budget is None else int(mcmc_budget),
-        "mcmc_gamma": float(mcmc_gamma),
-        "mcmc_family": mcmc_family,
-        "codeword": None if codeword is None else np.asarray(codeword).tolist(),
-    }
     units = [(config, ki, ei) for ki in range(len(config["K_list"]))
              for ei in range(len(config["eps_list"]))]
     return BenchmarkReport(kind="bench_iid", config=config,
@@ -342,11 +339,12 @@ def landscape(
     """
     if strategy not in ("mcmc", "hybrid"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    _check_count("bf_max_iters", bf_max_iters, 1 if strategy == "hybrid" else None)
-    _check_count("trials_per_cell", trials_per_cell, 0)
-    _check_count("seed", seed, 0)
+    bf_max_iters = _check_count("bf_max_iters", bf_max_iters, 1 if strategy == "hybrid" else None)
+    trials_per_cell = _check_count("trials_per_cell", trials_per_cell, 0)
+    seed = _check_count("seed", seed, 0)
     if budget is not None:
-        _check_count("budget", budget, 1)
+        budget = _check_count("budget", budget, 1)
+    n_workers = _worker_count(n_workers)
     instances = list(instances)
     if not instances:
         raise ValueError("need at least one instance")
@@ -360,15 +358,15 @@ def landscape(
         budget = 1200 * n_vars if strategy == "mcmc" else 4 * n_vars
     config = {
         "K": K, "strategy": strategy, "beta_grid": [float(b) for b in beta_grid],
-        "gamma_grid": [float(g) for g in gamma_grid], "budget": int(budget),
-        "trials_per_cell": int(trials_per_cell), "seed": int(seed),
-        "bf_max_iters": int(bf_max_iters), "family": family,
+        "gamma_grid": [float(g) for g in gamma_grid], "budget": budget,
+        "trials_per_cell": trials_per_cell, "seed": seed,
+        "bf_max_iters": bf_max_iters, "family": family,
         "instances": [inst.label for inst in instances],
         "instance_seeds": [inst.seed for inst in instances],
     }
     cells = [(bi, gi) for bi in range(len(beta_grid)) for gi in range(len(gamma_grid))]
     # one contiguous block of cells per worker
-    n_blocks = max(1, min(_worker_count(n_workers), len(cells)))
+    n_blocks = min(n_workers, len(cells))
     bounds = [len(cells) * u // n_blocks for u in range(n_blocks + 1)]
     units = [(config, instances, cells[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     rows = [row for block in _run_units(_landscape_unit, units, n_workers) for row in block]
@@ -402,43 +400,33 @@ def efficiency_ratio(
     per trial. Returns NaN when either arm records no success
     (unestimable), never raises for that. bf_max_iters and given
     budgets must be integers >= 1, trials and seed integers >= 0."""
-    _check_count("bf_max_iters", bf_max_iters, 1)
-    _check_count("trials", trials, 0)
-    _check_count("seed", seed, 0)
-    for name, budget in (("budget_a", budget_a), ("budget_b", budget_b)):
-        if budget is not None:
-            _check_count(name, budget, 1)
+    bf_max_iters = _check_count("bf_max_iters", bf_max_iters, 1)
+    trials = _check_count("trials", trials, 0)
+    seed = _check_count("seed", seed, 0)
     code = build_code(instance.K)
-    target = encode(code, instance.ground_state)
-    n_vars = code.n_vars
-    budget_a = 1200 * n_vars if budget_a is None else budget_a
-    budget_b = 4 * n_vars if budget_b is None else budget_b
-    params_a = HamiltonianParams(beta=cell_a[0], gamma=cell_a[1],
-                                 couplings=instance.couplings, family=family)
-    params_b = HamiltonianParams(beta=cell_b[0], gamma=cell_b[1],
-                                 couplings=instance.couplings, family=family)
-    # arm A's chains are mcmc_decode's, arm B's hybrid_decode's, at
+    budgets = (1200 * code.n_vars if budget_a is None else _check_count("budget_a", budget_a, 1),
+               4 * code.n_vars if budget_b is None else _check_count("budget_b", budget_b, 1))
+    # (params, budget, BF iterations) per arm, all checked before any chain
+    # runs: arm A's chains are mcmc_decode's, arm B's hybrid_decode's, at
     # seeds trial_seed(seed, 31, arm, t), run in lockstep batches
-    targets = np.repeat(matrix_to_vector(code, target)[None], trials, axis=0)
-    arms = ((params_a, budget_a, None), (params_b, budget_b, bf_max_iters))
-    succ = []
+    arms = [(HamiltonianParams(beta=b, gamma=g, couplings=instance.couplings, family=family),
+             budget, iters)
+            for (b, g), budget, iters in zip((cell_a, cell_b), budgets, (None, bf_max_iters))]
+    target = matrix_to_vector(code, encode(code, instance.ground_state))
+    targets = np.repeat(target[None], trials, axis=0)
+    succ, spp = [], []
     for arm, (params, budget, iters) in enumerate(arms):
         seeds = [trial_seed(seed, 31, arm, t) for t in range(trials)]
         succ.append(int(_lockstep_hits(code, [params] * trials, budget, seeds, targets,
                                        iters)[:, 0].sum()))
-    succ_a, succ_b = succ
+        spp.append(trials * budget / succ[-1] if succ[-1] else math.nan)
     details = {
-        "trials": trials, "budget_a": budget_a, "budget_b": budget_b,
-        "successes_a": succ_a, "successes_b": succ_b,
-        "samples_per_success_a": (trials * budget_a / succ_a) if succ_a else math.nan,
-        "samples_per_success_b": (trials * budget_b / succ_b) if succ_b else math.nan,
+        "trials": trials, "budget_a": budgets[0], "budget_b": budgets[1],
+        "successes_a": succ[0], "successes_b": succ[1],
+        "samples_per_success_a": spp[0], "samples_per_success_b": spp[1],
+        "ratio": spp[0] / spp[1],
     }
-    if succ_a == 0 or succ_b == 0:
-        ratio = math.nan
-    else:
-        ratio = details["samples_per_success_a"] / details["samples_per_success_b"]
-    details["ratio"] = ratio
-    return (ratio, details) if return_details else ratio
+    return (details["ratio"], details) if return_details else details["ratio"]
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +451,11 @@ def trajectory_demo(
         raise ValueError(f"unknown decoder {decoder!r}")
     if decoder == "bp":
         reliability_weight(bp_epsilon)  # refuses a flip rate outside (0, 1/2)
-    _check_count("seed", seed, 0)
-    _check_count("max_iters", iters, 1)  # the decoders' name for it
+    seed = _check_count("seed", seed, 0)
+    iters = _check_count("max_iters", iters, 1)  # the decoders' name for it
     kind = source.get("kind")
     if kind == "iid":
-        _check_count("K", source["K"], 2)
-        K = int(source["K"])
+        K = _check_count("K", source["K"], 2)
         code = build_code(K)
         target = all_one_matrix(K)
         x = sample_iid_errors(code, float(source["epsilon"]), trial_seed(seed, 41, 0))
@@ -477,20 +464,20 @@ def trajectory_demo(
         inst = source["instance"]
         code = build_code(inst.K)
         target = encode(code, inst.ground_state)
-        budget = source.get("budget", 4 * code.n_vars)
-        _check_count("budget", budget, 1)
+        budget = _check_count("budget", source.get("budget", 4 * code.n_vars), 1)
         params = HamiltonianParams(
             beta=float(source["beta"]), gamma=float(source["gamma"]),
             couplings=inst.couplings, family=source.get("family", "w4"),
         )
-        _, run = mcmc_decode(code, params, budget, target, trial_seed(seed, 41, 1))
-        x = run.samples[-1]
+        _, run = mcmc_decode(code, params, budget, target, trial_seed(seed, 41, 1),
+                             store_samples=False)
+        x = vector_to_matrix(code, run.final_f)
         meta = {"source": "mcmc", "K": inst.K, "beta": params.beta,
-                "gamma": params.gamma, "budget": int(budget), "instance": inst.label}
+                "gamma": params.gamma, "budget": budget, "instance": inst.label}
     else:
         raise ValueError(f"unknown source kind {kind!r}")
 
-    meta.update({"decoder": decoder, "iters": int(iters), "seed": int(seed)})
+    meta.update({"decoder": decoder, "iters": iters, "seed": seed})
     if decoder == "bf":
         res = bf_decode(code, x, max_iters=iters, target=target, record_trajectory=True)
         snaps = res.trajectory
@@ -506,11 +493,11 @@ def trajectory_demo(
 # ---------------------------------------------------------------------------
 
 def _worker_count(n_workers: int | None) -> int:
-    return (os.cpu_count() or 1) if n_workers is None else n_workers
+    """n_workers checked to be an integer >= 1; None means every CPU."""
+    return (os.cpu_count() or 1) if n_workers is None else _check_count("n_workers", n_workers, 1)
 
 
-def _run_units(fn, units: list, n_workers: int | None) -> list:
-    n_workers = _worker_count(n_workers)
+def _run_units(fn, units: list, n_workers: int) -> list:
     if n_workers <= 1 or len(units) <= 1:
         return [fn(u) for u in units]
     # imported here: it loads multiprocessing, about 5 ms of every import

@@ -140,7 +140,8 @@ class SampleRun:
     target_hit / first_codeword are sample indices with 0 meaning the
     initial state and t meaning the state after step t; None if never.
     The initial state is kept as the edge vector initial_f; `initial`
-    is its spin matrix, converted on first read.
+    is its spin matrix, converted on first read. final_f is the state
+    after the last step as an edge vector, kept with or without samples.
     """
 
     params: HamiltonianParams
@@ -148,6 +149,7 @@ class SampleRun:
     budget: int
     initial_f: np.ndarray
     code: ParityCode = field(repr=False)
+    final_f: np.ndarray | None = None
     samples: list = field(default_factory=list)
     energies: np.ndarray | None = None
     escape_rates: np.ndarray | None = None
@@ -574,6 +576,7 @@ def _run_chain(
             sink.close()
 
     run.target_hit, run.first_codeword = chain.target_hit, chain.first_codeword
+    run.final_f = chain.xf.copy()
     if store_samples:
         run.samples = list(vector_to_matrix(code, stack[1:]))
         if bf_iters is not None:

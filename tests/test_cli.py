@@ -331,14 +331,41 @@ def test_trajectory_cli_mcmc_source(tmp_path, capsys):
 
 
 def test_trajectory_cli_mcmc_source_refuses_k_above_ground_state_bound(tmp_path, capsys):
-    # the default --k 40 has no exhaustive ground state to decode toward
+    # K = 40 has no exhaustive ground state to decode toward
     out_file = tmp_path / "t.csv"
     code, out, err = run_cli(
-        ["trajectory", "--source", "mcmc", "--seed", "3", "--out", str(out_file)], capsys)
+        ["trajectory", "--source", "mcmc", "--k", "40", "--seed", "3", "--out", str(out_file)],
+        capsys)
     assert code == 2
     assert out == ""
     assert err == "error: K=40 exceeds exhaustive ground-state bound 24\n"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("source, K", [("iid", 40), ("mcmc", 14)])
+def test_trajectory_cli_default_k_per_source(tmp_path, capsys, source, K):
+    # the mcmc source needs an exhaustive ground state (K <= 24), so its
+    # default is the landscape size 14, not the iid source's 40
+    out_file = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        ["trajectory", "--source", source, "--budget", "50", "--seed", "1",
+         "--out", str(out_file)], capsys)
+    assert (code, err) == (0, "")
+    assert TrajectoryDump.read_csv(out_file).meta["K"] == K
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--decoder", "bf", "--k", "5,6", "--epsilon", "0.1", "--trials", "2"],
+    ["landscape", "--k", "5", "--instances", "1", "--beta", "1.0,2.0", "--gamma", "0.5",
+     "--budget", "20", "--trials", "1"],
+])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_report_commands_refuse_fewer_than_one_thread(tmp_path, capsys, command, threads):
+    code, out, err = run_cli(command + ["--threads", threads, "--seed", "1",
+                                        "--out-dir", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: n_workers must be >= 1, got {threads}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +60,31 @@ def test_ground_state_matches_slow_scan():
             best = Z
     assert inst.ground_energy == pytest.approx(best_e, rel=1e-12)
     assert np.array_equal(inst.ground_state, best * best[0])  # same gauge
+
+
+@pytest.mark.parametrize("K, seed", [(np.int64(5), 3), (5, np.int64(3)),
+                                     (np.int32(5), np.uint8(3))])
+def test_instance_records_k_and_seed_as_ints(tmp_path, K, seed):
+    """An instance's K and seed land in landscape configs and trajectory
+    metas, so numpy integers are kept as the ints they equal."""
+    inst = gen_instance(K, seed)
+    assert (inst.K, inst.seed, inst.label) == (5, 3, "K5-s3")
+    assert type(inst.K) is int and type(inst.seed) is int
+    rep = landscape([inst], [1.0], [0.5], budget=20, trials_per_cell=2)
+    rep.to_json(tmp_path / "r.json")
+    rep.to_csv(tmp_path / "r.csv")
+
+
+@pytest.mark.parametrize("K, seed, message", [
+    (4.0, None, "K must be an integer"),
+    (1, None, "K must be >= 2"),
+    (4, -1, "seed must be >= 0"),
+    (4, 2.5, "seed must be an integer"),
+    (4, True, "seed must be an integer"),
+])
+def test_instance_refuses_bad_k_and_seed(K, seed, message):
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance.from_couplings(K, np.zeros(int(K * (K - 1) // 2)), seed=seed)
 
 
 def test_encoded_ground_state_minimizes_code_energy():
@@ -172,6 +199,19 @@ def test_bench_rejects_bad_codeword_before_running(monkeypatch):
                              ([6], z8), ([8, 10], z8)):
         with pytest.raises(ValueError):
             bench_iid("bf", K_list, [0.1], trials=5, seed=1, codeword=codeword)
+
+
+@pytest.mark.parametrize("n_workers", [2.5, 3.0, 0, -3, True, np.float64(2.0)])
+def test_drivers_refuse_bad_worker_counts_before_any_unit(monkeypatch, n_workers):
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_units", no_units)
+    with pytest.raises(ValueError, match="n_workers must be"):
+        bench_iid("bf", [5, 6, 7], [0.1], trials=2, n_workers=n_workers)
+    with pytest.raises(ValueError, match="n_workers must be"):
+        landscape([gen_instance(5, 1)], [1.0, 2.0], [0.5, 1.0], budget=20, trials_per_cell=1,
+                  n_workers=n_workers)
 
 
 def test_bench_rejects_coin_ties_before_running(monkeypatch):
@@ -412,6 +452,17 @@ def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):
                         ("trials", 2.5), ("bf_max_iters", 2.0), ("seed", 1.5)):
         with pytest.raises(ValueError, match=f"{name} must be"):
             efficiency_ratio(inst, (1.0, 0.5), (1.0, 0.5), **{"trials": 2, name: value})
+
+
+def test_efficiency_ratio_refuses_either_cell_before_any_chain(monkeypatch):
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_lockstep", no_chains)
+    inst = gen_instance(5, 1)
+    for cells in (((-1.0, 0.5), (1.0, 0.5)), ((1.0, 0.5), (1.0, -0.5))):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            efficiency_ratio(inst, *cells, trials=2)
 
 
 def test_landscape_refuses_sizes_the_config_would_truncate(monkeypatch, tmp_path):
@@ -675,6 +726,31 @@ def test_trajectory_mcmc_source_and_bp():
     assert dump.meta["decoder"] == "bp"
 
 
+def test_trajectory_mcmc_source_holds_no_chain_states():
+    """The mcmc source decodes the chain's final state, run.final_f: between
+    two budgets the traced peak grows by the per-step energy and escape
+    rate (16 bytes), not by a stored K = 14 state per step."""
+    source = {"kind": "mcmc", "instance": gen_instance(14, 0), "beta": 1.5, "gamma": 0.1}
+    trajectory_demo({**source, "budget": 50}, seed=1)  # warm caches
+    peaks = []
+    for budget in (4_000, 24_000):
+        tracemalloc.start()
+        try:
+            trajectory_demo({**source, "budget": budget}, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 20_000 < 32
+
+
+def test_trajectory_mcmc_source_records_numpy_instance_as_ints(tmp_path):
+    dump = trajectory_demo({"kind": "mcmc", "instance": gen_instance(np.int64(8), 1),
+                            "beta": 1.5, "gamma": 0.1, "budget": 40}, seed=2)
+    dump.write_csv(tmp_path / "t.csv")
+    assert type(dump.meta["K"]) is int
+    assert TrajectoryDump.read_csv(tmp_path / "t.csv").meta == dump.meta
+
+
 def test_trajectory_refuses_non_integer_iterations():
     # BP's stop test `it == max_iters` never holds for a float count
     for decoder in ("bf", "bp"):
@@ -804,3 +880,30 @@ def test_trajectory_csv_bytes(tmp_path):
     back = TrajectoryDump.read_csv(path)
     assert (back.meta, back.error_counts) == (dump.meta, dump.error_counts)
     assert [s.tolist() for s in back.snapshots] == [s.tolist() for s in dump.snapshots]
+
+
+# ---------------------------------------------------------------------------
+# recorded values
+
+@pytest.mark.parametrize("driver", ["bench_iid", "landscape", "efficiency_ratio",
+                                    "trajectory_demo"])
+def test_records_survive_json_with_numpy_integer_counts(driver):
+    """Every count a driver records is the Python int its check returned,
+    so a config, details dict or meta built from numpy integers is JSON."""
+    i = np.int64
+    if driver == "bench_iid":
+        record = bench_iid("mcmc", [i(5), i(6)], [0.1], trials=i(3), iters=i(2), seed=i(1),
+                           mcmc_budget=i(4), n_workers=i(1)).config
+    elif driver == "landscape":
+        record = landscape([gen_instance(i(5), i(3)), gen_instance(i(5), i(4))], [1.0], [0.5],
+                           budget=i(20), trials_per_cell=i(2), seed=i(1), bf_max_iters=i(2),
+                           n_workers=i(1)).config
+    elif driver == "efficiency_ratio":
+        _, record = efficiency_ratio(gen_instance(i(5), i(3)), (1.0, 0.5), (1.0, 0.5),
+                                     seed=i(1), trials=i(2), budget_a=i(20), budget_b=i(10),
+                                     bf_max_iters=i(2), return_details=True)
+    else:
+        record = trajectory_demo({"kind": "mcmc", "instance": gen_instance(i(8), i(1)),
+                                  "beta": 1.5, "gamma": 0.1, "budget": i(30)},
+                                 seed=i(2), iters=i(3)).meta
+    json.dumps(record)

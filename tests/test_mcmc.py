@@ -526,6 +526,16 @@ def test_unpack_state_hex_refuses_a_wrong_byte_count():
         assert np.array_equal(unpack_state_hex(pack_state_hex(xf), n_vars), xf)
 
 
+def test_final_f_is_the_last_state_with_or_without_samples():
+    code = build_code(7)
+    params = HamiltonianParams(beta=1.0, gamma=0.5, couplings=np.linspace(-0.2, 0.2, 21),
+                               family="w4")
+    _, stored = mcmc_decode(code, params, 2500, all_one_matrix(7), 5)
+    _, bare = mcmc_decode(code, params, 2500, all_one_matrix(7), 5, store_samples=False)
+    assert np.array_equal(stored.final_f, matrix_to_vector(code, stored.samples[-1]))
+    assert np.array_equal(bare.final_f, stored.final_f) and bare.samples == []
+
+
 def test_average_error_matrix_empty_run():
     code = build_code(4)
     params = HamiltonianParams(beta=0.0, gamma=1.0, family="w4")
