@@ -54,8 +54,23 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _count(low: int):
+    """argparse type of a count flag: an int >= low. argparse words a
+    refusal with the flag, `argument --threads: must be >= 1, got 0`,
+    and exits 2."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
+def _k_list(text: str) -> list[int]:
+    return [_count(2)(v) for v in text.split(",") if v.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("code-info", help="structure of the code for a given K")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count(2), required=True)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--dump-matrices", action="store_true",
                    help="include the binary matrices (K <= 8)")
@@ -78,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen-iid", nargs=2, metavar=("K", "EPSILON"),
                      help="sample i.i.d. noise on the all-one codeword")
     p.add_argument("--decoder", choices=["bf", "bp"], default="bf")
-    p.add_argument("--iters", type=int, default=5)
+    p.add_argument("--iters", type=_count(1), default=5)
     p.add_argument("--epsilon", type=float, default=0.25,
                    help="flip rate assumed by the BP initializer for file input")
     p.add_argument("--tie-policy", choices=[t.value for t in TiePolicy], default="keep")
@@ -89,49 +104,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="i.i.d. noise benchmark")
     p.add_argument("--decoder", choices=["bf", "bp", "mcmc"], default="bf")
-    p.add_argument("--k", type=_int_list, required=True, help="comma-separated K values")
+    p.add_argument("--k", type=_k_list, required=True, help="comma-separated K values")
     p.add_argument("--epsilon", type=_float_list, required=True,
                    help="comma-separated flip rates")
-    p.add_argument("--trials", type=int, default=5000)
-    p.add_argument("--iters", type=int, default=5)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--trials", type=_count(0), default=5000)
+    p.add_argument("--iters", type=_count(1), default=5)
+    p.add_argument("--budget", type=_count(1), default=None,
                    help="sampling budget per trial (mcmc decoder; default C(K,2))")
     p.add_argument("--gamma", type=float, default=1.0, help="penalty strength (mcmc)")
     p.add_argument("--syndrome-family", choices=["w3", "w4"], default="w3")
     p.add_argument("--tie-policy", choices=["keep", "fail"], default="fail")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_count(1), default=None,
                    help="worker processes, >= 1 (default: available parallelism)")
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("landscape", help="(beta, gamma) success landscape")
-    p.add_argument("--k", type=int, default=14)
-    p.add_argument("--instances", type=int, default=12)
+    p.add_argument("--k", type=_count(2), default=14)
+    p.add_argument("--instances", type=_count(1), default=12)
     p.add_argument("--instance-seed", type=int, default=None,
                    help="base seed for instance generation (default: master seed)")
     p.add_argument("--beta", type=_float_list, default=list(DEFAULT_BETA_GRID))
     p.add_argument("--gamma", type=_float_list, default=list(DEFAULT_GAMMA_GRID))
     p.add_argument("--strategy", choices=["mcmc", "hybrid"], default="hybrid")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_count(1), default=None,
                    help="samples per trial (default 1200*C(K,2) mcmc / 4*C(K,2) hybrid)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--bf-iters", type=int, default=5)
+    p.add_argument("--trials", type=_count(0), default=100)
+    p.add_argument("--bf-iters", type=_count(1), default=5)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_count(1), default=None,
                    help="worker processes, >= 1 (default: available parallelism)")
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("trajectory", help="per-iteration decode snapshots")
     p.add_argument("--source", choices=["iid", "mcmc"], default="iid")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_count(2), default=None,
                    help="logical spins (default 40 for --source iid, 14 for --source mcmc)")
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--beta", type=float, default=1.5)
     p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count(1), default=None)
     p.add_argument("--instance-seed", type=int, default=0)
     p.add_argument("--decoder", choices=["bf", "bp"], default="bf")
-    p.add_argument("--iters", type=int, default=5)
+    p.add_argument("--iters", type=_count(1), default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     return ap

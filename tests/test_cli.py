@@ -74,9 +74,10 @@ def test_code_info_k2(capsys):
 
 
 def test_code_info_bad_k(capsys):
-    code, _, err = run_cli(["code-info", "--k", "1"], capsys)
-    assert code == 2
-    assert "K" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["code-info", "--k", "1"])
+    assert exc.value.code == 2
+    assert "argument --k: must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_decode_codeword_file(tmp_path, capsys):
@@ -177,7 +178,7 @@ def test_decode_file_bp(tmp_path, capsys, K, noise, seed):
 
 
 @pytest.mark.parametrize("args", [
-    ["decode", "--gen-iid", "5", "0.1", "--iters", "0"],
+    ["decode", "--gen-iid", "1", "0.1"],
     ["decode", "--gen-iid", "5", "abc"],
     ["decode", "--gen-iid", "5", "0.1", "--csv", "{missing}/x.csv"],
 ])
@@ -246,11 +247,11 @@ def test_bench_zero_trials(tmp_path, capsys):
 
 
 def test_bench_negative_trials_refused(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1", "--trials", "-3",
-         "--threads", "1", "--seed", "1", "--out-dir", str(tmp_path)], capsys)
-    assert code == 2
-    assert err.startswith("error: ") and "trials" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1", "--trials", "-3",
+              "--threads", "1", "--seed", "1", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --trials: must be >= 0, got -3" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -298,12 +299,12 @@ def test_report_commands_print_each_written_path_once(tmp_path, capsys, args):
 
 
 def test_landscape_cli_refuses_zero_bf_iters(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["landscape", "--k", "5", "--instances", "1", "--beta", "1.0", "--gamma", "0.5",
-         "--strategy", "hybrid", "--budget", "20", "--trials", "2", "--bf-iters", "0",
-         "--threads", "1", "--seed", "5", "--out-dir", str(tmp_path)], capsys)
-    assert code == 2
-    assert "bf_max_iters" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["landscape", "--k", "5", "--instances", "1", "--beta", "1.0", "--gamma", "0.5",
+              "--strategy", "hybrid", "--budget", "20", "--trials", "2", "--bf-iters", "0",
+              "--threads", "1", "--seed", "5", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --bf-iters: must be >= 1, got 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -361,10 +362,48 @@ def test_trajectory_cli_default_k_per_source(tmp_path, capsys, source, K):
 ])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_report_commands_refuse_fewer_than_one_thread(tmp_path, capsys, command, threads):
-    code, out, err = run_cli(command + ["--threads", threads, "--seed", "1",
-                                        "--out-dir", str(tmp_path)], capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: n_workers must be >= 1, got {threads}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", threads, "--seed", "1", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument --threads: must be >= 1, got {threads}\n")
+    assert not list(tmp_path.iterdir())
+
+
+# each count flag, with a value below its least and one that is not an
+# integer: argparse names the flag in the refusal, exits 2 and runs nothing
+COUNT_FLAGS = [
+    (["code-info"], "--k", 2),
+    (["decode", "--gen-iid", "5", "0.1"], "--iters", 1),
+    (["bench", "--decoder", "bf", "--epsilon", "0.1"], "--k", 2),
+    (["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1"], "--trials", 0),
+    (["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1"], "--iters", 1),
+    (["bench", "--decoder", "mcmc", "--k", "5", "--epsilon", "0.1"], "--budget", 1),
+    (["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1"], "--threads", 1),
+    (["landscape"], "--k", 2),
+    (["landscape", "--k", "5"], "--instances", 1),
+    (["landscape", "--k", "5"], "--budget", 1),
+    (["landscape", "--k", "5"], "--trials", 0),
+    (["landscape", "--k", "5"], "--bf-iters", 1),
+    (["landscape", "--k", "5"], "--threads", 1),
+    (["trajectory", "--source", "iid"], "--k", 2),
+    (["trajectory", "--source", "mcmc", "--k", "5"], "--budget", 1),
+    (["trajectory", "--source", "iid", "--k", "5"], "--iters", 1),
+]
+
+
+@pytest.mark.parametrize("command, flag, low", COUNT_FLAGS)
+def test_count_flags_refusals_name_the_flag(tmp_path, capsys, command, flag, low):
+    out_args = (["--out", str(tmp_path / "t.csv")] if command[0] == "trajectory"
+                else ["--out-dir", str(tmp_path)] if command[0] in ("bench", "landscape")
+                else [])
+    for value, message in ((str(low - 1), f"must be >= {low}, got {low - 1}"),
+                           ("2.5", "invalid int value: '2.5'")):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, value] + out_args)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: {message}\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from parity_decode import (
     BenchmarkReport,
@@ -117,6 +118,63 @@ def test_brute_force_chunking_consistent():
     assert np.array_equal(z1, z2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 16), grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(K=16, grid=True, seed=0)
+@example(K=16, grid=False, seed=0)
+def test_brute_force_blocks_match_one_block(K, grid, seed):
+    """The default blocks (1024 rows, each a negated-column copy of the
+    first) give the state and energy bits of one 2^(K-1)-row gemv, and
+    so does chunk=1 << 16. Grid couplings, multiples of 1/8, make exact
+    energy ties, so the first state reaching the minimum must win."""
+    rng = np.random.default_rng(seed)
+    n = K * (K - 1) // 2
+    J = rng.integers(-2, 3, n) / 8 if grid else rng.uniform(-0.25, 0.25, n)
+    a, b = build_code(K).edges.T
+    Z = (2 * ((np.arange(1, 1 << K, 2)[:, None] >> np.arange(K)) & 1) - 1).astype(np.int8)
+    energies = -(np.ascontiguousarray(Z[:, a] * Z[:, b], dtype=np.float64) @ J)
+    i = int(np.argmin(energies))
+    for z, e in (brute_force_ground_state(K, J), brute_force_ground_state(K, J, chunk=1 << 16)):
+        assert z.dtype == np.int8
+        assert z.tobytes() == Z[i].tobytes()
+        assert e.hex() == energies[i].hex()
+
+
+def test_gen_instance_traced_peak_is_one_block():
+    """The search holds one 1024-row block of products (0.98 MB at
+    K = 16), not a 65 536-row one (36 MB traced before blocks)."""
+    build_code(16)  # warm the code cache
+    tracemalloc.start()
+    try:
+        gen_instance(16, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("chunk, message", [
+    (0, "chunk must be >= 8, got 0"),
+    (4, "chunk must be >= 8, got 4"),
+    (7, "chunk must be >= 8, got 7"),
+    (12, "chunk must be a power of two, got 12"),
+    (1000, "chunk must be a power of two, got 1000"),
+    (2.5, "chunk must be an integer, got 2.5"),
+    (True, "chunk must be an integer, got True"),
+])
+def test_brute_force_refuses_bad_chunk(chunk, message):
+    with pytest.raises(ValueError, match=message):
+        brute_force_ground_state(5, np.zeros(10), chunk=chunk)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_brute_force_refuses_non_finite_couplings(bad):
+    J = np.zeros(10)
+    J[3] = bad
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        brute_force_ground_state(5, J)
+
+
 def test_wilson_interval_basic():
     lo, hi = wilson_interval(0, 0)
     assert (lo, hi) == (0.0, 1.0)
@@ -183,6 +241,19 @@ def test_bench_gauge_convention_invariant():
         gauged = bench_iid(decoder, [8], [0.2], trials=60, seed=21, codeword=z)
         assert base.rows[0]["successes"] == gauged.rows[0]["successes"]
         assert base.rows[0]["tie_failures"] == gauged.rows[0]["tie_failures"]
+
+
+def test_bench_records_validated_codeword(tmp_path):
+    """A float +-1 codeword is recorded as the int8 matrix its validation
+    returns: the same config, stem and report bytes as the int8 one."""
+    z = encode(build_code(5), np.array([1, -1, 1, 1, -1]))
+    reps = [bench_iid("bf", [5], [0.1], 3, codeword=cw) for cw in (z, z.astype(float))]
+    assert reps[1].config["codeword"] == z.tolist()
+    assert all(type(v) is int for row in reps[1].config["codeword"] for v in row)
+    assert reps[1].default_stem() == reps[0].default_stem()
+    for i, rep in enumerate(reps):
+        rep.to_json(tmp_path / f"{i}.json")
+    assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
 
 
 def test_bench_rejects_bad_codeword_before_running(monkeypatch):
