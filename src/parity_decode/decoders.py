@@ -8,13 +8,12 @@
   decoder's energy by exactly twice the score.
 * Belief propagation (BP): sum-product message passing on the triangle
   check graph (girth 6), flooding schedule, messages clipped at +-30.
-* Minimum-weight decoding (MWD): exact small-scale oracle; finds the
-  nearest state whose plaquette syndrome matches the input's.
+* Minimum-weight decoding (MWD): exact small-scale oracle (K <= 8); a
+  scan over the 2^(K-1) codewords for the one nearest the input.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +23,7 @@ import numpy as np
 from .channels import check_weight, pair_error_prob, reliability_weight
 from .code import (
     ParityCode,
+    codewords,
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
@@ -625,31 +625,20 @@ MWD_MAX_K = 8
 
 
 def mwd_bruteforce(code: ParityCode, x: np.ndarray) -> np.ndarray:
-    """Nearest plaquette-consistent state: x o e* where e* has the same
-    plaquette syndrome as x and the fewest -1 entries; ties break to the
+    """Nearest codeword to x: x o e* where e* has the same plaquette
+    syndrome as x and the fewest -1 entries; ties break to the
     lexicographically smallest e* (-1 sorting before +1).
 
-    Enumerates error patterns by increasing Hamming weight, which
+    A pattern e has x's plaquette syndrome exactly when x o e is a
+    codeword, so one scan over the 2^(K-1) codewords finds e*. This
     realizes the infinite-constraint-strength limit without picking a
     finite multiplier. Exhaustive: refuses K > 8.
     """
     if code.K > MWD_MAX_K:
         raise CapacityError(f"minimum-weight search is exhaustive; K={code.K} exceeds {MWD_MAX_K}")
     xf = _edge_vector(code, x)
-    target = _syndrome_flat(code, xf, "w4")
-    n = code.n_vars
-
-    chunk = 65536
-    for weight in range(n + 1):
-        it = itertools.combinations(range(n), weight)
-        while True:
-            combos = list(itertools.islice(it, chunk))
-            if not combos:
-                break
-            flips = np.array(combos, dtype=np.intp)  # (rows, weight): the -1s of each row
-            e = np.ones((len(flips), n), dtype=np.int8)
-            e[np.arange(len(flips))[:, None], flips] = -1
-            hit = np.flatnonzero((_syndrome_flat(code, e, "w4") == target).all(axis=1))
-            if len(hit):
-                return vector_to_matrix(code, xf * e[hit[0]])
-    raise RuntimeError("unreachable: weight-n pattern always matches its own syndrome")
+    e = matrix_to_vector(code, codewords(code)) * xf  # the error pattern of each codeword
+    weight = np.count_nonzero(e == -1, axis=1)
+    e = e[weight == weight.min()]
+    # lexsort's last key is its primary one: column 0 first, -1 before +1
+    return vector_to_matrix(code, xf * e[np.lexsort(e.T[::-1])[0]])

@@ -37,6 +37,7 @@ from .code import (
     validate_spin_matrix,
     vector_to_matrix,
     _check_count,
+    _check_strengths,
     _spin_rows,
 )
 from .decoders import (
@@ -393,6 +394,9 @@ def landscape(
         "instances": [inst.label for inst in instances],
         "instance_seeds": [inst.seed for inst in instances],
     }
+    # every grid value and the family, checked before any chain runs
+    _check_strengths(beta_grid=config["beta_grid"], gamma_grid=config["gamma_grid"])
+    HamiltonianParams(family=family)  # refuses an unknown family
     cells = [(bi, gi) for bi in range(len(beta_grid)) for gi in range(len(gamma_grid))]
     # one contiguous block of cells per worker
     n_blocks = min(n_workers, len(cells))
@@ -483,13 +487,19 @@ def trajectory_demo(
     seed = _check_count("seed", seed, 0)
     iters = _check_count("max_iters", iters, 1)  # the decoders' name for it
     kind = source.get("kind")
+    if kind not in ("iid", "mcmc"):
+        raise ValueError(f"unknown source kind {kind!r}")
+    needed = ("K", "epsilon") if kind == "iid" else ("instance", "beta", "gamma")
+    missing = [key for key in needed if key not in source]
+    if missing:
+        raise ValueError(f"{kind} source needs the key(s) {missing}")
     if kind == "iid":
         K = _check_count("K", source["K"], 2)
         code = build_code(K)
         target = all_one_matrix(K)
         x = sample_iid_errors(code, float(source["epsilon"]), trial_seed(seed, 41, 0))
         meta = {"source": "iid", "K": K, "epsilon": float(source["epsilon"])}
-    elif kind == "mcmc":
+    else:
         inst = source["instance"]
         code = build_code(inst.K)
         target = encode(code, inst.ground_state)
@@ -503,8 +513,6 @@ def trajectory_demo(
         x = vector_to_matrix(code, run.final_f)
         meta = {"source": "mcmc", "K": inst.K, "beta": params.beta,
                 "gamma": params.gamma, "budget": budget, "instance": inst.label}
-    else:
-        raise ValueError(f"unknown source kind {kind!r}")
 
     meta.update({"decoder": decoder, "iters": iters, "seed": seed})
     if decoder == "bf":

@@ -648,6 +648,8 @@ def test_mwd_capacity_guard():
     code = build_code(9)
     with pytest.raises(CapacityError):
         mwd_bruteforce(code, all_one_matrix(9))
+    with pytest.raises(CapacityError):  # refused before the input is validated
+        mwd_bruteforce(code, np.zeros((3, 3)))
 
 
 def _mwd_oracle(code, x):
@@ -670,13 +672,38 @@ def _mwd_oracle(code, x):
     return vector_to_matrix(code, (xf * best).astype(np.int8))
 
 
-@pytest.mark.parametrize("K", [4, 5])
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
 def test_mwd_matches_exhaustive_oracle(K):
-    rng = np.random.default_rng(30 + K)
     code = build_code(K)
+    if K <= 4:  # every input
+        xs = [vector_to_matrix(code, np.array(bits, dtype=np.int8))
+              for bits in itertools.product([1, -1], repeat=code.n_vars)]
+    else:
+        rng = np.random.default_rng(30 + K)
+        xs = [random_spin_matrix(K, rng) for _ in range(12)]
+    for x in xs:
+        assert np.array_equal(mwd_bruteforce(code, x), _mwd_oracle(code, x))
+
+
+@pytest.mark.parametrize("K", [7, 8])
+def test_mwd_is_nearest_codeword_with_minus_first_ties(K):
+    """At the largest sizes the decoder accepts, the output is a codeword
+    at the least distance from x, and among the codewords at that
+    distance the one whose error pattern x o z sorts first (-1 < +1)."""
+    rng = np.random.default_rng(40 + K)
+    code = build_code(K)
+    cands = codewords(code)
+    ties = 0
     for _ in range(12):
         x = random_spin_matrix(K, rng)
-        assert np.array_equal(mwd_bruteforce(code, x), _mwd_oracle(code, x))
+        dist = np.array([count_errors(x, z) for z in cands])
+        nearest = np.flatnonzero(dist == dist.min())
+        ties += len(nearest) > 1
+        best = min(nearest, key=lambda i: tuple(matrix_to_vector(code, x * cands[i])))
+        got = mwd_bruteforce(code, x)
+        assert count_errors(x, got) == dist.min()
+        assert got.dtype == np.int8 and np.array_equal(got, cands[best])
+    assert ties  # the tie rule is exercised
 
 
 def test_mwd_output_is_codeword():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -499,6 +500,22 @@ def test_experiment_entry_refusals():
         trajectory_demo({"kind": "iid", "K": 5, "epsilon": 0.1}, decoder="mwd")
 
 
+def test_trajectory_demo_names_a_missing_source_key(monkeypatch):
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr("parity_decode.experiments.mcmc_decode", no_chains)
+    iid = {"kind": "iid", "K": 5, "epsilon": 0.1}
+    mcmc = {"kind": "mcmc", "instance": gen_instance(5, 1), "beta": 1.0, "gamma": 0.5}
+    for source in (iid, mcmc):
+        for key in source.keys() - {"kind"}:
+            partial = {k: v for k, v in source.items() if k != key}
+            with pytest.raises(ValueError, match=rf"{source['kind']} source needs .*'{key}'"):
+                trajectory_demo(partial)
+    with pytest.raises(ValueError, match=re.escape("unknown source kind ['iid']")):
+        trajectory_demo({**iid, "kind": ["iid"]})
+
+
 def test_hybrid_drivers_refuse_fewer_than_one_bf_iteration(monkeypatch):
     def no_chains(*args, **kwargs):
         raise AssertionError("a chain ran")
@@ -534,6 +551,26 @@ def test_efficiency_ratio_refuses_either_cell_before_any_chain(monkeypatch):
     for cells in (((-1.0, 0.5), (1.0, 0.5)), ((1.0, 0.5), (1.0, -0.5))):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             efficiency_ratio(inst, *cells, trials=2)
+
+
+def test_landscape_refuses_grid_values_and_family_before_any_unit(monkeypatch):
+    """A negative, NaN or infinite beta or gamma grid entry, or an unknown
+    family, is refused at entry: before, it raised only inside the unit
+    holding it, after the other units' chains had run."""
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_units", no_units)
+    inst = gen_instance(5, 1)
+    common = dict(beta_grid=[1.0, 2.0], gamma_grid=[0.5], budget=20, trials_per_cell=2,
+                  n_workers=2)
+    for strategy in ("mcmc", "hybrid"):
+        for name, grid in (("beta_grid", [1.0, -1.0]), ("beta_grid", [math.nan]),
+                           ("gamma_grid", [0.5, math.inf]), ("gamma_grid", [-0.5])):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+                landscape([inst], strategy=strategy, **{**common, name: grid})
+        with pytest.raises(ValueError, match="unknown syndrome family 'w5'"):
+            landscape([inst], strategy=strategy, family="w5", **common)
 
 
 def test_landscape_refuses_sizes_the_config_would_truncate(monkeypatch, tmp_path):
