@@ -44,14 +44,28 @@ TRAJECTORY_K = {"iid": 40, "mcmc": 14}
 
 
 def _master_seed(value: int | None) -> int:
+    """The --seed value, else the integer >= 0 in PARITY_DECODE_SEED,
+    else 0; a bad environment value is refused by name."""
     if value is not None:
         return value
     env = os.environ.get(ENV_SEED)
-    return int(env) if env else 0
+    try:
+        return _count(0)(env) if env else 0
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{ENV_SEED}: {exc}") from None
+
+
+def _listed(text: str, parse) -> list:
+    """The comma-separated values of a list flag, each through parse;
+    refuses a list with none, so argparse names the flag."""
+    values = [parse(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+    return values
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    return _listed(text, float)
 
 
 def _count(low: int):
@@ -70,7 +84,7 @@ def _count(low: int):
 
 
 def _k_list(text: str) -> list[int]:
-    return [_count(2)(v) for v in text.split(",") if v.strip()]
+    return _listed(text, _count(2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.25,
                    help="flip rate assumed by the BP initializer for file input")
     p.add_argument("--tie-policy", choices=[t.value for t in TiePolicy], default="keep")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--target-allone", action="store_true",
                    help="score success against the all-one codeword")
     p.add_argument("--csv", help="append the result row to this file")
@@ -114,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=1.0, help="penalty strength (mcmc)")
     p.add_argument("--syndrome-family", choices=["w3", "w4"], default="w3")
     p.add_argument("--tie-policy", choices=["keep", "fail"], default="fail")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--threads", type=_count(1), default=None,
                    help="worker processes, >= 1 (default: available parallelism)")
     p.add_argument("--out-dir", default=".")
@@ -122,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("landscape", help="(beta, gamma) success landscape")
     p.add_argument("--k", type=_count(2), default=14)
     p.add_argument("--instances", type=_count(1), default=12)
-    p.add_argument("--instance-seed", type=int, default=None,
+    p.add_argument("--instance-seed", type=_count(0), default=None,
                    help="base seed for instance generation (default: master seed)")
     p.add_argument("--beta", type=_float_list, default=list(DEFAULT_BETA_GRID))
     p.add_argument("--gamma", type=_float_list, default=list(DEFAULT_GAMMA_GRID))
@@ -131,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per trial (default 1200*C(K,2) mcmc / 4*C(K,2) hybrid)")
     p.add_argument("--trials", type=_count(0), default=100)
     p.add_argument("--bf-iters", type=_count(1), default=5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--threads", type=_count(1), default=None,
                    help="worker processes, >= 1 (default: available parallelism)")
     p.add_argument("--out-dir", default=".")
@@ -144,10 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.5)
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--budget", type=_count(1), default=None)
-    p.add_argument("--instance-seed", type=int, default=0)
+    p.add_argument("--instance-seed", type=_count(0), default=0)
     p.add_argument("--decoder", choices=["bf", "bp"], default="bf")
     p.add_argument("--iters", type=_count(1), default=5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--out", required=True)
     return ap
 

@@ -220,6 +220,17 @@ def encode(code: ParityCode, Z: np.ndarray) -> np.ndarray:
     return np.outer(Z, Z).astype(np.int8)
 
 
+def _padded(a: np.ndarray, value) -> np.ndarray:
+    """a (..., n) with value appended as column n, as a fresh C-ordered
+    array in the dtype of a, so that a -1 index into the last axis reads
+    value. The one padding rule for the -1 entries of the code's tables:
+    the fictitious diagonal spin reads +1, a missing check 0."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
+    out[..., :-1] = a
+    out[..., -1] = value
+    return out
+
+
 def matrix_to_vector(code: ParityCode, m: np.ndarray) -> np.ndarray:
     """Edge vectors of spin matrices: shape (..., K, K) -> (..., n_vars),
     entry v taken from the pair code.edges[v] (upper triangle,
@@ -238,15 +249,12 @@ def _edge_vector(code: ParityCode, m: np.ndarray) -> np.ndarray:
 
 def vector_to_matrix(code: ParityCode, v: np.ndarray) -> np.ndarray:
     """Symmetric unit-diagonal spin matrices from edge vectors: shape
-    (..., n_vars) -> (..., K, K), in the dtype of v."""
+    (..., n_vars) -> (..., K, K), in the dtype of v, C-contiguous. One
+    gather through pair_index, whose diagonal -1 reads the appended +1."""
     v = np.asarray(v)
     if v.ndim == 0 or v.shape[-1] != code.n_vars:
         raise ValueError(f"vector shape {v.shape} does not match n_vars={code.n_vars}")
-    m = np.ones(v.shape[:-1] + (code.K, code.K), dtype=v.dtype)
-    i, j = code.edges.T
-    m[..., i, j] = v
-    m[..., j, i] = v
-    return m
+    return np.take(_padded(v, 1), code.pair_index, axis=-1)
 
 
 def syndrome(code: ParityCode, x: np.ndarray, family: str = "w3") -> np.ndarray:
@@ -275,8 +283,7 @@ def _syndrome_flat(code: ParityCode, xf: np.ndarray, family: str) -> np.ndarray:
     """Check values of edge vectors, (..., n_vars) -> (..., n_checks), in
     the dtype of xf (products of +-1 are exact in any integer type)."""
     first, *rest = _family(code, family)[0].T
-    # a -1 member, the fictitious diagonal spin, reads the appended +1
-    xp = np.concatenate([xf, np.ones_like(xf[..., :1])], axis=-1)
+    xp = _padded(xf, 1)  # a -1 member, the fictitious diagonal spin, reads +1
     s = xp[..., first]
     for col in rest:
         s = s * xp[..., col]

@@ -33,6 +33,7 @@ from .code import (
     _family,
     _is_codeword_flat,
     _member_positions,
+    _padded,
     _syndrome_flat,
 )
 
@@ -349,9 +350,9 @@ def inversion_profile(
 ) -> np.ndarray:
     """Scores of all C(K,2) spins at once; see inversion_function."""
     linear, checks, _, adj = _inversion_terms(kind, code, x, J, weights, family, x, "inversion")
-    # the adjacency's -1 padding (w4) reads the appended trailing 0, so a
-    # code without checks (K = 2) adds zeros
-    return linear + np.append(checks, 0.0)[adj].sum(axis=1)
+    # the adjacency's -1 padding (w4) reads the appended 0, so a code
+    # without checks (K = 2) adds zeros
+    return linear + _padded(checks, 0.0)[adj].sum(axis=1)
 
 
 def inversion_function(
@@ -524,6 +525,12 @@ def bp_decode(
     no message-sized temporary. Each posterior adds every variable's
     messages in check order (an ordered gather-sum, see _bp_layout), as
     np.bincount over the layout would.
+
+    Across hosts: the decision, success flag and iteration count agree
+    on every host the tests and pinned reports ran on (only a posterior
+    within a few ULPs of 0 could move them). The posteriors (record) are
+    bit-for-bit only per numpy build and SIMD target, since numpy's tanh
+    and arctanh kernels differ between dispatch targets.
     """
     _check_count("max_iters", max_iters, 1)
     if channel_llr is None:
@@ -567,20 +574,12 @@ def _bp_decode(code: ParityCode, lam: np.ndarray, max_iters: int,
         if tables and it == 1:
             # the 2 channel values, the <= 3 first check messages, and the
             # per-message index into them: how many of the other two
-            # members are +1. From the members' bits b0, b1, b2, in place:
-            # row 0 becomes T = b0 + b1 + b2, rows 1 and 2 T - b1 and
-            # T - b2, and row 0 then 2T - (T - b1) - (T - b2) = T - b0.
+            # members are +1, T - b_r from the members' bits b_r and their
+            # sum T
             tc = np.tanh(0.5 * np.array([-c, c]))
             first = _check_messages(np.array([tc[0] * tc[0], tc[1] * tc[0], tc[1] * tc[1]]))
             np.take((h > 0).astype(np.intp), layout, out=idx, mode="clip")
-            b0, b1, b2 = idx
-            b0 += b1
-            b0 += b2
-            np.subtract(b0, b1, out=b1)
-            np.subtract(b0, b2, out=b2)
-            b0 *= 2
-            b0 -= b1
-            b0 -= b2
+            np.subtract(idx.sum(axis=0), idx, out=idx)
             np.take(first, idx, out=msg, mode="clip")
         else:
             # Variable -> check: channel + all incoming except the
@@ -588,8 +587,7 @@ def _bp_decode(code: ParityCode, lam: np.ndarray, max_iters: int,
             if tables and it == 2:
                 # table[w, v]: variable v's message to a check whose
                 # first message to v was first[w]
-                for w in range(3):
-                    np.subtract(post, first[w], out=table[w])
+                np.subtract(post, first[:, None], out=table)
                 np.clip(table, -MSG_CLIP, MSG_CLIP, out=table)
                 table *= 0.5
                 np.tanh(table, out=table)

@@ -49,7 +49,9 @@ from .decoders import (
     bp_decode,
     count_errors,
 )
-from .mcmc import LOCKSTEP_GROUP, HamiltonianParams, _run_chain, _run_lockstep, mcmc_decode
+from .mcmc import (
+    LOCKSTEP_GROUP, HamiltonianParams, _overflow_check, _run_chain, _run_lockstep, mcmc_decode,
+)
 from .reports import BenchmarkReport, TrajectoryDump
 
 GROUND_STATE_MAX_K = 24
@@ -260,11 +262,15 @@ def bench_iid(
         "mcmc_family": mcmc_family,
         "codeword": None if cw is None else cw.tolist(),
     }
+    if not config["K_list"] or not config["eps_list"]:
+        raise ValueError("K_list and eps_list must be nonempty")
     n_workers = _worker_count(n_workers)
     eps_max = 0.5 if decoder == "bp" else 1.0
     if not all(0.0 <= e < eps_max for e in eps_list):
         raise ValueError(f"every epsilon must be in [0, {eps_max}), got {list(eps_list)}")
     HamiltonianParams(gamma=mcmc_gamma, family=mcmc_family)  # refuses a bad gamma or family
+    for K in config["K_list"]:
+        _overflow_check(build_code(K), mcmc_family, None)(0.0, mcmc_gamma)
     if cw is not None:
         if any(K != len(cw) for K in config["K_list"]):
             raise ValueError(f"codeword has size {len(cw)}, but K_list is {list(K_list)}")
@@ -394,9 +400,14 @@ def landscape(
         "instances": [inst.label for inst in instances],
         "instance_seeds": [inst.seed for inst in instances],
     }
-    # every grid value and the family, checked before any chain runs
+    # every grid value, the family and the strengths' overflow bound,
+    # checked before any chain runs
     _check_strengths(beta_grid=config["beta_grid"], gamma_grid=config["gamma_grid"])
     HamiltonianParams(family=family)  # refuses an unknown family
+    code = build_code(K)
+    for inst in instances:  # the largest strengths bound every cell's sums
+        _overflow_check(code, family, inst.couplings)(
+            max(config["beta_grid"]), max(config["gamma_grid"]))
     cells = [(bi, gi) for bi in range(len(beta_grid)) for gi in range(len(gamma_grid))]
     # one contiguous block of cells per worker
     n_blocks = min(n_workers, len(cells))
@@ -445,6 +456,8 @@ def efficiency_ratio(
     arms = [(HamiltonianParams(beta=b, gamma=g, couplings=instance.couplings, family=family),
              budget, iters)
             for (b, g), budget, iters in zip((cell_a, cell_b), budgets, (None, bf_max_iters))]
+    for params, _, _ in arms:
+        _overflow_check(code, family, params.couplings)(params.beta, params.gamma)
     target = matrix_to_vector(code, encode(code, instance.ground_state))
     targets = np.repeat(target[None], trials, axis=0)
     succ, spp = [], []

@@ -89,6 +89,7 @@ from .code import (
     _edge_vector,
     _family,
     _is_codeword_flat,
+    _padded,
     _spin_rows,
     _syndrome_flat,
     build_code,
@@ -142,6 +143,12 @@ class SampleRun:
     The initial state is kept as the edge vector initial_f; `initial`
     is its spin matrix, converted on first read. final_f is the state
     after the last step as an edge vector, kept with or without samples.
+
+    Across hosts: the states, hits and energies agree on every host the
+    tests and pinned reports ran on (the weights' ULPs matter only at a
+    near-tie draw). escape_rates, like visit_distribution's weights, are
+    bit-for-bit only per numpy build and SIMD target, since numpy's exp
+    and log kernels differ between dispatch targets.
     """
 
     params: HamiltonianParams
@@ -170,11 +177,36 @@ def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | 
     return _coupling_vector(code, params.couplings, "beta > 0" if params.beta > 0 else None)
 
 
+def _overflow_check(code: ParityCode, family: str, J: np.ndarray | None):
+    """The refusal of strengths that overflow on this code and couplings:
+    a function of (beta, gamma) that raises ValueError unless the bound
+    2 beta max|J| + gamma deg of every flip's weight exponent (deg the
+    family's checks per variable) and the bound beta sum|J| + gamma
+    n_checks of the energy are finite."""
+    members, adj = _family(code, family)
+    deg, n_checks = adj.shape[1], len(members)
+    with np.errstate(over="ignore"):
+        jmax, jsum = (0.0, 0.0) if J is None else (float(np.abs(J).max()), float(np.abs(J).sum()))
+
+    def check(beta, gamma) -> None:
+        beta, gamma = float(beta), float(gamma)
+        flip, total = gamma * deg, gamma * n_checks
+        if beta:  # beta = 0 drops the couplings, whatever they hold
+            flip, total = flip + 2.0 * beta * jmax, total + beta * jsum
+        if not (math.isfinite(flip) and math.isfinite(total)):
+            raise ValueError(
+                f"(beta, gamma) = ({beta}, {gamma}) overflows the energy at K = {code.K}, "
+                f"family {family!r}: 2 beta max|J| + {deg} gamma and "
+                f"beta sum|J| + {n_checks} gamma must be finite")
+    return check
+
+
 def energy(code: ParityCode, params: HamiltonianParams, x: np.ndarray) -> float:
     """Exact energy of a state under the configured parameters."""
     adj = _flip_table(code, params.family)[0]
-    _, _, n_unsat, corr = _totals(code, params.family, adj, _couplings_for(code, params),
-                                  _edge_vector(code, x))
+    J = _couplings_for(code, params)
+    _overflow_check(code, params.family, J)(params.beta, params.gamma)
+    _, _, n_unsat, corr = _totals(code, params.family, adj, J, _edge_vector(code, x))
     return float(-params.beta * corr + params.gamma * n_unsat)
 
 
@@ -202,19 +234,14 @@ def _flip_table(code: ParityCode, family: str) -> tuple[np.ndarray, np.ndarray, 
 def _padded_syndrome(code: ParityCode, xf: np.ndarray, family: str) -> np.ndarray:
     """Check values of edge vectors (..., n_vars) with the dummy check
     appended as a trailing 0: (..., n_checks + 1), C-contiguous."""
-    s = _syndrome_flat(code, xf, family)
-    out = np.zeros(s.shape[:-1] + (s.shape[-1] + 1,), dtype=s.dtype)
-    out[..., :-1] = s
-    return out
+    return _padded(_syndrome_flat(code, xf, family), 0)
 
 
 def _adjacent_sums(adj: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Sum of adjacent check values per variable, as exact float64, with
     a trailing dummy-variable column of 0: (..., n_checks + 1) ->
     (..., n_vars + 1), C-contiguous."""
-    out = np.zeros(s.shape[:-1] + (len(adj) + 1,))
-    out[..., :-1] = s[..., adj].sum(axis=-1)
-    return out
+    return _padded(s[..., adj].sum(axis=-1, dtype=np.float64), 0.0)
 
 
 def _totals(code: ParityCode, family: str, adj: np.ndarray, J: np.ndarray | None,
@@ -283,6 +310,7 @@ class _Chain:
         self.xf = xf.astype(np.int8)
         self.J = _couplings_for(code, params)
         self.family = params.family
+        self._bounded = _overflow_check(code, self.family, self.J)
         self.adj, self.members, self.size = _flip_table(code, self.family)
         s, self._adj_sum, n_unsat, corr = _totals(code, self.family, self.adj, self.J, self.xf)
         self._h = -2.0 * s
@@ -308,7 +336,8 @@ class _Chain:
 
     def set_params(self, beta, gamma) -> None:
         """Use (beta, gamma) from the next step on; a change empties the
-        weight memo."""
+        weight memo. Strengths that overflow are refused."""
+        self._bounded(beta, gamma)
         if beta != self.beta:
             self._cx = (None if self.J is None or beta == 0.0
                         else 2.0 * beta * self.J * self.xf)
@@ -629,13 +658,12 @@ def _run_lockstep(
     J = np.zeros((B, n))  # a zero row for a chain without couplings
     for b, p in enumerate(params_rows):
         Jb = _couplings_for(code, p)
+        _overflow_check(code, family, Jb)(p.beta, p.gamma)
         if Jb is not None:
             J[b] = Jb
     # coupling part of dH, 2 beta J x, negated in place on every flip; its
     # dummy-variable column is +inf, so the dummy's weight is exactly 0
-    cx = np.empty((B, n + 1))
-    cx[:, :n] = 2.0 * beta[:, None] * J * x
-    cx[:, n] = np.inf
+    cx = _padded(2.0 * beta[:, None] * J * x, np.inf)
     s, adj_sum, n_unsat, corr = _totals(code, family, adj, J, x)
     dist = np.count_nonzero(x != targets, axis=1)
     target_hit = np.where(dist == 0, 0, -1)
@@ -890,12 +918,14 @@ def boltzmann_distribution(
     count = 1 << n
     if count > limit:
         raise ValueError(f"2^{n} states exceeds limit {limit}")
-    states = _spin_rows(np.arange(count), n)
     J = _couplings_for(code, params)
+    _overflow_check(code, params.family, J)(params.beta, params.gamma)
+    states = _spin_rows(np.arange(count), n)
     s = _syndrome_flat(code, states, params.family)
     pen = params.gamma * 0.5 * (1 - s).sum(axis=1)
     corr = np.zeros(count) if J is None else params.beta * (states @ J)
     h = -corr + pen
-    w = np.exp(-(h - h.min()))
+    with np.errstate(over="ignore"):  # an energy gap past the float range weighs 0
+        w = np.exp(-(h - h.min()))
     w /= w.sum()
     return {states[i].tobytes(): float(w[i]) for i in range(count)}

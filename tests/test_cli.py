@@ -389,6 +389,12 @@ COUNT_FLAGS = [
     (["trajectory", "--source", "iid"], "--k", 2),
     (["trajectory", "--source", "mcmc", "--k", "5"], "--budget", 1),
     (["trajectory", "--source", "iid", "--k", "5"], "--iters", 1),
+    (["decode", "--gen-iid", "5", "0.1"], "--seed", 0),
+    (["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1"], "--seed", 0),
+    (["landscape", "--k", "5"], "--seed", 0),
+    (["landscape", "--k", "5"], "--instance-seed", 0),
+    (["trajectory", "--source", "mcmc", "--k", "5"], "--seed", 0),
+    (["trajectory", "--source", "mcmc", "--k", "5"], "--instance-seed", 0),
 ]
 
 
@@ -412,3 +418,34 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     code, out1, _ = run_cli(["decode", "--gen-iid", "10", "0.2"], capsys)
     code, out2, _ = run_cli(["decode", "--gen-iid", "10", "0.2"], capsys)
     assert out1 == out2  # same env seed, same outcome
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["bench", "--decoder", "bf", "--epsilon", "0.1"], "--k"),
+    (["bench", "--decoder", "bf", "--k", "5"], "--epsilon"),
+    (["landscape", "--k", "5", "--gamma", "0.5"], "--beta"),
+    (["landscape", "--k", "5", "--beta", "1.0"], "--gamma"),
+])
+def test_list_flags_refuse_an_empty_list_by_name(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, ",", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: must list at least one value, got ','\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "invalid int value: 'abc'"),
+    ("2.5", "invalid int value: '2.5'"),
+    ("-3", "must be >= 0, got -3"),
+])
+def test_env_seed_refusal_names_the_variable(tmp_path, capsys, monkeypatch, value, message):
+    monkeypatch.setenv(ENV_SEED, value)
+    code, out, err = run_cli(["bench", "--decoder", "bf", "--k", "5", "--epsilon", "0.1",
+                              "--trials", "2", "--out-dir", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {ENV_SEED}: {message}\n"
+    assert not list(tmp_path.iterdir())
+    # an explicit --seed never reads the variable
+    assert run_cli(["decode", "--gen-iid", "5", "0.01", "--seed", "1"], capsys)[0] in (0, 1)

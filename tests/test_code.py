@@ -26,7 +26,7 @@ from parity_decode import (
     vector_to_matrix,
     write_spin_matrix_csv,
 )
-from parity_decode.code import gf2_product_is_zero, validate_logical_state
+from parity_decode.code import _padded, gf2_product_is_zero, validate_logical_state
 from parity_decode.decoders import _bp_layout
 
 # Reference matrices for K = 4, edge order (12,13,14,23,24,34).
@@ -364,6 +364,18 @@ def test_adjacency_tables_match_a_per_variable_scan(K):
     for name, (got, ref) in expected.items():
         assert got.dtype == ref.dtype and got.flags.c_contiguous, name
         assert np.array_equal(got, ref), name
+
+
+def test_padded_appends_one_column_c_ordered():
+    a = np.arange(12, dtype=np.int8).reshape(3, 4).T  # F-ordered (4, 3)
+    out = _padded(a, -7)
+    assert out.shape == (4, 4) and out.dtype == np.int8 and out.flags.c_contiguous
+    assert np.array_equal(out[:, :3], a) and np.all(out[:, 3] == -7)
+    assert np.array_equal(np.take(out, [-1, 0], axis=-1), np.stack([out[:, 3], a[:, 0]], 1))
+    # an empty last axis still gets its column
+    empty = _padded(np.empty((2, 0)), 0.5)
+    assert empty.shape == (2, 1) and np.all(empty == 0.5)
+    assert _padded(np.empty(0, np.int8), 1).tolist() == [1]
 
 
 def test_vector_matrix_roundtrip():

@@ -420,6 +420,17 @@ def test_bench_report_bytes_pinned(tmp_path, decoder):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_bench_refuses_an_empty_grid_before_any_unit(monkeypatch):
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_units", no_units)
+    for decoder in ("bf", "bp", "mcmc"):
+        for K_list, eps_list in (([], [0.1]), ([5], []), ([], [])):
+            with pytest.raises(ValueError, match="K_list and eps_list must be nonempty"):
+                bench_iid(decoder, K_list, eps_list, trials=3)
+
+
 def test_bench_refuses_zero_iterations(monkeypatch):
     def no_units(*args):
         raise AssertionError("a unit ran")
@@ -571,6 +582,32 @@ def test_landscape_refuses_grid_values_and_family_before_any_unit(monkeypatch):
                 landscape([inst], strategy=strategy, **{**common, name: grid})
         with pytest.raises(ValueError, match="unknown syndrome family 'w5'"):
             landscape([inst], strategy=strategy, family="w5", **common)
+
+
+def test_drivers_refuse_overflowing_strengths_before_any_chain(monkeypatch):
+    """A grid or cell whose strengths overflow the energy bound of the
+    code is refused at entry, with zero trials too; the values just
+    inside the bound are accepted."""
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr("parity_decode.experiments._run_units", no_chains)
+    monkeypatch.setattr("parity_decode.experiments._lockstep_hits", no_chains)
+    inst = gen_instance(5, 1)
+    for beta_grid, gamma_grid in (([1.0], [0.5, 1e308]), ([0.0, 1e308], [0.5])):
+        with pytest.raises(ValueError, match="overflows the energy at K = 5"):
+            landscape([inst], beta_grid=beta_grid, gamma_grid=gamma_grid, budget=20,
+                      trials_per_cell=0)
+    for cells in (((1e308, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1e308))):
+        with pytest.raises(ValueError, match="overflows the energy at K = 5"):
+            efficiency_ratio(inst, *cells, trials=0)
+    for decoder in ("bf", "bp", "mcmc"):
+        with pytest.raises(ValueError, match="overflows the energy at K = 40"):
+            bench_iid(decoder, [5, 40], [0.1], trials=3, mcmc_gamma=1e307)
+    monkeypatch.undo()
+    assert bench_iid("mcmc", [5], [0.1], trials=2, mcmc_gamma=1e306).rows[0]["trials"] == 2
+    assert len(landscape([inst], beta_grid=[1.0], gamma_grid=[1e306], budget=20,
+                         trials_per_cell=1).rows) == 1
 
 
 def test_landscape_refuses_sizes_the_config_would_truncate(monkeypatch, tmp_path):

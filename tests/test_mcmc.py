@@ -26,7 +26,7 @@ from parity_decode import (
     vector_to_matrix,
     visit_distribution,
 )
-from parity_decode.mcmc import _Chain
+from parity_decode.mcmc import _Chain, _run_lockstep
 from parity_decode.code import matrix_to_vector
 
 
@@ -560,3 +560,45 @@ def test_k2_chains_step_in_both_families(family):
     assert run_h.decoded_any_codeword == 0 and ok_h >= ok
     x, rate = rejection_free_step(code, params, z, 4)
     assert x[0, 1] == -1 and rate == pytest.approx(math.exp(-0.8))
+
+
+@pytest.mark.parametrize("family", ["w3", "w4"])
+def test_strengths_that_overflow_are_refused_where_the_code_is_known(family):
+    """2 beta max|J| + gamma deg and beta sum|J| + gamma n_checks must be
+    finite; values just inside run with finite energies and rates (any
+    RuntimeWarning fails the test), values past it are refused by every
+    entry that knows the code."""
+    from parity_decode import linear_schedule
+
+    code = build_code(6)
+    J = np.random.default_rng(0).uniform(-1, 1, code.n_vars)
+    target, x = all_one_matrix(6), random_spin_matrix(6, np.random.default_rng(1))
+    targets = np.ones((2, code.n_vars), dtype=np.int8)
+    for beta, gamma in ((1.0, 1e306), (1e307, 1.0)):
+        ok = HamiltonianParams(beta=beta, gamma=gamma, couplings=J, family=family)
+        run = mcmc_decode(code, ok, 2000, target, seed=1)[1]
+        assert np.isfinite(run.energies).all() and np.isfinite(run.escape_rates).all()
+        assert math.isfinite(energy(code, ok, x))
+        out = _run_lockstep(code, [ok, ok], 300, [1, 2], targets, record=True)
+        assert np.isfinite(out["energies"]).all() and np.isfinite(out["escape_rates"]).all()
+    assert math.isfinite(sum(boltzmann_distribution(code, ok).values()))
+    for beta, gamma in ((1.0, 1e308), (1e308, 1.0)):
+        bad = HamiltonianParams(beta=beta, gamma=gamma, couplings=J, family=family)
+        for call in (lambda: mcmc_decode(code, bad, 10, target, seed=1),
+                     lambda: energy(code, bad, x),
+                     lambda: boltzmann_distribution(code, bad),
+                     lambda: _run_lockstep(code, [ok, bad], 10, [1, 2], targets)):
+            with pytest.raises(ValueError, match="overflows the energy at K = 6"):
+                call()
+    # a schedule passes through set_params, which checks each new value
+    ramp = linear_schedule((1.0, 1.0), (1e306, 1e308))
+    with pytest.raises(ValueError, match="overflows the energy"):
+        mcmc_decode(code, ok, 50, target, seed=1, schedule=ramp)
+
+
+def test_boltzmann_energy_gap_past_the_float_range_weighs_zero():
+    # each energy is finite, but the gap between two exceeds the float range
+    code = build_code(3)
+    params = HamiltonianParams(beta=1.0, gamma=0.0, couplings=[5e307] * 3, family="w3")
+    w = boltzmann_distribution(code, params)
+    assert w[np.ones(3, np.int8).tobytes()] == 1.0 and sum(w.values()) == 1.0

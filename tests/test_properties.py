@@ -60,17 +60,23 @@ def _loop_matrix(code, v):
 
 @SETTINGS
 @given(K=st.integers(2, 10), batch=st.lists(st.integers(0, 3), max_size=2),
+       dtype=st.sampled_from([np.int8, np.float32, np.float64]),
        seed=st.integers(0, 2**32 - 1))
-@example(K=2, batch=[3], seed=0)
-@example(K=3, batch=[2, 3], seed=1)
-def test_batched_converters_match_rows_and_round_trip(K, batch, seed):
+@example(K=2, batch=[3], dtype=np.int8, seed=0)
+@example(K=3, batch=[2, 3], dtype=np.float32, seed=1)
+@example(K=4, batch=[0, 2], dtype=np.float64, seed=2)
+def test_batched_converters_match_rows_and_round_trip(K, batch, dtype, seed):
     code = build_code(K)
-    vs = _edge_vectors(code, tuple(batch), seed)
+    vs = _edge_vectors(code, tuple(batch), seed).astype(dtype)
     mats = vector_to_matrix(code, vs)
-    assert mats.shape == vs.shape[:-1] + (K, K) and mats.dtype == np.int8
+    assert mats.shape == vs.shape[:-1] + (K, K) and mats.dtype == dtype
+    assert mats.flags.c_contiguous
     for idx in np.ndindex(*vs.shape[:-1]):
-        assert np.array_equal(mats[idx], vector_to_matrix(code, vs[idx]))
-        assert np.array_equal(mats[idx], _loop_matrix(code, vs[idx]))
+        row = vector_to_matrix(code, vs[idx])
+        ref = _loop_matrix(code, vs[idx])
+        assert row.dtype == ref.dtype and row.flags.c_contiguous
+        assert np.array_equal(mats[idx], row)
+        assert np.array_equal(mats[idx], ref)
         assert np.array_equal(matrix_to_vector(code, mats[idx]), vs[idx])
     assert np.array_equal(matrix_to_vector(code, mats), vs)
     assert np.array_equal(vector_to_matrix(code, matrix_to_vector(code, mats)), mats)
