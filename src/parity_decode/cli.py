@@ -205,7 +205,10 @@ def cmd_decode(args) -> int:
     tie_policy = TiePolicy(args.tie_policy)
     target = None
     if args.gen_iid:
-        K, eps_used = int(args.gen_iid[0]), float(args.gen_iid[1])
+        try:  # K by the count-flag rule; the refusal names the flag
+            K, eps_used = _count(2)(args.gen_iid[0]), float(args.gen_iid[1])
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ValueError(f"--gen-iid: {exc}") from None
         code = build_code(K)
         x = sample_iid_errors(code, eps_used, trial_seed(seed, 51))
         target = all_one_matrix(K)

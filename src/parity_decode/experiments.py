@@ -50,7 +50,7 @@ from .decoders import (
     count_errors,
 )
 from .mcmc import (
-    LOCKSTEP_GROUP, HamiltonianParams, _overflow_check, _run_chain, _run_lockstep, mcmc_decode,
+    LOCKSTEP_GROUP, HamiltonianParams, _couplings_for, _run_chain, _run_lockstep, mcmc_decode,
 )
 from .reports import BenchmarkReport, TrajectoryDump
 
@@ -268,9 +268,8 @@ def bench_iid(
     eps_max = 0.5 if decoder == "bp" else 1.0
     if not all(0.0 <= e < eps_max for e in eps_list):
         raise ValueError(f"every epsilon must be in [0, {eps_max}), got {list(eps_list)}")
-    HamiltonianParams(gamma=mcmc_gamma, family=mcmc_family)  # refuses a bad gamma or family
-    for K in config["K_list"]:
-        _overflow_check(build_code(K), mcmc_family, None)(0.0, mcmc_gamma)
+    for K in config["K_list"]:  # refuses a bad gamma or family, or a gamma overflowing at K
+        _couplings_for(build_code(K), HamiltonianParams(gamma=mcmc_gamma, family=mcmc_family))
     if cw is not None:
         if any(K != len(cw) for K in config["K_list"]):
             raise ValueError(f"codeword has size {len(cw)}, but K_list is {list(K_list)}")
@@ -403,11 +402,10 @@ def landscape(
     # every grid value, the family and the strengths' overflow bound,
     # checked before any chain runs
     _check_strengths(beta_grid=config["beta_grid"], gamma_grid=config["gamma_grid"])
-    HamiltonianParams(family=family)  # refuses an unknown family
     code = build_code(K)
     for inst in instances:  # the largest strengths bound every cell's sums
-        _overflow_check(code, family, inst.couplings)(
-            max(config["beta_grid"]), max(config["gamma_grid"]))
+        _couplings_for(code, HamiltonianParams(max(config["beta_grid"]), max(config["gamma_grid"]),
+                                               inst.couplings, family))
     cells = [(bi, gi) for bi in range(len(beta_grid)) for gi in range(len(gamma_grid))]
     # one contiguous block of cells per worker
     n_blocks = min(n_workers, len(cells))
@@ -457,7 +455,7 @@ def efficiency_ratio(
              budget, iters)
             for (b, g), budget, iters in zip((cell_a, cell_b), budgets, (None, bf_max_iters))]
     for params, _, _ in arms:
-        _overflow_check(code, family, params.couplings)(params.beta, params.gamma)
+        _couplings_for(code, params)
     target = matrix_to_vector(code, encode(code, instance.ground_state))
     targets = np.repeat(target[None], trials, axis=0)
     succ, spp = [], []

@@ -46,11 +46,15 @@ one-uniform case. At low temperature a chain mostly moves among a
 few states: it keeps the weights of its last STATE_MEMO = 64 distinct
 pre-flip states, keyed by an exact integer that one XOR per flip
 updates, and a flip's check-value and adjacent-sum update waits until
-the chain reaches a state outside that memo. On a 2-vCPU AMD EPYC box a
-step costs about 2.3 us at K=14 w4 (beta, gamma) = (3, 4), where 71% of
-the steps start from a memo-held state (76% are not first visits, so no
-memo could pass that), 4.6 us at (1.5, 0.2), where 1% do, and 5.0 us
-at K=40 w3 gamma = 1 from an eps = 0.1 readout, where 48% do. The
+the chain reaches a state outside that memo. Bit k of the key is set
+iff pair k differs from the chain's initial state, a base that never
+changes, so the target hit is key equality: the chain is at the target
+exactly when its key equals the target's key, computed once. On a
+2-vCPU AMD EPYC box a step costs about 2.3 us at K=14 w4 (beta, gamma)
+= (3, 4), where 71% of the steps start from a memo-held state (76% are
+not first visits, so no memo could pass that), 4.6 us at (1.5, 0.2),
+where 1% do, and 5.0 us at K=40 w3 gamma = 1 from an eps = 0.1
+readout, where 48% do. The
 hybrid's BF stage reads the memo's misses too: it decodes every
 distinct state, the ones whose memo entry a block builds (a state's
 first visit always does) and the final state, rather than every step's;
@@ -72,6 +76,7 @@ yields the same values as m successive `rng.random()` calls;
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -174,7 +179,15 @@ class SampleRun:
 
 
 def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | None:
-    return _coupling_vector(code, params.couplings, "beta > 0" if params.beta > 0 else None)
+    """The couplings of params as an edge vector (None for the
+    penalty-only form), returned only after _overflow_check accepts
+    params' (beta, gamma) with them. This is the one refusal of
+    overflowing strengths: energies, chain and lockstep set-ups and the
+    drivers' entry checks all go through it, and `_Chain` keeps the
+    bound's closure only to check the (beta, gamma) of `set_params`."""
+    J = _coupling_vector(code, params.couplings, "beta > 0" if params.beta > 0 else None)
+    _overflow_check(code, params.family, J)(params.beta, params.gamma)
+    return J
 
 
 def _overflow_check(code: ParityCode, family: str, J: np.ndarray | None):
@@ -205,7 +218,6 @@ def energy(code: ParityCode, params: HamiltonianParams, x: np.ndarray) -> float:
     """Exact energy of a state under the configured parameters."""
     adj = _flip_table(code, params.family)[0]
     J = _couplings_for(code, params)
-    _overflow_check(code, params.family, J)(params.beta, params.gamma)
     _, _, n_unsat, corr = _totals(code, params.family, adj, J, _edge_vector(code, x))
     return float(-params.beta * corr + params.gamma * n_unsat)
 
@@ -281,14 +293,17 @@ class _Chain:
     The coupling term 2 beta J x is rebuilt only when `set_params`
     changes beta. Check values are kept as -2 s, the amount each
     member's adjacent sum moves when the check negates, and the entries
-    a flip reads (x_k, J_k, the target's entry) also as Python lists.
+    a flip reads (x_k and J_k) also as Python lists.
 
     A memo keeps the cumulative weights, log shift, total, escape rate
     and unsatisfied-check count of the last STATE_MEMO (64) distinct
     pre-flip states, keyed by an exact integer: bit k is set iff pair k
-    differs from the initial state. A ring index evicts the oldest
-    entry, but never the state just left, so a flip back finds its
-    weights when STATE_MEMO >= 2. The weights are a function of the
+    differs from the initial state. That base never changes, not even in
+    `set_params`, so the chain holds no distance to the target: it is at
+    the target exactly when the key equals the target's key, set once
+    from the initial state, and target work stops at the first hit. A
+    ring index evicts the oldest entry, but never the state just left,
+    so a flip back finds its weights when STATE_MEMO >= 2. The weights are a function of the
     state and (beta, gamma) alone, since the adjacent sums are exact
     integers and cx entries are negated exactly, so a state found in the
     memo reuses the bytes a recomputation would give. A memo row holds
@@ -318,11 +333,9 @@ class _Chain:
         self.n_unsat, self.corr = int(n_unsat), float(corr)
         self._x = self.xf.tolist()
         self._J = None if self.J is None else self.J.tolist()
-        self._target = None if target_f is None else target_f.tolist()
-        self.dist_target = (
-            None if target_f is None else int(np.count_nonzero(self.xf != target_f))
-        )
-        self.target_hit = 0 if self.dist_target == 0 else None
+        self._target_key = (None if target_f is None else int.from_bytes(
+            np.packbits(self.xf != target_f, bitorder="little"), "little"))
+        self.target_hit = 0 if self._target_key == 0 else None
         self.first_codeword = 0 if self.n_unsat == 0 else None
         self._v = np.empty(code.n_vars)
         self._rows = list(np.empty((STATE_MEMO, code.n_vars)))  # the memo's cum rows
@@ -401,13 +414,13 @@ class _Chain:
         # adjacent checks); w = exp(min v - v) is w / max w, exact even when
         # every move is steeply uphill and the raw weights underflow
         memo, keys, rows, pending = self._memo, self._keys, self._rows, self._pending
-        x, xf, J, target = self._x, self.xf, self._J, self._target
+        x, xf, J, target_key = self._x, self.xf, self._J, self._target_key
         v, adj_view, adj_sum = self._v, self._adj_view, self._adj_sum
         cx, gam, beta, gamma = self._cx, self._gamma, self.beta, self.gamma
         key, entry, ring = self._key, self._entry, self._ring
-        n_unsat, corr, dist = self.n_unsat, self.corr, self.dist_target
+        n_unsat, corr = self.n_unsat, self.corr
         target_hit, first_codeword = self.target_hit, self.first_codeword
-        track_target = target is not None and target_hit is None
+        track_target = target_key is not None and target_hit is None
         track_codeword = first_codeword is None
         slots, n, interval = len(rows), len(v), ENERGY_CHECK_INTERVAL
         t0 = t = self.steps_done
@@ -454,8 +467,6 @@ class _Chain:
                 cx[k] = -cx[k]
             if J is not None:
                 corr -= 2.0 * J[k] * old
-            if target is not None:
-                dist += 1 if old == target[k] else -1
             left, key = key, key ^ (1 << k)
             if pending and pending[-1] == k:
                 pending.pop()
@@ -481,13 +492,13 @@ class _Chain:
             block_e.append(e)
             if states is not None:
                 states[t - t0] = xf
-            if track_target and dist == 0:
+            if track_target and key == target_key:
                 target_hit, track_target = t, False
             if track_codeword and n_unsat == 0:
                 first_codeword, track_codeword = t, False
 
         self._key, self._entry, self._ring = key, entry, ring
-        self.n_unsat, self.corr, self.dist_target = n_unsat, corr, dist
+        self.n_unsat, self.corr = n_unsat, corr
         self.target_hit, self.first_codeword = target_hit, first_codeword
         self.steps_done = t
         return k, block_e, block_entries
@@ -574,8 +585,7 @@ def _run_chain(
         buf = np.empty((min(UNIFORM_BLOCK, budget) + 1, code.n_vars), dtype=np.int8)
     decoded_hits = np.full(2, -1)  # first decoded target, first decoded codeword
     misses = {} if bf_iters is not None and not store_samples else None
-    sink = open(stream_to, "w") if stream_to is not None else None
-    try:
+    with open(stream_to, "w") if stream_to is not None else contextlib.nullcontext() as sink:
         if sink is not None:
             sink.write("sample,energy,state_hex\n")
             sink.write(f"0,{chain.energy!r},{pack_state_hex(xf0)}\n")
@@ -600,9 +610,6 @@ def _run_chain(
                         len(misses), code.n_vars)
                     _bf_stage(code, states, target_f, bf_iters, list(misses), decoded_hits)
                     misses.clear()
-    finally:
-        if sink is not None:
-            sink.close()
 
     run.target_hit, run.first_codeword = chain.target_hit, chain.first_codeword
     run.final_f = chain.xf.copy()
@@ -648,9 +655,7 @@ def _run_lockstep(
     B, n = len(seeds), code.n_vars
     adj, members, size = _flip_table(code, family)
     rngs = [as_generator(seed) for seed in seeds]
-    x = np.empty((B, n), dtype=np.int8)
-    for b, rng in enumerate(rngs):
-        x[b] = _initial_state(code, rng, None)
+    x = np.array([_initial_state(code, rng, None) for rng in rngs])
     targets = np.asarray(targets, dtype=np.int8).reshape(B, n)
 
     beta = np.array([p.beta for p in params_rows], dtype=np.float64)
@@ -658,7 +663,6 @@ def _run_lockstep(
     J = np.zeros((B, n))  # a zero row for a chain without couplings
     for b, p in enumerate(params_rows):
         Jb = _couplings_for(code, p)
-        _overflow_check(code, family, Jb)(p.beta, p.gamma)
         if Jb is not None:
             J[b] = Jb
     # coupling part of dH, 2 beta J x, negated in place on every flip; its
@@ -867,11 +871,7 @@ def average_error_matrix(run: SampleRun, z: np.ndarray) -> np.ndarray:
     in [-1, 1], diagonal exactly +1."""
     if not run.samples:
         raise ValueError("run holds no samples")
-    z = validate_spin_matrix(z)
-    acc = np.zeros(z.shape, dtype=np.float64)
-    for m in run.samples:
-        acc += m * z
-    return acc / len(run.samples)
+    return np.mean(np.stack(run.samples) * validate_spin_matrix(z), axis=0)
 
 
 def visit_distribution(
@@ -919,7 +919,6 @@ def boltzmann_distribution(
     if count > limit:
         raise ValueError(f"2^{n} states exceeds limit {limit}")
     J = _couplings_for(code, params)
-    _overflow_check(code, params.family, J)(params.beta, params.gamma)
     states = _spin_rows(np.arange(count), n)
     s = _syndrome_flat(code, states, params.family)
     pen = params.gamma * 0.5 * (1 - s).sum(axis=1)

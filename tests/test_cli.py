@@ -190,6 +190,13 @@ def test_decode_usage_and_file_errors_exit_2(tmp_path, capsys, args):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("values", [["abc", "0.1"], ["2.5", "0.1"], ["5", "x"]])
+def test_decode_gen_iid_refusal_names_the_flag(capsys, values):
+    code, _, err = run_cli(["decode", "--gen-iid", *values], capsys)
+    assert code == 2
+    assert err.startswith("error: --gen-iid: ")
+
+
 def test_decode_csv_append(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     run_cli(["decode", "--gen-iid", "10", "0.05", "--seed", "1", "--csv", str(out_csv)], capsys)

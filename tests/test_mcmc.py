@@ -424,7 +424,7 @@ def test_average_error_matrix():
     acc = np.zeros((4, 4))
     for m in run.samples:
         acc += m * z
-    assert np.allclose(avg, acc / len(run.samples))
+    assert np.array_equal(avg, acc / len(run.samples))  # sums of +-1 are exact
     # all samples equal z -> all-one matrix
     ok2, run2 = mcmc_decode(code, HamiltonianParams(beta=0.0, gamma=1000.0, family="w4"),
                             5, z, 67, initial=z)
@@ -452,6 +452,29 @@ def test_annealing_schedule_hook():
     s_end = syndrome(code, run1.samples[-1], "w4")
     s_start = syndrome(code, run1.samples[10], "w4")
     assert np.count_nonzero(s_end == -1) <= np.count_nonzero(s_start == -1) + 1
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_target_hit_after_a_parameter_change_is_the_first_stored_visit(K):
+    """The chain finds the target by its state key, whose base (the
+    initial state) must survive the (beta, gamma) change at step 1: each
+    target here is 1-3 flips from the initial state and first visited
+    after that change."""
+    code = build_code(K)
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w4")
+    switch = lambda step, budget: (0.0, 1.0) if step < 1 else (0.0, 0.5)
+    for seed in range(6):
+        logical = np.random.default_rng(seed).choice([-1, 1], K)
+        initial = matrix_to_vector(code, encode(code, logical))
+        _, free = mcmc_decode(code, params, 300, None, seed, initial=initial, schedule=switch)
+        stack = np.array([initial] + [matrix_to_vector(code, m) for m in free.samples])
+        dist = np.count_nonzero(stack != initial, axis=1)
+        # the first stack row 1-3 flips away that is neither of the first two
+        hit = next(t for t in range(2, len(stack)) if 1 <= dist[t] <= 3
+                   and not (stack[:2] == stack[t]).all(axis=1).any())
+        _, run = mcmc_decode(code, params, 300, vector_to_matrix(code, stack[hit]), seed,
+                             initial=initial, schedule=switch)
+        assert run.target_hit == hit
 
 
 @pytest.mark.parametrize("decode", [mcmc_decode, hybrid_decode])
