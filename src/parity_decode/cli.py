@@ -296,7 +296,10 @@ def cmd_trajectory(args) -> int:
                   "gamma": args.gamma}
         if args.budget is not None:
             source["budget"] = args.budget
-    dump = trajectory_demo(source, decoder=args.decoder, seed=seed, iters=args.iters)
+    # BP assumes the flip rate the iid source draws at; the mcmc source
+    # keeps the library default
+    bp = {"bp_epsilon": args.epsilon} if args.source == "iid" else {}
+    dump = trajectory_demo(source, decoder=args.decoder, seed=seed, iters=args.iters, **bp)
     dump.write_csv(args.out)
     print(f"wrote {args.out}")
     print(f"success={dump.meta['success']} iterations={dump.meta['iterations']} "

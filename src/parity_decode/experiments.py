@@ -489,7 +489,8 @@ def trajectory_demo(
     all-one codeword, or {"kind": "mcmc", "instance": ProblemInstance,
     "beta": float, "gamma": float, "budget": int optional,
     "family": str optional} decodes the final state of a sampling chain
-    against the instance's encoded ground state.
+    against the instance's encoded ground state. bp_epsilon is the flip
+    rate BP assumes; the meta records it whenever the decoder is BP.
     """
     if decoder not in ("bf", "bp"):
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -530,6 +531,7 @@ def trajectory_demo(
         res = bf_decode(code, x, max_iters=iters, target=target, record_trajectory=True)
         snaps = res.trajectory
     else:
+        meta["bp_epsilon"] = float(bp_epsilon)
         res = bp_decode(code, x=x, epsilon=bp_epsilon, max_iters=iters,
                         target=target, record=True)
         snaps = [hard_decide(p, code) for p in res.posteriors]

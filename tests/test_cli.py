@@ -12,6 +12,7 @@ from parity_decode import (
     encode,
     sample_iid_errors,
     trial_seed,
+    trajectory_demo,
     write_spin_matrix_csv,
 )
 from parity_decode.cli import ENV_SEED, main
@@ -324,6 +325,21 @@ def test_trajectory_cli(tmp_path, capsys):
     assert out_file.exists()
     text = out_file.read_text()
     assert "iteration=0" in text
+
+
+def test_trajectory_cli_bp_decodes_at_the_iid_flip_rate(tmp_path, capsys):
+    # BP assumes the rate the iid source draws at, as `decode --gen-iid` does
+    out_file = tmp_path / "t.csv"
+    code, _, err = run_cli(
+        ["trajectory", "--source", "iid", "--k", "12", "--epsilon", "0.1",
+         "--decoder", "bp", "--iters", "3", "--seed", "2", "--out", str(out_file)], capsys)
+    assert (code, err) == (0, "")
+    dump = TrajectoryDump.read_csv(out_file)
+    assert (dump.meta["epsilon"], dump.meta["bp_epsilon"]) == (0.1, 0.1)
+    lib = trajectory_demo({"kind": "iid", "K": 12, "epsilon": 0.1}, decoder="bp",
+                          seed=2, iters=3, bp_epsilon=0.1)
+    assert dump.error_counts == lib.error_counts
+    assert [s.tolist() for s in dump.snapshots] == [s.tolist() for s in lib.snapshots]
 
 
 def test_trajectory_cli_mcmc_source(tmp_path, capsys):

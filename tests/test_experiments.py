@@ -748,6 +748,22 @@ def test_landscape_dominance_and_shapes():
         assert row["runs"] == 12
 
 
+# sha256 of the JSON then CSV bytes of a K = 7 hybrid landscape, as written
+# when the BF sweep still ran np.sign and a masked copy: at odd K the votes
+# tie, so the hybrid stage's keep-sign branch runs (K = 14 never ties)
+ODD_K_HYBRID_DIGEST = "56ce210c55668123142d84814466855997da385946073ba7c3fea09833b1a6fb"
+
+
+def test_hybrid_landscape_odd_k_report_bytes_pinned(tmp_path):
+    rep = landscape([gen_instance(7, 70 + i) for i in range(3)], beta_grid=[0.5, 2.0],
+                    gamma_grid=[0.2, 1.0], strategy="hybrid", budget=84, trials_per_cell=4,
+                    seed=3)
+    rep.to_json(tmp_path / "r.json")
+    rep.to_csv(tmp_path / "r.csv")
+    data = (tmp_path / "r.json").read_bytes() + (tmp_path / "r.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == ODD_K_HYBRID_DIGEST
+
+
 def test_landscape_csv_roundtrip(tmp_path):
     # per_instance_* cells are JSON lists, so the CSV quotes them
     rep = landscape(_tiny_instances(K=6, n=3), beta_grid=[1.0], gamma_grid=[0.1, 0.5],
@@ -869,6 +885,19 @@ def test_trajectory_mcmc_source_and_bp():
     )
     assert len(dump.snapshots) == len(dump.error_counts)
     assert dump.meta["decoder"] == "bp"
+
+
+def test_trajectory_bp_records_its_flip_rate():
+    # the mcmc source has no flip rate of its own, so BP keeps the default
+    inst = gen_instance(8, 200)
+    dump = trajectory_demo({"kind": "mcmc", "instance": inst, "beta": 3.0, "gamma": 0.1},
+                           decoder="bp", seed=5, iters=2)
+    assert dump.meta["bp_epsilon"] == 0.25
+    dump = trajectory_demo({"kind": "iid", "K": 8, "epsilon": 0.1}, decoder="bp",
+                           seed=5, iters=2, bp_epsilon=0.1)
+    assert dump.meta["bp_epsilon"] == 0.1
+    bf = trajectory_demo({"kind": "iid", "K": 8, "epsilon": 0.1}, decoder="bf", seed=5, iters=2)
+    assert "bp_epsilon" not in bf.meta
 
 
 def test_trajectory_mcmc_source_holds_no_chain_states():

@@ -1,5 +1,6 @@
 """Property tests of the edge-vector converters, the syndrome kernel, the
-BF sweep (`bf_step`, `bf_decode`, the stacked BF loop) against an int64
+BF sweep (the stacked kernel with its tie mask, `bf_step`, `bf_decode`,
+the stacked BF loop) against an int64
 reference, BP against a frozen copy of its plain message-passing loop
 (and its gather-sum against np.bincount),
 the hybrid decoder's block-by-block BF stage, the single-chain step against
@@ -40,7 +41,7 @@ from parity_decode import (
 )
 from parity_decode import mcmc
 from parity_decode.code import _is_codeword_flat, _syndrome_flat
-from parity_decode.decoders import _bf_decode_stack, _bp_layout, bf_sweep_batch
+from parity_decode.decoders import _bf_decode_stack, _bf_sweep, _bp_layout, bf_sweep_batch
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FAMILIES = st.sampled_from(["w3", "w4"])
@@ -217,6 +218,25 @@ def _ref_decode(code, x, max_iters, tie_policy, target, rng):
 
 POLICIES = st.sampled_from(list(TiePolicy))
 NOISE = st.sampled_from([0.0, 0.1, 0.3, 0.5])
+
+
+@SETTINGS
+@given(K=st.integers(2, 16), batch=st.integers(1, 8), eps=NOISE, seed=st.integers(0, 2**32 - 1))
+@example(K=3, batch=8, eps=0.5, seed=0)
+@example(K=40, batch=4, eps=0.3, seed=1)
+def test_bf_sweep_stack_matches_int64_reference(K, batch, eps, seed):
+    """The kernel itself on a (B, K, K) stack: the sign of the int64 vote
+    X@X - X, X kept where it is 0, equal bit for bit (a -0.0 fails the
+    int32 view), and its tie mask is exactly vote == 0."""
+    code = build_code(K)
+    x = np.stack([_noisy_state(code, seed + b, eps)[0] for b in range(batch)])
+    m = x.astype(np.int64)
+    vote = m @ m - m
+    ref = np.where(vote == 0, m, np.sign(vote)).astype(np.float32)
+    new, tie = _bf_sweep(x.astype(np.float32))
+    assert new.dtype == np.float32
+    assert np.array_equal(new.view(np.int32), ref.view(np.int32))
+    assert np.array_equal(tie, vote == 0)
 
 
 @SETTINGS
