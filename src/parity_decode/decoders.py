@@ -9,8 +9,9 @@
   decoder's energy by exactly twice the score.
 * Belief propagation (BP): sum-product message passing on the triangle
   check graph (girth 6), flooding schedule, messages clipped at +-30.
-* Minimum-weight decoding (MWD): exact small-scale oracle (K <= 8); a
-  scan over the 2^(K-1) codewords for the one nearest the input.
+* Minimum-weight decoding (MWD): exact oracle (K <= 24); the nearest
+  codeword is the ground state of the logical energy with couplings x,
+  found by the same exhaustive search as instance ground states.
 """
 
 from __future__ import annotations
@@ -23,12 +24,16 @@ import numpy as np
 
 from .channels import check_weight, pair_error_prob, reliability_weight
 from .code import (
+    GROUND_STATE_MAX_K,
+    CapacityError,
     ParityCode,
-    codewords,
+    brute_force_ground_state,
+    encode,
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
     _check_count,
+    _check_spin_stack,
     _check_strengths,
     _edge_vector,
     _family,
@@ -39,10 +44,6 @@ from .code import (
 )
 
 MSG_CLIP = 30.0  # BP message magnitude cap
-
-
-class CapacityError(ValueError):
-    """Problem size exceeds what an exhaustive routine will attempt."""
 
 
 class TiePolicy(Enum):
@@ -273,7 +274,14 @@ def bf_decode(
 
 def bf_sweep_batch(stack: np.ndarray, iters: int) -> np.ndarray:
     """Apply `iters` BF sweeps to a stack of spin matrices (B, K, K),
-    keeping current signs on ties. Codewords pass through unchanged."""
+    keeping current signs on ties. Codewords pass through unchanged.
+    Refuses a negative or non-integer iters, and a stack holding a matrix
+    that validate_spin_matrix would refuse."""
+    return _bf_sweeps(_check_spin_stack(stack), _check_count("iters", iters, 0))
+
+
+def _bf_sweeps(stack: np.ndarray, iters: int) -> np.ndarray:
+    """bf_sweep_batch on a trusted stack and iters, as int8."""
     m = stack.astype(np.float32)
     for _ in range(iters):
         m, _ = _bf_sweep(m)
@@ -626,24 +634,30 @@ def _bp_decode(code: ParityCode, lam: np.ndarray, max_iters: int,
 # ---------------------------------------------------------------------------
 # Minimum-weight decoding (exhaustive oracle)
 
-MWD_MAX_K = 8
-
-
 def mwd_bruteforce(code: ParityCode, x: np.ndarray) -> np.ndarray:
     """Nearest codeword to x: x o e* where e* has the same plaquette
     syndrome as x and the fewest -1 entries; ties break to the
     lexicographically smallest e* (-1 sorting before +1).
 
     A pattern e has x's plaquette syndrome exactly when x o e is a
-    codeword, so one scan over the 2^(K-1) codewords finds e*. This
-    realizes the infinite-constraint-strength limit without picking a
-    finite multiplier. Exhaustive: refuses K > 8.
+    codeword zz^T (z_0 = +1), and its -1 count is
+    (n_vars - sum_{i<j} x_ij z_i z_j) / 2, so z is a ground state of the
+    logical energy with couplings x: one brute_force_ground_state call
+    finds it. The search breaks ties to the first minimum in number
+    order (spin K-1 most significant, -1 first). The first K-1 entries
+    e_0j = x_0j z_j fix z, so e_01 decides MWD's order first. The search
+    therefore runs on y, x with spin j renamed sigma(j) (sigma(0) = 0,
+    sigma(j) = K - j), gauged by its first row h = y[0]: search spin p
+    is then h_p z_sigma(p) = e_0,sigma(p), and the two tie rules agree.
+    Every energy is a sum of +-1 terms, exact in float64, so the output
+    does not depend on the BLAS kernel. This realizes the
+    infinite-constraint-strength limit without picking a finite
+    multiplier. Exhaustive: refuses K > 24 (CapacityError) before x is
+    validated.
     """
-    if code.K > MWD_MAX_K:
-        raise CapacityError(f"minimum-weight search is exhaustive; K={code.K} exceeds {MWD_MAX_K}")
-    xf = _edge_vector(code, x)
-    e = matrix_to_vector(code, codewords(code)) * xf  # the error pattern of each codeword
-    weight = np.count_nonzero(e == -1, axis=1)
-    e = e[weight == weight.min()]
-    # lexsort's last key is its primary one: column 0 first, -1 before +1
-    return vector_to_matrix(code, xf * e[np.lexsort(e.T[::-1])[0]])
+    if code.K > GROUND_STATE_MAX_K:
+        raise CapacityError(f"K={code.K} exceeds exhaustive MWD bound {GROUND_STATE_MAX_K}")
+    sigma = np.r_[0, code.K - 1:0:-1]
+    y = validate_spin_matrix(x, code.K)[np.ix_(sigma, sigma)]
+    J = matrix_to_vector(code, y * np.outer(y[0], y[0]))
+    return encode(code, (y[0] * brute_force_ground_state(code.K, J)[0])[sigma])

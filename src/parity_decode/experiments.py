@@ -30,18 +30,19 @@ from .channels import (
 )
 from .code import (
     all_one_matrix,
+    brute_force_ground_state,
     build_code,
     encode,
     is_codeword,
     matrix_to_vector,
+    validate_logical_state,
     validate_spin_matrix,
     vector_to_matrix,
     _check_count,
+    _check_couplings,
     _check_strengths,
-    _spin_rows,
 )
 from .decoders import (
-    CapacityError,
     TiePolicy,
     _bf_decode_stack,
     _bp_decode,
@@ -54,7 +55,6 @@ from .mcmc import (
 )
 from .reports import BenchmarkReport, TrajectoryDump
 
-GROUND_STATE_MAX_K = 24
 DEFAULT_BETA_GRID = tuple(round(0.25 * i, 2) for i in range(13))   # 0 .. 3.0
 DEFAULT_GAMMA_GRID = tuple(round(0.1 * i, 2) for i in range(16))   # 0 .. 1.5
 BF_TRIAL_CHUNK = 16  # bench_iid BF trials decoded as one stack
@@ -74,11 +74,8 @@ class ProblemInstance:
 
     @classmethod
     def from_couplings(cls, K: int, couplings, seed=None, label="") -> "ProblemInstance":
-        K = _check_count("K", K, 2)
+        K, couplings = _check_couplings(K, couplings)
         seed = None if seed is None else _check_count("seed", seed, 0)
-        couplings = np.asarray(couplings, dtype=np.float64).ravel()
-        if len(couplings) != K * (K - 1) // 2:
-            raise ValueError(f"couplings length {len(couplings)} != C({K},2)")
         Z, E = brute_force_ground_state(K, couplings)
         return cls(K=K, couplings=couplings, ground_state=Z, ground_energy=E,
                    seed=seed, label=label or f"K{K}")
@@ -86,56 +83,10 @@ class ProblemInstance:
 
 def logical_energy(K: int, J: np.ndarray, Z: np.ndarray) -> float:
     """-sum_{i<j} J_ij Z_i Z_j with zero local fields, J in code.edges order."""
+    K, J = _check_couplings(K, J)
+    Z = validate_logical_state(Z, K)
     a, b = build_code(K).edges.T
-    return float(-(J * (np.asarray(Z)[a] * np.asarray(Z)[b])).sum())
-
-
-def brute_force_ground_state(K: int, J: np.ndarray, chunk: int = 1 << 10):
-    """Exhaustive minimum of the logical energy over 2^(K-1) states
-    (global flip halves the space). Returns (state, energy).
-
-    States are taken in blocks of min(chunk, 2^(K-1)) rows, in the order
-    of the numbers whose bits they are. A block's energies are one BLAS
-    gemv, -(prods @ J), with prods its (rows, C(K,2)) +-1 float64 pair
-    products; the first minimum within a block wins, and a later block
-    only on a strictly lower energy. Spins above a block's low bits are
-    constant over it, so its products are the first block's with whole
-    columns negated, and that negation is folded into J: each term is
-    the same exact +-J_ij, summed in the same order. Memory is one block
-    (1.25 MB of products at K = 18, 2.2 MB at K = 24), and the search
-    takes about 8 ms at K = 18 and 50 ms at K = 21 on a 2-vCPU Xeon.
-
-    chunk must be a power of two >= 8: gemv sums a row the same way for
-    every such row count, so the energy bits do not depend on chunk,
-    while other counts (1, 7) round tail rows differently. A power of
-    two also keeps each block's low bits running over every value.
-    Raises CapacityError above K = GROUND_STATE_MAX_K (24), and
-    ValueError for a coupling that is not finite.
-    """
-    chunk = _check_count("chunk", chunk, 8)
-    if chunk & (chunk - 1):
-        raise ValueError(f"chunk must be a power of two, got {chunk}")
-    if K > GROUND_STATE_MAX_K:
-        raise CapacityError(f"K={K} exceeds exhaustive ground-state bound {GROUND_STATE_MAX_K}")
-    J = np.asarray(J, dtype=np.float64).ravel()
-    if not np.isfinite(J).all():  # a NaN energy is never a minimum
-        raise ValueError("couplings must be finite")
-    a, b = build_code(K).edges.T
-    count = 1 << (K - 1)
-    rows = min(chunk, count)
-    Z = _spin_rows(2 * np.arange(rows) + 1, K)  # bit 0 set: spin 0 is +1
-    # C order, as int8 @ float64 casts it: an F-ordered block would take
-    # another gemv kernel, with other energy bits
-    prods = np.ascontiguousarray(Z[:, a] * Z[:, b], dtype=np.float64)
-    best_e, best_n = math.inf, None
-    for start in range(0, count, rows):
-        # +-1 per column: this block's products over the first block's
-        first = _spin_rows(np.array([2 * start + 1]), K)[0]
-        energies = -(prods @ (J * (first[a] * first[b] * prods[0])))
-        i = int(np.argmin(energies))
-        if energies[i] < best_e:
-            best_e, best_n = float(energies[i]), 2 * (start + i) + 1
-    return _spin_rows(np.array([best_n]), K)[0], best_e
+    return float(-(J * (Z[a] * Z[b])).sum())
 
 
 def gen_instance(K: int, seed: int) -> ProblemInstance:
@@ -143,6 +94,7 @@ def gen_instance(K: int, seed: int) -> ProblemInstance:
     by exhaustive enumeration (brute_force_ground_state: 1024-row blocks,
     one block of memory, about 8 ms at K = 18 and 50 ms at K = 21; K <= 24,
     CapacityError above). Deterministic per seed."""
+    K = _check_count("K", K, 2)  # before K sizes the draw
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     J = rng.uniform(-0.25, 0.25, size=K * (K - 1) // 2)
     return ProblemInstance.from_couplings(K, J, seed=seed, label=f"K{K}-s{seed}")

@@ -38,6 +38,7 @@ from parity_decode import (
     syndrome,
     trial_seed,
     uniform_weights,
+    validate_spin_matrix,
     vector_to_matrix,
 )
 from parity_decode.decoders import _bp_buffers, bf_sweep_batch
@@ -175,6 +176,40 @@ def test_bf_sweep_batch_matches_single():
         for _ in range(3):
             cur, _ = bf_step(code, cur, TiePolicy.KEEP)
         assert np.array_equal(batch[i], cur)
+
+
+@pytest.mark.parametrize("iters, message", [
+    (-1, "iters must be >= 0, got -1"),
+    (1.5, "iters must be an integer, got 1.5"),
+    (True, "iters must be an integer, got True"),
+])
+def test_bf_sweep_batch_refuses_bad_iters(iters, message):
+    with pytest.raises(ValueError, match=message):
+        bf_sweep_batch(np.ones((2, 3, 3), dtype=np.int8), iters)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[1, -1, 1], [1, 1, 1], [1, 1, 1]], "must be symmetric"),
+    ([[1, 2, 1], [2, 1, 1], [1, 1, 1]], "entries must be \\+1 or -1"),
+    ([[-1, 1, 1], [1, 1, 1], [1, 1, 1]], "diagonal must be \\+1"),
+])
+def test_bf_sweep_batch_refuses_a_bad_matrix_in_the_stack(bad, message):
+    """Every matrix of the stack is checked, not only the first, and
+    with iters = 0 too."""
+    stack = np.ones((3, 3, 3), dtype=np.int8)
+    stack[2] = bad
+    with pytest.raises(ValueError, match=message):
+        bf_sweep_batch(stack, 1)
+    with pytest.raises(ValueError, match=message):
+        bf_sweep_batch(stack[2], 0)
+
+
+def test_bf_sweep_batch_refuses_non_square_and_validate_refuses_stacks():
+    for shape in ((3,), (2, 3, 4)):
+        with pytest.raises(ValueError, match="must be square"):
+            bf_sweep_batch(np.ones(shape, dtype=np.int8), 1)
+    with pytest.raises(ValueError, match="must be square"):  # one matrix only
+        validate_spin_matrix(np.ones((2, 3, 3), dtype=np.int8))
 
 
 @pytest.mark.parametrize("family", ["w3", "w4"])
@@ -645,9 +680,9 @@ def test_mwd_single_error_matches_bf():
 
 
 def test_mwd_capacity_guard():
-    code = build_code(9)
+    code = build_code(25)
     with pytest.raises(CapacityError):
-        mwd_bruteforce(code, all_one_matrix(9))
+        mwd_bruteforce(code, all_one_matrix(25))
     with pytest.raises(CapacityError):  # refused before the input is validated
         mwd_bruteforce(code, np.zeros((3, 3)))
 
@@ -685,11 +720,12 @@ def test_mwd_matches_exhaustive_oracle(K):
         assert np.array_equal(mwd_bruteforce(code, x), _mwd_oracle(code, x))
 
 
-@pytest.mark.parametrize("K", [7, 8])
+@pytest.mark.parametrize("K", [7, 8, 9, 10, 11, 12])
 def test_mwd_is_nearest_codeword_with_minus_first_ties(K):
-    """At the largest sizes the decoder accepts, the output is a codeword
-    at the least distance from x, and among the codewords at that
-    distance the one whose error pattern x o z sorts first (-1 < +1)."""
+    """Up to K = 12, where this test lists and compares every codeword,
+    the output is a codeword at the least distance from x, and among the
+    codewords at that distance the one whose error pattern x o z sorts
+    first (-1 < +1)."""
     rng = np.random.default_rng(40 + K)
     code = build_code(K)
     cands = codewords(code)
@@ -704,6 +740,19 @@ def test_mwd_is_nearest_codeword_with_minus_first_ties(K):
         assert count_errors(x, got) == dist.min()
         assert got.dtype == np.int8 and np.array_equal(got, cands[best])
     assert ties  # the tie rule is exercised
+
+
+def test_mwd_corrects_three_flips_at_k21():
+    """A K = 21 codeword with at most 3 flipped pairs decodes back to
+    itself: two codewords differ on at least K - 1 = 20 pairs."""
+    rng = np.random.default_rng(21)
+    code = build_code(21)
+    for flips in range(4):
+        z = encode(code, rng.choice([-1, 1], 21))
+        x = z.copy()
+        for k in rng.choice(code.n_vars, flips, replace=False):
+            x = flip_spin(code, x, k)
+        assert np.array_equal(mwd_bruteforce(code, x), z)
 
 
 def test_mwd_output_is_codeword():

@@ -176,6 +176,31 @@ def test_brute_force_refuses_non_finite_couplings(bad):
         brute_force_ground_state(5, J)
 
 
+def test_instance_helpers_share_one_couplings_check():
+    """A wrong number of couplings is refused by length, never broadcast
+    (one value read as all ten pairs), a non +-1 state and a float K are
+    refused by name."""
+    for J in ([0.3], np.zeros(9), np.zeros(11)):
+        message = f"couplings length {len(J)} != C\\(5,2\\)"
+        with pytest.raises(ValueError, match=message):
+            brute_force_ground_state(5, J)
+        with pytest.raises(ValueError, match=message):
+            logical_energy(5, J, np.ones(5))
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance.from_couplings(5, J)
+    with pytest.raises(ValueError, match="logical state entries must be \\+1 or -1"):
+        logical_energy(3, np.ones(3), [2, 1, 1])
+    with pytest.raises(ValueError, match="logical state has length 2, expected 3"):
+        logical_energy(3, np.ones(3), [1, 1])
+    for call in (lambda: gen_instance(5.0, 0), lambda: brute_force_ground_state(5.0, np.zeros(10)),
+                 lambda: logical_energy(5.0, np.zeros(10), np.ones(5))):
+        with pytest.raises(ValueError, match="K must be an integer, got 5.0"):
+            call()
+    with pytest.raises(ValueError, match="K must be >= 2, got 1"):
+        gen_instance(1, 0)
+    assert logical_energy(3, [1.0, -0.5, 0.25], [1, -1, 1]) == -(-1.0 - 0.5 - 0.25)
+
+
 def test_wilson_interval_basic():
     lo, hi = wilson_interval(0, 0)
     assert (lo, hi) == (0.0, 1.0)
