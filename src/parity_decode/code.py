@@ -190,30 +190,19 @@ def _construct(K: int) -> ParityCode:
 
 
 def validate_spin_matrix(m: np.ndarray, K: int | None = None) -> np.ndarray:
-    """Check symmetry, unit diagonal and +-1 entries; return as int8.
-    Refuses a stack: one K x K matrix only."""
+    """Check symmetry, unit diagonal and +-1 entries; return as int8."""
     m = np.asarray(m)
-    if m.ndim != 2:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"spin matrix must be square, got shape {m.shape}")
-    return _check_spin_stack(m, K).astype(np.int8)
-
-
-def _check_spin_stack(m, K: int | None = None) -> np.ndarray:
-    """validate_spin_matrix's checks on every matrix of a stack
-    (..., K, K): square, of size K when K is given, +-1 entries, unit
-    diagonal and symmetric. Returns m as an array, not copied."""
-    m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"spin matrix must be square, got shape {m.shape}")
-    if K is not None and m.shape[-1] != K:
-        raise ValueError(f"spin matrix has size {m.shape[-1]}, expected {K}")
+    if K is not None and m.shape[0] != K:
+        raise ValueError(f"spin matrix has size {m.shape[0]}, expected {K}")
     if not np.all(np.abs(m) == 1):
         raise ValueError("spin matrix entries must be +1 or -1")
-    if not np.all(np.diagonal(m, axis1=-2, axis2=-1) == 1):
+    if not np.all(np.diag(m) == 1):
         raise ValueError("spin matrix diagonal must be +1")
-    if not np.array_equal(m, np.swapaxes(m, -2, -1)):
+    if not np.array_equal(m, m.T):
         raise ValueError("spin matrix must be symmetric")
-    return m
+    return m.astype(np.int8)
 
 
 def validate_logical_state(Z: np.ndarray, K: int | None = None) -> np.ndarray:

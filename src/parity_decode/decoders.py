@@ -33,7 +33,6 @@ from .code import (
     validate_spin_matrix,
     vector_to_matrix,
     _check_count,
-    _check_spin_stack,
     _check_strengths,
     _edge_vector,
     _family,
@@ -275,15 +274,9 @@ def bf_decode(
 def bf_sweep_batch(stack: np.ndarray, iters: int) -> np.ndarray:
     """Apply `iters` BF sweeps to a stack of spin matrices (B, K, K),
     keeping current signs on ties. Codewords pass through unchanged.
-    Refuses a negative or non-integer iters, and a stack holding a matrix
-    that validate_spin_matrix would refuse."""
-    return _bf_sweeps(_check_spin_stack(stack), _check_count("iters", iters, 0))
-
-
-def _bf_sweeps(stack: np.ndarray, iters: int) -> np.ndarray:
-    """bf_sweep_batch on a trusted stack and iters, as int8."""
+    Refuses a negative or non-integer iters; the stack is not checked."""
     m = stack.astype(np.float32)
-    for _ in range(iters):
+    for _ in range(_check_count("iters", iters, 0)):
         m, _ = _bf_sweep(m)
     return m.astype(np.int8)
 

@@ -101,8 +101,8 @@ from .code import (
 )
 from .decoders import (
     TiePolicy,
-    _bf_sweeps,
     _coupling_vector,
+    bf_sweep_batch,
 )
 
 ENERGY_CHECK_INTERVAL = 10_000
@@ -761,7 +761,7 @@ def _bf_stage(code: ParityCode, states: np.ndarray, target_f: np.ndarray, iters:
     each entry of hits (first decoded target, first decoded codeword)
     still at -1 to the smallest index whose decode hits; returns the
     decoded matrices (T, K, K)."""
-    decoded = _bf_sweeps(vector_to_matrix(code, states), iters)
+    decoded = bf_sweep_batch(vector_to_matrix(code, states), iters)
     decoded_f = matrix_to_vector(code, decoded)
     found = (np.all(decoded_f == target_f, axis=1),
              _is_codeword_flat(code, decoded_f))

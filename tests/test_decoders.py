@@ -38,7 +38,6 @@ from parity_decode import (
     syndrome,
     trial_seed,
     uniform_weights,
-    validate_spin_matrix,
     vector_to_matrix,
 )
 from parity_decode.decoders import _bp_buffers, bf_sweep_batch
@@ -186,30 +185,6 @@ def test_bf_sweep_batch_matches_single():
 def test_bf_sweep_batch_refuses_bad_iters(iters, message):
     with pytest.raises(ValueError, match=message):
         bf_sweep_batch(np.ones((2, 3, 3), dtype=np.int8), iters)
-
-
-@pytest.mark.parametrize("bad, message", [
-    ([[1, -1, 1], [1, 1, 1], [1, 1, 1]], "must be symmetric"),
-    ([[1, 2, 1], [2, 1, 1], [1, 1, 1]], "entries must be \\+1 or -1"),
-    ([[-1, 1, 1], [1, 1, 1], [1, 1, 1]], "diagonal must be \\+1"),
-])
-def test_bf_sweep_batch_refuses_a_bad_matrix_in_the_stack(bad, message):
-    """Every matrix of the stack is checked, not only the first, and
-    with iters = 0 too."""
-    stack = np.ones((3, 3, 3), dtype=np.int8)
-    stack[2] = bad
-    with pytest.raises(ValueError, match=message):
-        bf_sweep_batch(stack, 1)
-    with pytest.raises(ValueError, match=message):
-        bf_sweep_batch(stack[2], 0)
-
-
-def test_bf_sweep_batch_refuses_non_square_and_validate_refuses_stacks():
-    for shape in ((3,), (2, 3, 4)):
-        with pytest.raises(ValueError, match="must be square"):
-            bf_sweep_batch(np.ones(shape, dtype=np.int8), 1)
-    with pytest.raises(ValueError, match="must be square"):  # one matrix only
-        validate_spin_matrix(np.ones((2, 3, 3), dtype=np.int8))
 
 
 @pytest.mark.parametrize("family", ["w3", "w4"])

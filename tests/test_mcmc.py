@@ -386,7 +386,7 @@ def test_hybrid_stage_decodes_new_states_only(monkeypatch):
     params = HamiltonianParams(beta=3.0, gamma=4.0, couplings=inst.couplings, family="w4")
     budget, seed = 20_000, trial_seed(0, 31, 0, 1)
     rows, built = [], []  # rows decoded per BF call, memo misses per block
-    sweep, advance = mcmc._bf_sweeps, mcmc._Chain.advance
+    sweep, advance = mcmc.bf_sweep_batch, mcmc._Chain.advance
 
     def counting_sweep(stack, iters):
         rows.append(len(stack))
@@ -399,7 +399,7 @@ def test_hybrid_stage_decodes_new_states_only(monkeypatch):
         built.append(len(misses) - before)
         return out
 
-    monkeypatch.setattr(mcmc, "_bf_sweeps", counting_sweep)
+    monkeypatch.setattr(mcmc, "bf_sweep_batch", counting_sweep)
     monkeypatch.setattr(mcmc._Chain, "advance", counting_advance)
     ok, run = hybrid_decode(code, params, budget, target, seed, store_samples=False)
     monkeypatch.undo()
