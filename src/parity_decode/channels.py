@@ -34,10 +34,16 @@ class AwgnParams:
     sigma: float
 
     def __post_init__(self):
-        if not (self.amplitude > 0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        for name, value in (("amplitude", self.amplitude), ("sigma", self.sigma)):
+            if not (value > 0):
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        # in Python floats: sigma^2 can underflow to 0, 2a/sigma^2 overflow
+        a, s2 = float(self.amplitude), float(self.sigma) * float(self.sigma)
+        if not (s2 > 0 and math.isfinite(2.0 * a / s2)):
+            raise ValueError(f"reliability 2*amplitude/sigma^2 must be finite, got amplitude "
+                             f"{self.amplitude}, sigma {self.sigma}")
 
     @property
     def beta(self) -> float:
@@ -84,12 +90,23 @@ def awgn_observe(z: np.ndarray, params: AwgnParams, seed) -> np.ndarray:
     return params.amplitude * zf + noise
 
 
-def llr(y: np.ndarray, params: AwgnParams) -> np.ndarray:
-    """Half log-likelihood ratios theta_i = beta * y_i."""
+def _check_readout(y, name: str, n_vars: int | None = None) -> np.ndarray:
+    """A readout (observation or channel LLRs) as float64 in its own
+    shape, the one check of BP's channel input, llr and hard_decide:
+    n_vars entries when given, every one finite. Each refusal starts
+    with `name`."""
     y = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation contains non-finite entries")
-    return params.beta * y
+    if n_vars is not None and y.size != n_vars:
+        raise ValueError(f"{name} length {y.size} != n_vars {n_vars}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return y
+
+
+def llr(y: np.ndarray, params: AwgnParams) -> np.ndarray:
+    """Half log-likelihood ratios theta_i = beta * y_i; refuses a
+    non-finite observation."""
+    return params.beta * _check_readout(y, "observation")
 
 
 def hard_decision_error_prob(theta: np.ndarray) -> np.ndarray:
@@ -102,12 +119,11 @@ def hard_decision_error_prob(theta: np.ndarray) -> np.ndarray:
 def hard_decide(y: np.ndarray, code: ParityCode | None = None) -> np.ndarray:
     """Componentwise sign of an edge-vector observation, as a spin
     matrix. Zero maps to +1 (fixed policy; a probability-zero event for
-    Gaussian noise)."""
-    y = np.asarray(y).ravel()
-    if code is None:
-        code = build_code(_k_from_edge_count(len(y)))
-    elif len(y) != code.n_vars:
-        raise ValueError(f"observation length {len(y)} != n_vars {code.n_vars}")
+    Gaussian noise). The observation must be finite, C(K,2) long for
+    some K, and code.n_vars long when a code is given: a NaN has no
+    sign."""
+    y = _check_readout(y, "observation", None if code is None else code.n_vars).ravel()
+    code = code or build_code(_k_from_edge_count(len(y)))
     return vector_to_matrix(code, np.where(y >= 0, 1, -1).astype(np.int8))
 
 

@@ -201,7 +201,6 @@ def cmd_code_info(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    seed = _master_seed(args.seed)
     tie_policy = TiePolicy(args.tie_policy)
     target = None
     if args.gen_iid:
@@ -210,7 +209,7 @@ def cmd_decode(args) -> int:
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise ValueError(f"--gen-iid: {exc}") from None
         code = build_code(K)
-        x = sample_iid_errors(code, eps_used, trial_seed(seed, 51))
+        x = sample_iid_errors(code, eps_used, trial_seed(args.seed, 51))
         target = all_one_matrix(K)
     else:
         x = read_spin_matrix_csv(args.input)
@@ -219,7 +218,7 @@ def cmd_decode(args) -> int:
             target = all_one_matrix(code.K)
         eps_used = args.epsilon
 
-    rng = np.random.default_rng(trial_seed(seed, 52)) if tie_policy is TiePolicy.COIN else None
+    rng = np.random.default_rng(trial_seed(args.seed, 52)) if tie_policy is TiePolicy.COIN else None
     if args.decoder == "bf":
         res = bf_decode(code, x, max_iters=args.iters, tie_policy=tie_policy,
                         target=target, rng=rng)
@@ -253,10 +252,9 @@ def _write_report(report, out_dir: str) -> None:
 
 
 def cmd_bench(args) -> int:
-    seed = _master_seed(args.seed)
     report = bench_iid(
         args.decoder, args.k, args.epsilon, trials=args.trials, iters=args.iters,
-        seed=seed, tie_policy=TiePolicy(args.tie_policy), mcmc_budget=args.budget,
+        seed=args.seed, tie_policy=TiePolicy(args.tie_policy), mcmc_budget=args.budget,
         mcmc_gamma=args.gamma, mcmc_family=args.syndrome_family,
         n_workers=args.threads,
     )
@@ -269,13 +267,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_landscape(args) -> int:
-    seed = _master_seed(args.seed)
-    inst_seed = args.instance_seed if args.instance_seed is not None else seed
+    inst_seed = args.instance_seed if args.instance_seed is not None else args.seed
     instances = [gen_instance(args.k, inst_seed + i) for i in range(args.instances)]
     report = landscape(
         instances, beta_grid=args.beta, gamma_grid=args.gamma,
         strategy=args.strategy, budget=args.budget,
-        trials_per_cell=args.trials, seed=seed, bf_max_iters=args.bf_iters,
+        trials_per_cell=args.trials, seed=args.seed, bf_max_iters=args.bf_iters,
         n_workers=args.threads,
     )
     _write_report(report, args.out_dir)
@@ -286,7 +283,6 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    seed = _master_seed(args.seed)
     K = TRAJECTORY_K[args.source] if args.k is None else args.k
     if args.source == "iid":
         source = {"kind": "iid", "K": K, "epsilon": args.epsilon}
@@ -299,7 +295,7 @@ def cmd_trajectory(args) -> int:
     # BP assumes the flip rate the iid source draws at; the mcmc source
     # keeps the library default
     bp = {"bp_epsilon": args.epsilon} if args.source == "iid" else {}
-    dump = trajectory_demo(source, decoder=args.decoder, seed=seed, iters=args.iters, **bp)
+    dump = trajectory_demo(source, decoder=args.decoder, seed=args.seed, iters=args.iters, **bp)
     dump.write_csv(args.out)
     print(f"wrote {args.out}")
     print(f"success={dump.meta['success']} iterations={dump.meta['iterations']} "
@@ -319,6 +315,8 @@ def main(argv=None) -> int:
         "trajectory": cmd_trajectory,
     }[args.command]
     try:
+        if "seed" in vars(args):  # every subcommand but code-info
+            args.seed = _master_seed(args.seed)
         return handler(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,17 +22,19 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import check_weight, pair_error_prob, reliability_weight
+from .channels import _check_readout, check_weight, pair_error_prob, reliability_weight
 from .code import (
     GROUND_STATE_MAX_K,
     CapacityError,
     ParityCode,
     brute_force_ground_state,
     encode,
+    error_matrix,
     matrix_to_vector,
     validate_spin_matrix,
     vector_to_matrix,
     _check_count,
+    _check_couplings,
     _check_strengths,
     _edge_vector,
     _family,
@@ -282,13 +284,10 @@ def bf_sweep_batch(stack: np.ndarray, iters: int) -> np.ndarray:
 
 
 def count_errors(x: np.ndarray, z: np.ndarray) -> int:
-    """Number of off-diagonal unordered pairs where x and z differ."""
-    x = np.asarray(x)
-    z = np.asarray(z)
-    if x.shape != z.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {z.shape}")
-    iu = np.triu_indices(x.shape[0], 1)
-    return int(np.count_nonzero(x[iu] != z[iu]))
+    """Number of unordered pairs where the spin matrices x and z differ:
+    half the -1 entries of error_matrix(x, z), whose checks it shares
+    (both +-1, symmetric, unit diagonal, one shape)."""
+    return int(np.count_nonzero(error_matrix(x, z) < 0)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +297,14 @@ _KINDS = ("bf", "wbf", "gdbf", "mcmc")
 
 
 def _coupling_vector(code: ParityCode, J, needed_by: str | None = None) -> np.ndarray | None:
-    """Couplings as a float64 edge vector, one per pair. None passes
-    through unless `needed_by` names what requires couplings."""
+    """Couplings as a float64 edge vector, checked by _check_couplings
+    (one finite value per pair). None passes through unless `needed_by`
+    names what requires couplings."""
     if J is None:
         if needed_by:
             raise ValueError(f"{needed_by} needs couplings J")
         return None
-    J = np.asarray(J, dtype=np.float64).ravel()
-    if len(J) != code.n_vars:
-        raise ValueError(f"couplings length {len(J)} != n_vars {code.n_vars}")
-    return J
+    return _check_couplings(code.K, J)[1]
 
 
 def _inversion_terms(kind: str, code: ParityCode, x: np.ndarray, J, weights, family: str,
@@ -545,11 +542,7 @@ def bp_decode(
         if x is None or epsilon is None:
             raise ValueError("need either channel_llr or (x, epsilon)")
         channel_llr = reliability_weight(epsilon) * _edge_vector(code, x)
-    lam = np.asarray(channel_llr, dtype=np.float64).ravel()
-    if len(lam) != code.n_vars:
-        raise ValueError(f"channel_llr length {len(lam)} != n_vars {code.n_vars}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("channel_llr contains non-finite entries")
+    lam = _check_readout(channel_llr, "channel_llr", code.n_vars).ravel()
     target_f = None if target is None else _edge_vector(code, target)
     res = _bp_decode(code, lam, max_iters, target_f, record)
     res.final = vector_to_matrix(code, res.final)

@@ -93,8 +93,10 @@ def gen_instance(K: int, seed: int) -> ProblemInstance:
     """Couplings uniform on [-1/4, 1/4], zero local fields, ground state
     by exhaustive enumeration (brute_force_ground_state: 1024-row blocks,
     one block of memory, about 8 ms at K = 18 and 50 ms at K = 21; K <= 24,
-    CapacityError above). Deterministic per seed."""
+    CapacityError above). Deterministic per seed, an integer >= 0: a
+    None seed would draw from OS entropy and give no rerunnable label."""
     K = _check_count("K", K, 2)  # before K sizes the draw
+    seed = _check_count("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     J = rng.uniform(-0.25, 0.25, size=K * (K - 1) // 2)
     return ProblemInstance.from_couplings(K, J, seed=seed, label=f"K{K}-s{seed}")

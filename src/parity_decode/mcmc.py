@@ -180,11 +180,13 @@ class SampleRun:
 
 def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | None:
     """The couplings of params as an edge vector (None for the
-    penalty-only form), returned only after _overflow_check accepts
-    params' (beta, gamma) with them. This is the one refusal of
-    overflowing strengths: energies, chain and lockstep set-ups and the
-    drivers' entry checks all go through it, and `_Chain` keeps the
-    bound's closure only to check the (beta, gamma) of `set_params`."""
+    penalty-only form), one finite value per pair at any beta (the one
+    couplings check, code._check_couplings, refuses others), returned
+    only after _overflow_check accepts params' (beta, gamma) with them.
+    This is the one refusal of overflowing strengths: energies, chain
+    and lockstep set-ups and the drivers' entry checks all go through
+    it, and `_Chain` keeps the bound's closure only to check the
+    (beta, gamma) of `set_params`."""
     J = _coupling_vector(code, params.couplings, "beta > 0" if params.beta > 0 else None)
     _overflow_check(code, params.family, J)(params.beta, params.gamma)
     return J
@@ -204,7 +206,7 @@ def _overflow_check(code: ParityCode, family: str, J: np.ndarray | None):
     def check(beta, gamma) -> None:
         beta, gamma = float(beta), float(gamma)
         flip, total = gamma * deg, gamma * n_checks
-        if beta:  # beta = 0 drops the couplings, whatever they hold
+        if beta:  # beta = 0 drops the couplings, however large
             flip, total = flip + 2.0 * beta * jmax, total + beta * jsum
         if not (math.isfinite(flip) and math.isfinite(total)):
             raise ValueError(

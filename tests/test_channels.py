@@ -32,6 +32,20 @@ def test_awgn_params_validation():
         AwgnParams(amplitude=1.0, sigma=-1.0)
 
 
+@pytest.mark.parametrize("amplitude, sigma, message", [
+    (1.0, math.inf, "sigma must be finite, got inf"),
+    (math.inf, 1.0, "amplitude must be finite, got inf"),
+    (1e-300, 1e-300, r"reliability 2\*amplitude/sigma\^2 must be finite"),  # sigma^2 is 0
+    (1e300, 1e-10, r"reliability 2\*amplitude/sigma\^2 must be finite"),  # 2a/sigma^2 is inf
+])
+def test_awgn_params_refuse_values_without_finite_readouts(amplitude, sigma, message):
+    """A non-finite amplitude or sigma would make every readout +-inf,
+    and a reliability beta that is not finite every LLR; both are
+    refused at construction."""
+    with pytest.raises(ValueError, match=message):
+        AwgnParams(amplitude=amplitude, sigma=sigma)
+
+
 def test_iid_errors_zero_eps():
     code = build_code(6)
     m = sample_iid_errors(code, 0.0, 1)
@@ -178,6 +192,8 @@ def test_hard_decide_sign_conventions():
 @pytest.mark.parametrize("y, code, message", [
     (np.zeros(9), build_code(5), "!= n_vars 10"),
     (np.zeros(7), None, "not a pair count"),
+    (np.r_[np.zeros(9), np.nan], build_code(5), "observation contains non-finite entries"),
+    (np.r_[np.nan, np.zeros(9)], None, "observation contains non-finite entries"),
 ])
 def test_hard_decide_refuses_bad_lengths(y, code, message):
     with pytest.raises(ValueError, match=message):

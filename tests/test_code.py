@@ -311,6 +311,10 @@ def test_size_and_entry_refusals():
         error_matrix(all_one_matrix(3), all_one_matrix(4))
     with pytest.raises(ValueError, match="shape mismatch"):
         count_errors(all_one_matrix(3), all_one_matrix(4))
+    asymmetric = all_one_matrix(3)
+    asymmetric[0, 1] = -1
+    with pytest.raises(ValueError, match="spin matrix must be symmetric"):
+        count_errors(asymmetric, all_one_matrix(3))
 
 
 @pytest.mark.parametrize("family", ["w5", "W3", "", None])

@@ -295,6 +295,14 @@ def test_couplings_length_checked_by_every_caller():
     for call in calls:
         with pytest.raises(ValueError, match="couplings length"):
             call()
+    for bad in (math.nan, math.inf, -math.inf):
+        J = np.r_[np.zeros(code.n_vars - 1), bad]
+        for call in (lambda: decoder_energy("gdbf", code, x, J=J),
+                     lambda: inversion_profile("mcmc", code, x, J=J),
+                     lambda: inversion_function("wbf", code, x, 0, J=J),
+                     lambda: energy(code, HamiltonianParams(beta=1.0, couplings=J), x)):
+            with pytest.raises(ValueError, match="couplings must be finite"):
+                call()
     J = np.linspace(-1, 1, code.n_vars)
     assert decoder_energy("gdbf", code, x, J=J.reshape(2, 5)) == decoder_energy(
         "gdbf", code, x, J=J)

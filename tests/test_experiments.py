@@ -110,6 +110,20 @@ def test_gen_instance_deterministic_and_capacity():
         gen_instance(25, 0)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (None, "seed must be an integer, got None"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+    (-1, "seed must be >= 0, got -1"),
+])
+def test_gen_instance_refuses_bad_seeds(seed, message):
+    """An instance is labelled and recorded by its seed, so it must be an
+    integer >= 0: None would draw from OS entropy under the label
+    "K5-sNone", which no rerun reproduces."""
+    with pytest.raises(ValueError, match=message):
+        gen_instance(5, seed)
+
+
 def test_brute_force_chunking_consistent():
     rng = np.random.default_rng(13)
     J = rng.uniform(-0.25, 0.25, 10 * 9 // 2)

@@ -6,6 +6,7 @@ import pytest
 
 from parity_decode import (
     HamiltonianParams,
+    InversionWeights,
     TiePolicy,
     all_one_matrix,
     average_error_matrix,
@@ -13,11 +14,13 @@ from parity_decode import (
     build_code,
     codewords,
     count_errors,
+    decoder_energy,
     encode,
     energy,
     gen_instance,
     hybrid_decode,
     inversion_function,
+    inversion_profile,
     mcmc_decode,
     random_spin_matrix,
     rejection_free_step,
@@ -617,6 +620,29 @@ def test_strengths_that_overflow_are_refused_where_the_code_is_known(family):
     ramp = linear_schedule((1.0, 1.0), (1e306, 1e308))
     with pytest.raises(ValueError, match="overflows the energy"):
         mcmc_decode(code, ok, 50, target, seed=1, schedule=ramp)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_couplings_are_refused_at_every_beta(beta, bad):
+    """One couplings check serves the chains, the energies and the
+    inversion family: a NaN or infinite coupling is refused by name even
+    at beta = 0, where it would otherwise reach the chain as 0 * NaN."""
+    code = build_code(4)
+    J = np.r_[np.zeros(code.n_vars - 1), bad]
+    params = HamiltonianParams(beta=beta, gamma=1.0, couplings=J)
+    ok = HamiltonianParams(beta=beta, gamma=1.0, couplings=np.zeros(code.n_vars))
+    x, targets = all_one_matrix(4), np.ones((2, code.n_vars), dtype=np.int8)
+    weights = InversionWeights(beta=beta)
+    for call in (lambda: mcmc_decode(code, params, 10, x, seed=1),
+                 lambda: hybrid_decode(code, params, 10, x, seed=1),
+                 lambda: _run_lockstep(code, [ok, params], 10, [1, 2], targets),
+                 lambda: energy(code, params, x),
+                 lambda: boltzmann_distribution(code, params),
+                 lambda: inversion_profile("mcmc", code, x, J, weights),
+                 lambda: decoder_energy("mcmc", code, x, J, weights)):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            call()
 
 
 def test_boltzmann_energy_gap_past_the_float_range_weighs_zero():
