@@ -73,12 +73,15 @@ def sample_iid_errors(code: ParityCode, epsilon: float, seed) -> np.ndarray:
     epsilon. Deterministic given the seed."""
     if not (0.0 <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    return vector_to_matrix(code, _iid_error_vector(code, epsilon, seed))
+    return vector_to_matrix(code, _iid_error_vector(code, epsilon, [seed])[0])
 
 
-def _iid_error_vector(code: ParityCode, epsilon: float, seed) -> np.ndarray:
-    """sample_iid_errors' draw as an int8 edge vector, epsilon trusted."""
-    return np.where(as_generator(seed).random(code.n_vars) < epsilon, -1, 1).astype(np.int8)
+def _iid_error_vector(code: ParityCode, epsilon: float, seeds) -> np.ndarray:
+    """sample_iid_errors' draw for each of one or more seeds, as int8
+    edge-vector rows (len(seeds), n_vars), epsilon trusted: each seed's
+    stream draws its row of uniforms, and one comparison flips them all."""
+    u = np.stack([as_generator(seed).random(code.n_vars) for seed in seeds])
+    return np.where(u < epsilon, -1, 1).astype(np.int8)
 
 
 def awgn_observe(z: np.ndarray, params: AwgnParams, seed) -> np.ndarray:
@@ -128,8 +131,9 @@ def hard_decide(y: np.ndarray, code: ParityCode | None = None) -> np.ndarray:
 
 
 def _k_from_edge_count(n: int) -> int:
+    """The K >= 2 with C(K,2) == n; refuses any other length (0 too)."""
     K = int(round((1 + math.sqrt(1 + 8 * n)) / 2))
-    if K * (K - 1) // 2 != n:
+    if K < 2 or K * (K - 1) // 2 != n:
         raise ValueError(f"length {n} is not a pair count C(K,2)")
     return K
 

@@ -363,6 +363,15 @@ def _check_couplings(K: int, J) -> tuple[int, np.ndarray]:
     return K, J
 
 
+def _read_only_copy(a) -> np.ndarray:
+    """A flat float64 copy of a that refuses writes: what a frozen
+    object keeps of a caller's couplings, so a later change to the
+    caller's array cannot reach it."""
+    a = np.array(a, dtype=np.float64).ravel()
+    a.flags.writeable = False
+    return a
+
+
 def brute_force_ground_state(K: int, J: np.ndarray, chunk: int = 1 << 10):
     """Exhaustive minimum of the logical energy -sum_{i<j} J_ij Z_i Z_j
     (J in edges order) over the 2^(K-1) states with spin 0 at +1 (the

@@ -2,8 +2,9 @@
 
 * Parallel bit-flip (BF): every pair is updated simultaneously by the
   majority vote of {+1} U {adjacent triangle checks}; in matrix form one
-  sweep is sign[X(X - I)] with tied signs kept, computed as
-  clip(2 X X - X, -1, 1).
+  sweep is sign[X(X - I)] with tied signs kept. Sweeps run on
+  Z = 2X - I/2, as Z <- clip(Z Z, -2, 2) with the diagonal reset to 3/2
+  (exact while 4K + 6 < 2**24); ties are exactly Z Z == Z.
 * Inversion functions: the per-spin scores of the BF / weighted-BF /
   gradient-descent-BF / sampling decoders. Flipping spin k changes the
   decoder's energy by exactly twice the score.
@@ -115,23 +116,39 @@ def uniform_weights(epsilon: float) -> InversionWeights:
 # ---------------------------------------------------------------------------
 # Parallel bit-flip decoding
 
-def _bf_sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sign[X(X - I)] of float32 spin matrices (..., K, K), keeping the
-    sign where the vote is zero: (new matrices, tie mask).
+def _to_z(x: np.ndarray) -> np.ndarray:
+    """The float32 BF states Z = 2X - I/2 of +-1 spin matrices
+    (..., K, K) of any real dtype."""
+    return np.multiply(x, 2, dtype=np.float32) - np.eye(x.shape[-1], dtype=np.float32) / 2
 
-    The vote XX - X is an integer, so 2XX - X = 2 vote + X is odd: where
-    the vote is nonzero, |2 vote| >= 2 > |X| and its sign is the vote's;
-    where the vote is zero, it is X, the kept sign. Clipping that odd
-    integer to [-1, 1] gives exactly +-1 (never -0.0), with no np.sign
-    (a scalar loop on float32) and no masked copy. The diagonal is
-    2K - 1 > 0, so it stays +1 and never ties. BLAS sums K terms of +-1,
-    and every value is exact while 2K + 1 < 2**24."""
-    new = np.matmul(m, m)
-    new *= 2
-    new -= m
-    tie = new == m
-    np.clip(new, -1.0, 1.0, out=new)
-    return new, tie
+
+def _to_x(z: np.ndarray) -> np.ndarray:
+    """The int8 spin matrices of BF states Z (+-2 off the diagonal,
+    1.5 on it)."""
+    return z.clip(-1.0, 1.0).astype(np.int8)
+
+
+def _bf_sweep(z: np.ndarray, ties: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """sign[X(X - I)] on BF states Z = 2X - I/2 (see _to_z), keeping the
+    sign where the vote is zero: (new states, tie mask or None).
+
+    W = Z Z = 4XX - 2X + I/4. Off the diagonal, with the integer vote
+    V = XX - X, W = 4V + 2X: where V is nonzero, |4V| >= 4 > |2X| and
+    W has V's sign; where V is zero, W is 2X = Z, the kept sign, so the
+    tie mask is exactly W == Z. Clipping W to [-2, 2] gives exactly 2
+    times the new spins, and one strided write resets the diagonal
+    (4K - 7/4, never 3/2, so it never ties) to 3/2: a sweep is one
+    matmul, one clip and that write. BLAS sums K terms of +-4 and +-3,
+    and every off-diagonal value is an exact integer while
+    4K + 6 < 2**24. bf_sweep_batch passes ties=False and gets None.
+    matmul's output is C-contiguous, so the diagonal is a strided view
+    of its flat rows."""
+    w = np.matmul(z, z)
+    tie = w == z if ties else None
+    w.clip(-2.0, 2.0, out=w)
+    K = w.shape[-1]
+    w.reshape(-1, K * K)[:, ::K + 1] = 1.5
+    return w, tie
 
 
 def _break_ties(code: ParityCode, new: np.ndarray, tie: np.ndarray,
@@ -166,9 +183,9 @@ def bf_step(
     sign(1 + sum_k s_ijk) deciding whether to keep or negate x_ij; all
     C(K,2) pairs update simultaneously. Codewords are fixed points.
     """
-    new, tie = _bf_sweep(validate_spin_matrix(x, code.K).astype(np.float32))
+    new, tie = _bf_sweep(_to_z(validate_spin_matrix(x, code.K)))
     n_ties = _break_ties(code, new, tie, tie_policy, rng)
-    return new.astype(np.int8), int(n_ties)
+    return _to_x(new), int(n_ties)
 
 
 @dataclass
@@ -192,15 +209,17 @@ def _bf_decode_stack(
     rng: np.random.Generator | None = None,
     trajectories: list[list] | None = None,
 ) -> _BFStack:
-    """The BF decode loop on a trusted float32 stack (B, K, K), each row
-    decoded as bf_decode would decode it alone. `target` is one float32
-    (K, K) matrix shared by all rows, or None for "any codeword". Rows
-    leave the stack when they reach the target, hit a fixed point, fail
-    on a tie (FAIL) or spend max_iters sweeps. COIN coins are drawn row
-    by row from the one rng; trajectories, when given, get one list of
-    int8 states per row."""
+    """The BF decode loop on a trusted +-1 stack (B, K, K) of any real
+    dtype, each row decoded as bf_decode would decode it alone. `target`
+    is one +-1 (K, K) matrix shared by all rows, or None for "any
+    codeword". The sweeps run on BF states Z = 2X - I/2 (_to_z), and
+    `final` is converted back to int8 once, on exit. Rows leave the
+    stack when they reach the target, hit a fixed point, fail on a tie
+    (FAIL) or spend max_iters sweeps. COIN coins are drawn row by row
+    from the one rng; trajectories, when given, get one list of int8
+    states per row."""
     B = len(cur)
-    final = np.empty((B, code.K, code.K), dtype=np.int8)
+    final = np.empty((B, code.K, code.K), dtype=np.float32)
     converged = np.zeros(B, dtype=bool)
     success = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=np.int64)
@@ -208,12 +227,13 @@ def _bf_decode_stack(
     tie_failure = np.zeros(B, dtype=bool)
     if trajectories is not None:
         trajectories.extend([m] for m in cur.astype(np.int8))
+    cur, target = _to_z(cur), None if target is None else _to_z(target)
     rows = np.arange(B)
     for n in range(max_iters + 1):
         if target is not None:
             done = (cur == target).all(axis=(-2, -1))
         else:
-            done = _is_codeword_flat(code, matrix_to_vector(code, cur))
+            done = _is_codeword_flat(code, _to_x(matrix_to_vector(code, cur)))
         stop = done | (n == max_iters)
         if stop.any():
             r = rows[stop]
@@ -230,7 +250,7 @@ def _bf_decode_stack(
         fixed = ~failed & (nxt == cur).all(axis=(-2, -1))
         if trajectories is not None:
             for b in np.flatnonzero(~fixed):
-                trajectories[rows[b]].append(nxt[b].astype(np.int8))
+                trajectories[rows[b]].append(_to_x(nxt[b]))
         r = rows[failed]
         final[r] = nxt[failed]
         tie_failure[r] = True
@@ -241,7 +261,7 @@ def _bf_decode_stack(
         iterations[r] = n
         going = ~(failed | fixed)
         cur, rows = nxt[going], rows[going]
-    return _BFStack(final, converged, success, iterations, ties, tie_failure)
+    return _BFStack(_to_x(final), converged, success, iterations, ties, tie_failure)
 
 
 def bf_decode(
@@ -256,14 +276,14 @@ def bf_decode(
     """Iterate BF sweeps until the target (or any codeword) is reached,
     a fixed point occurs, or max_iters sweeps are spent.
 
-    x and target are validated once; the sweeps run on a float32 copy,
-    as the one-row case of _bf_decode_stack. Deterministic for KEEP/FAIL
-    policies: identical inputs give the identical result.
+    x and target are validated once; the sweeps run as the one-row case
+    of _bf_decode_stack. Deterministic for KEEP/FAIL policies: identical
+    inputs give the identical result.
     """
     _check_count("max_iters", max_iters, 1)
-    cur = validate_spin_matrix(x, code.K).astype(np.float32)
+    cur = validate_spin_matrix(x, code.K)
     if target is not None:
-        target = validate_spin_matrix(target, code.K).astype(np.float32)
+        target = validate_spin_matrix(target, code.K)
     traj = [] if record_trajectory else None
     out = _bf_decode_stack(code, cur[None], max_iters, tie_policy, target, rng, traj)
     return DecodeResult(
@@ -277,10 +297,10 @@ def bf_sweep_batch(stack: np.ndarray, iters: int) -> np.ndarray:
     """Apply `iters` BF sweeps to a stack of spin matrices (B, K, K),
     keeping current signs on ties. Codewords pass through unchanged.
     Refuses a negative or non-integer iters; the stack is not checked."""
-    m = stack.astype(np.float32)
+    z = _to_z(stack)
     for _ in range(_check_count("iters", iters, 0)):
-        m, _ = _bf_sweep(m)
-    return m.astype(np.int8)
+        z, _ = _bf_sweep(z, ties=False)
+    return _to_x(z)
 
 
 def count_errors(x: np.ndarray, z: np.ndarray) -> int:
@@ -459,7 +479,7 @@ class _BPBuffers(threading.local):
     life: two (3, n_checks3) float64 message arrays, the second also
     viewed as (K-2, n_vars), a (3, n_checks3) intp index array, the
     (3, n_vars) float64 value table of iteration 2, and the thread's own
-    _bp_layout arrays, kept writeable as np.take copies a read-only
+    _bp_layout arrays, kept writeable as ndarray.take copies a read-only
     index array on every call."""
 
     def __init__(self):
@@ -488,14 +508,6 @@ _TANH_PRODUCT_MAX = np.tanh(0.5 * MSG_CLIP) ** 2
 assert _TANH_PRODUCT_MAX < 0.9999999999999998 and 2.0 * np.arctanh(_TANH_PRODUCT_MAX) < MSG_CLIP
 
 
-def _check_messages(prod: np.ndarray) -> np.ndarray:
-    """Check-to-variable messages 2 artanh(prod) from the tanh products
-    over the other two members, in place; no clip binds (see above)."""
-    np.arctanh(prod, out=prod)
-    prod *= 2.0
-    return prod
-
-
 def bp_decode(
     code: ParityCode,
     channel_llr: np.ndarray | None = None,
@@ -514,7 +526,11 @@ def bp_decode(
     check-to-variable then all variable-to-check messages; messages are
     clipped at +-30; the hard decision is the posterior sign with 0
     mapping to +1. Stops early when the hard decision reaches the
-    target (or any codeword when no target is given).
+    target (or any codeword when no target is given). Each iteration
+    decides on the boolean posterior >= 0, and success against a
+    target is a comparison of its bytes with the target's, whose bytes
+    are computed once per call; the int8 decision is built once, at
+    return, or for the codeword test when no target is given.
 
     When every clipped channel LLR has one magnitude (always so for
     (x, epsilon), never for Gaussian readouts) the first iteration's
@@ -554,21 +570,22 @@ def _bp_decode(code: ParityCode, lam: np.ndarray, max_iters: int,
     """bp_decode's loop on trusted inputs: finite float64 channel LLRs
     `lam` (n_vars,), max_iters >= 1 and an int8 edge-vector target or
     None. The result's `final` is the edge-vector decision."""
-    lam = np.clip(lam, -MSG_CLIP, MSG_CLIP)
+    lam = lam.clip(-MSG_CLIP, MSG_CLIP)
     posteriors = [lam] if record else None
     # Messages live on graph edges arranged as (3, n_checks), see
     # _bp_layout; variable degree is K-2, check degree exactly 3. Every
     # gather runs in mode="clip", as mode="raise" buffers its output.
     msg, t, t_by_var, idx, table, layout, gather = _bp_buffers.get(code)
     c = abs(lam[0])
-    tables = bool(np.all(np.abs(lam) == c))
+    tables = bool((abs(lam) == c).all())
+    want = None if target_f is None else (target_f > 0).tobytes()
     post, it = lam, 0
     while True:
-        h = np.where(post >= 0, 1, -1).astype(np.int8)
-        if target_f is not None:
-            success = np.array_equal(h, target_f)
+        plus = post >= 0  # the decision, 0 deciding +1
+        if want is not None:
+            success = plus.tobytes() == want
         else:
-            success = bool(_is_codeword_flat(code, h))
+            success = bool(_is_codeword_flat(code, np.where(plus, 1, -1).astype(np.int8)))
         if success or not code.n_checks3 or it == max_iters:
             break
         it += 1
@@ -578,10 +595,10 @@ def _bp_decode(code: ParityCode, lam: np.ndarray, max_iters: int,
             # members are +1, T - b_r from the members' bits b_r and their
             # sum T
             tc = np.tanh(0.5 * np.array([-c, c]))
-            first = _check_messages(np.array([tc[0] * tc[0], tc[1] * tc[0], tc[1] * tc[1]]))
-            np.take((h > 0).astype(np.intp), layout, out=idx, mode="clip")
-            np.subtract(idx.sum(axis=0), idx, out=idx)
-            np.take(first, idx, out=msg, mode="clip")
+            first = 2.0 * np.arctanh(np.array([tc[0] * tc[0], tc[1] * tc[0], tc[1] * tc[1]]))
+            plus.astype(np.intp).take(layout, out=idx, mode="clip")
+            np.subtract(np.add.reduce(idx, axis=0), idx, out=idx)
+            first.take(idx, out=msg, mode="clip")
         else:
             # Variable -> check: channel + all incoming except the
             # receiver, clipped, kept as tanh(msg / 2).
@@ -589,30 +606,32 @@ def _bp_decode(code: ParityCode, lam: np.ndarray, max_iters: int,
                 # table[w, v]: variable v's message to a check whose
                 # first message to v was first[w]
                 np.subtract(post, first[:, None], out=table)
-                np.clip(table, -MSG_CLIP, MSG_CLIP, out=table)
+                table.clip(-MSG_CLIP, MSG_CLIP, out=table)
                 table *= 0.5
                 np.tanh(table, out=table)
                 idx *= code.n_vars
                 idx += layout
-                np.take(table, idx, out=t, mode="clip")
+                table.take(idx, out=t, mode="clip")
             else:
-                np.take(post, layout, out=t, mode="clip")  # the channel values in iteration 1
+                post.take(layout, out=t, mode="clip")  # the channel values in iteration 1
                 if it > 1:
                     t -= msg
-                    np.clip(t, -MSG_CLIP, MSG_CLIP, out=t)
+                    t.clip(-MSG_CLIP, MSG_CLIP, out=t)
                 t *= 0.5
                 np.tanh(t, out=t)
-            # Check -> variable: pairwise tanh products exclude the receiver.
+            # Check -> variable: 2 artanh of the pairwise tanh products
+            # that exclude the receiver; no clip binds (see above).
             np.multiply(t[1], t[2], out=msg[0])
             np.multiply(t[0], t[2], out=msg[1])
             np.multiply(t[0], t[1], out=msg[2])
-            _check_messages(msg)
-        np.take(msg, gather, out=t_by_var, mode="clip")
+            np.arctanh(msg, out=msg)
+            msg *= 2.0
+        msg.take(gather, out=t_by_var, mode="clip")
         post = lam + np.add.reduce(t_by_var, axis=0)
         if posteriors is not None:
             posteriors.append(post)
     return DecodeResult(
-        final=h, converged=success or not code.n_checks3,
+        final=np.where(plus, 1, -1).astype(np.int8), converged=success or not code.n_checks3,
         success=success, iterations=it, posteriors=posteriors,
     )
 

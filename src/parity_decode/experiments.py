@@ -41,6 +41,7 @@ from .code import (
     _check_count,
     _check_couplings,
     _check_strengths,
+    _read_only_copy,
 )
 from .decoders import (
     TiePolicy,
@@ -62,8 +63,9 @@ BF_TRIAL_CHUNK = 16  # bench_iid BF trials decoded as one stack
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Random all-to-all couplings with the precomputed logical ground
-    state (first spin pinned +1; the global flip is equivalent)."""
+    """Random all-to-all couplings, kept as a read-only float64 copy,
+    with the precomputed logical ground state (first spin pinned +1; the
+    global flip is equivalent)."""
 
     K: int
     couplings: np.ndarray
@@ -71,6 +73,9 @@ class ProblemInstance:
     ground_energy: float
     seed: int | None = None
     label: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "couplings", _read_only_copy(self.couplings))
 
     @classmethod
     def from_couplings(cls, K: int, couplings, seed=None, label="") -> "ProblemInstance":
@@ -136,11 +141,10 @@ def _bench_unit(unit) -> dict:
     successes = ties = iter_sum = 0
     for start in range(0, trials, BF_TRIAL_CHUNK):
         ts = range(start, min(start + BF_TRIAL_CHUNK, trials))
-        e = np.stack([_iid_error_vector(code, eps, trial_seed(*keys, t, 0)) for t in ts])
+        e = _iid_error_vector(code, eps, [trial_seed(*keys, t, 0) for t in ts])
         x = e * target_f  # (T, n_vars) int8 readouts
         if decoder == "bf":
-            out = _bf_decode_stack(code, vector_to_matrix(code, x.astype(np.float32)), iters,
-                                   tie_policy, target.astype(np.float32))
+            out = _bf_decode_stack(code, vector_to_matrix(code, x), iters, tie_policy, target)
             ok, used = out.success, out.iterations
             ties += int(out.tie_failure.sum())
         elif decoder == "bp":

@@ -95,6 +95,7 @@ from .code import (
     _family,
     _is_codeword_flat,
     _padded,
+    _read_only_copy,
     _spin_rows,
     _syndrome_flat,
     build_code,
@@ -116,8 +117,9 @@ _ZERO = np.zeros(())  # 0-d operands cost a ufunc call less than Python floats
 @dataclass(frozen=True)
 class HamiltonianParams:
     """Energy parameters: correlation strength beta, penalty strength
-    gamma, per-pair couplings (None for the penalty-only form) and the
-    check family ("w4" plaquettes or "w3" triangles)."""
+    gamma, per-pair couplings (None for the penalty-only form; others
+    kept as a read-only float64 copy) and the check family ("w4"
+    plaquettes or "w3" triangles)."""
 
     beta: float = 0.0
     gamma: float = 1.0
@@ -128,9 +130,7 @@ class HamiltonianParams:
         _check_strengths(beta=self.beta, gamma=self.gamma)
         _family(build_code(2), self.family)  # refuses an unknown family
         if self.couplings is not None:
-            object.__setattr__(
-                self, "couplings", np.asarray(self.couplings, dtype=np.float64).ravel()
-            )
+            object.__setattr__(self, "couplings", _read_only_copy(self.couplings))
 
 
 @dataclass

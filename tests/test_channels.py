@@ -14,8 +14,10 @@ from parity_decode import (
     llr,
     sample_iid_errors,
     trial_seed,
+    vector_to_matrix,
 )
 from parity_decode.channels import (
+    _iid_error_vector,
     check_weight,
     pair_error_prob,
     reliability_weight,
@@ -77,6 +79,18 @@ def test_iid_errors_rate_statistics():
     rate = flips / total
     se = math.sqrt(eps * (1 - eps) / total)
     assert abs(rate - eps) < 3 * se
+
+
+def test_iid_error_rows_match_sample_iid_errors():
+    # bench_iid's chunk draw, one row per trial seed, equals the one-seed
+    # sample_iid_errors trial by trial
+    for K, eps in ((2, 0.5), (21, 0.1), (40, 0.3)):
+        code = build_code(K)
+        seeds = [trial_seed(3, 11, 0, 0, t, 0) for t in range(16)]
+        rows = _iid_error_vector(code, eps, seeds)
+        assert rows.dtype == np.int8 and rows.shape == (16, code.n_vars)
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(vector_to_matrix(code, row), sample_iid_errors(code, eps, seed))
 
 
 def test_iid_errors_epsilon_range():
@@ -194,6 +208,7 @@ def test_hard_decide_sign_conventions():
     (np.zeros(7), None, "not a pair count"),
     (np.r_[np.zeros(9), np.nan], build_code(5), "observation contains non-finite entries"),
     (np.r_[np.nan, np.zeros(9)], None, "observation contains non-finite entries"),
+    (np.zeros(0), None, r"length 0 is not a pair count C\(K,2\)"),
 ])
 def test_hard_decide_refuses_bad_lengths(y, code, message):
     with pytest.raises(ValueError, match=message):

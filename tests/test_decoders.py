@@ -513,6 +513,58 @@ def test_bp_llr_input_mode():
     assert res.success and res.iterations == 0
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_bp_zero_posterior_decides_plus_one(zero):
+    # an exactly-zero posterior, +0.0 or -0.0, decides +1 with a target
+    # and in codeword mode: on the table path (all-zero channel LLRs, one
+    # magnitude) and on the general path (zeros beside two LLRs of other
+    # magnitudes, so most posteriors stay exactly zero)
+    for K in (3, 6, 21):
+        code = build_code(K)
+        away = encode(code, np.r_[1, -1, np.ones(K - 2, dtype=int)])  # never decided
+        flat = np.full(code.n_vars, zero)
+        for target in (None, all_one_matrix(K)):
+            res = bp_decode(code, channel_llr=flat, max_iters=4, target=target, record=True)
+            assert res.success and res.iterations == 0
+            assert np.array_equal(res.final, all_one_matrix(K))
+        res = bp_decode(code, channel_llr=flat, max_iters=4, target=away, record=True)
+        assert not res.success and res.iterations == 4
+        assert all(np.all(p == 0) for p in res.posteriors)
+        assert np.array_equal(res.final, all_one_matrix(K))
+        if K == 3:  # the one check's third member gets a message: no zero left
+            continue
+        mixed = flat.copy()
+        mixed[:2] = 0.5, -0.25
+        for target in (None, away):
+            res = bp_decode(code, channel_llr=mixed, max_iters=2, target=target, record=True)
+            last = res.posteriors[-1]
+            assert (last == 0).any()
+            assert np.all(matrix_to_vector(code, res.final)[last == 0] == 1)
+            assert np.array_equal(matrix_to_vector(code, res.final), np.where(last < 0, -1, 1))
+
+
+def test_bp_final_is_the_decision_of_the_last_posterior():
+    # for seeded readouts at K = 2..12, +-c and Gaussian channel LLRs, with
+    # a target and in codeword mode: one posterior per iteration after the
+    # channel's, and `final` is the int8 sign of the last one (0 -> +1)
+    params = AwgnParams(amplitude=1.0, sigma=0.9)
+    for K in range(2, 13):
+        code = build_code(K)
+        rng = np.random.default_rng(K)
+        for t in range(3):
+            z = encode(code, rng.choice([-1, 1], size=K))
+            x = z * sample_iid_errors(code, 0.2, trial_seed(61, K, t))
+            gauss = awgn_llr(awgn_observe(z, params, trial_seed(62, K, t)), params)
+            for lam in (2.0 * matrix_to_vector(code, x), gauss):
+                for target in (z, None):
+                    res = bp_decode(code, channel_llr=lam, max_iters=5, target=target,
+                                    record=True)
+                    assert len(res.posteriors) == res.iterations + 1
+                    decision = np.where(res.posteriors[-1] >= 0, 1, -1).astype(np.int8)
+                    assert res.final.dtype == np.int8
+                    assert np.array_equal(res.final, vector_to_matrix(code, decision))
+
+
 def test_bp_moderate_noise_k12():
     code = build_code(12)
     target = all_one_matrix(12)

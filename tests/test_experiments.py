@@ -49,6 +49,21 @@ def test_ferromagnetic_hook():
     assert inst.ground_energy == pytest.approx(-0.25 * len(J))
 
 
+def test_instance_keeps_a_read_only_copy_of_its_couplings():
+    # a change to the caller's array after construction, a NaN included,
+    # never reaches the instance, and its own couplings refuse writes
+    J = np.zeros(10)
+    inst = ProblemInstance.from_couplings(5, J)
+    J[1], J[2] = 7.0, np.nan
+    assert np.array_equal(inst.couplings, np.zeros(10))
+    assert inst.couplings.dtype == np.float64
+    assert logical_energy(5, inst.couplings, inst.ground_state) == inst.ground_energy
+    with pytest.raises(ValueError, match="read-only"):
+        inst.couplings[0] = 1.0
+    params = HamiltonianParams(beta=1.0, couplings=inst.couplings)
+    assert not np.shares_memory(params.couplings, inst.couplings)
+
+
 def test_ground_state_matches_slow_scan():
     inst = gen_instance(10, 3)
     # independent scan: plain loop over all assignments

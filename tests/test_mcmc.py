@@ -46,6 +46,23 @@ def test_params_validation():
         energy(code, HamiltonianParams(beta=1.0, gamma=1.0), all_one_matrix(4))
 
 
+def test_params_keep_a_read_only_copy_of_the_couplings():
+    # writing a NaN into the caller's array after construction leaves the
+    # params' couplings, and the energy built from them, unchanged
+    code = build_code(5)
+    J = np.linspace(-0.25, 0.25, 10)
+    params = HamiltonianParams(beta=1.0, gamma=1.0, couplings=J, family="w3")
+    before = energy(code, params, all_one_matrix(5))
+    J[:] = np.nan
+    assert np.array_equal(params.couplings, np.linspace(-0.25, 0.25, 10))
+    assert energy(code, params, all_one_matrix(5)) == before
+    with pytest.raises(ValueError, match="read-only"):
+        params.couplings[0] = 0.0
+    # a 2-D or integer source is kept flat, as float64
+    kept = HamiltonianParams(couplings=np.arange(10).reshape(2, 5)).couplings
+    assert kept.shape == (10,) and kept.dtype == np.float64
+
+
 def test_energy_of_codeword_penalty_only():
     code = build_code(6)
     params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")

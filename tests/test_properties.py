@@ -41,7 +41,9 @@ from parity_decode import (
 )
 from parity_decode import mcmc
 from parity_decode.code import _is_codeword_flat, _syndrome_flat
-from parity_decode.decoders import _bf_decode_stack, _bf_sweep, _bp_layout, bf_sweep_batch
+from parity_decode.decoders import (
+    _bf_decode_stack, _bf_sweep, _bp_layout, _to_x, _to_z, bf_sweep_batch,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FAMILIES = st.sampled_from(["w3", "w4"])
@@ -221,22 +223,32 @@ NOISE = st.sampled_from([0.0, 0.1, 0.3, 0.5])
 
 
 @SETTINGS
-@given(K=st.integers(2, 16), batch=st.integers(1, 8), eps=NOISE, seed=st.integers(0, 2**32 - 1))
+@given(K=st.integers(2, 40), batch=st.integers(1, 8), eps=NOISE, seed=st.integers(0, 2**32 - 1))
 @example(K=3, batch=8, eps=0.5, seed=0)
 @example(K=40, batch=4, eps=0.3, seed=1)
+@example(K=39, batch=8, eps=0.5, seed=2)
 def test_bf_sweep_stack_matches_int64_reference(K, batch, eps, seed):
-    """The kernel itself on a (B, K, K) stack: the sign of the int64 vote
-    X@X - X, X kept where it is 0, equal bit for bit (a -0.0 fails the
-    int32 view), and its tie mask is exactly vote == 0."""
+    """The kernel itself on a (B, K, K) stack of BF states Z = 2X - I/2:
+    2 times the sign of the int64 vote X@X - X, X kept where it is 0,
+    with 3/2 on the diagonal, equal bit for bit (a -0.0 fails the int32
+    view), and its tie mask is exactly vote == 0; without the mask
+    (ties=False) the states are the same bytes. _to_x reads the spins
+    back as int8."""
     code = build_code(K)
     x = np.stack([_noisy_state(code, seed + b, eps)[0] for b in range(batch)])
     m = x.astype(np.int64)
     vote = m @ m - m
-    ref = np.where(vote == 0, m, np.sign(vote)).astype(np.float32)
-    new, tie = _bf_sweep(x.astype(np.float32))
+    ref = np.where(vote == 0, m, np.sign(vote))
+    ref_z = (2 * ref - 0.5 * np.eye(K)).astype(np.float32)
+    z = _to_z(x)
+    assert z.dtype == np.float32 and np.array_equal(z, 2 * m - 0.5 * np.eye(K))
+    new, tie = _bf_sweep(z)
     assert new.dtype == np.float32
-    assert np.array_equal(new.view(np.int32), ref.view(np.int32))
+    assert np.array_equal(new.view(np.int32), ref_z.view(np.int32))
     assert np.array_equal(tie, vote == 0)
+    bare, no_tie = _bf_sweep(z, ties=False)
+    assert no_tie is None and bare.tobytes() == new.tobytes()
+    assert _to_x(new).dtype == np.int8 and np.array_equal(_to_x(new), ref)
 
 
 @SETTINGS
