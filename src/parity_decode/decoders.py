@@ -182,22 +182,12 @@ def bf_step(
     Per pair {i,j} the sweep realizes the majority vote
     sign(1 + sum_k s_ijk) deciding whether to keep or negate x_ij; all
     C(K,2) pairs update simultaneously. Codewords are fixed points.
+    tie_policy is a TiePolicy or its string value.
     """
+    tie_policy = TiePolicy(tie_policy)
     new, tie = _bf_sweep(_to_z(validate_spin_matrix(x, code.K)))
     n_ties = _break_ties(code, new, tie, tie_policy, rng)
     return _to_x(new), int(n_ties)
-
-
-@dataclass
-class _BFStack:
-    """Per-row outcome of _bf_decode_stack; the fields of DecodeResult."""
-
-    final: np.ndarray
-    converged: np.ndarray
-    success: np.ndarray
-    iterations: np.ndarray
-    ties: np.ndarray
-    tie_failure: np.ndarray
 
 
 def _bf_decode_stack(
@@ -207,17 +197,19 @@ def _bf_decode_stack(
     tie_policy: TiePolicy,
     target: np.ndarray | None,
     rng: np.random.Generator | None = None,
-    trajectories: list[list] | None = None,
-) -> _BFStack:
+    record: bool = False,
+) -> list[DecodeResult]:
     """The BF decode loop on a trusted +-1 stack (B, K, K) of any real
-    dtype, each row decoded as bf_decode would decode it alone. `target`
-    is one +-1 (K, K) matrix shared by all rows, or None for "any
-    codeword". The sweeps run on BF states Z = 2X - I/2 (_to_z), and
-    `final` is converted back to int8 once, on exit. Rows leave the
-    stack when they reach the target, hit a fixed point, fail on a tie
-    (FAIL) or spend max_iters sweeps. COIN coins are drawn row by row
-    from the one rng; trajectories, when given, get one list of int8
-    states per row."""
+    dtype: one DecodeResult per row, each as bf_decode would decode that
+    row alone. `target` is one +-1 (K, K) matrix shared by all rows, or
+    None for "any codeword". The sweeps run on BF states Z = 2X - I/2
+    (_to_z). Rows leave the stack when they reach the target, hit a
+    fixed point, fail on a tie (FAIL) or spend max_iters sweeps; their
+    outcomes wait in per-row arrays, and the results are built once, on
+    exit, with `final` an int8 (K, K) view and the flags and counts
+    Python bools and ints. COIN coins are drawn row by row from the one
+    rng; with record set each result's trajectory is its list of int8
+    states."""
     B = len(cur)
     final = np.empty((B, code.K, code.K), dtype=np.float32)
     converged = np.zeros(B, dtype=bool)
@@ -225,8 +217,7 @@ def _bf_decode_stack(
     iterations = np.zeros(B, dtype=np.int64)
     ties = np.zeros(B, dtype=np.int64)
     tie_failure = np.zeros(B, dtype=bool)
-    if trajectories is not None:
-        trajectories.extend([m] for m in cur.astype(np.int8))
+    trajectories = [[m] for m in cur.astype(np.int8)] if record else [None] * B
     cur, target = _to_z(cur), None if target is None else _to_z(target)
     rows = np.arange(B)
     for n in range(max_iters + 1):
@@ -248,7 +239,7 @@ def _bf_decode_stack(
         ties[rows] += n_ties
         failed = (n_ties > 0) if tie_policy is TiePolicy.FAIL else np.zeros(len(rows), bool)
         fixed = ~failed & (nxt == cur).all(axis=(-2, -1))
-        if trajectories is not None:
+        if record:
             for b in np.flatnonzero(~fixed):
                 trajectories[rows[b]].append(_to_x(nxt[b]))
         r = rows[failed]
@@ -261,7 +252,9 @@ def _bf_decode_stack(
         iterations[r] = n
         going = ~(failed | fixed)
         cur, rows = nxt[going], rows[going]
-    return _BFStack(_to_x(final), converged, success, iterations, ties, tie_failure)
+    return [DecodeResult(*row) for row in zip(
+        _to_x(final), converged.tolist(), success.tolist(), iterations.tolist(), ties.tolist(),
+        tie_failure.tolist(), trajectories)]
 
 
 def bf_decode(
@@ -276,21 +269,18 @@ def bf_decode(
     """Iterate BF sweeps until the target (or any codeword) is reached,
     a fixed point occurs, or max_iters sweeps are spent.
 
-    x and target are validated once; the sweeps run as the one-row case
-    of _bf_decode_stack. Deterministic for KEEP/FAIL policies: identical
-    inputs give the identical result.
+    x, target and the tie policy (a TiePolicy or its string value) are
+    checked once; the result is the one row of _bf_decode_stack.
+    Deterministic for KEEP/FAIL policies: identical inputs give the
+    identical result.
     """
     _check_count("max_iters", max_iters, 1)
+    tie_policy = TiePolicy(tie_policy)
     cur = validate_spin_matrix(x, code.K)
     if target is not None:
         target = validate_spin_matrix(target, code.K)
-    traj = [] if record_trajectory else None
-    out = _bf_decode_stack(code, cur[None], max_iters, tie_policy, target, rng, traj)
-    return DecodeResult(
-        final=out.final[0], converged=bool(out.converged[0]), success=bool(out.success[0]),
-        iterations=int(out.iterations[0]), ties=int(out.ties[0]),
-        tie_failure=bool(out.tie_failure[0]), trajectory=traj[0] if traj is not None else None,
-    )
+    return _bf_decode_stack(code, cur[None], max_iters, tie_policy, target, rng,
+                            record_trajectory)[0]
 
 
 def bf_sweep_batch(stack: np.ndarray, iters: int) -> np.ndarray:
@@ -522,9 +512,9 @@ def bp_decode(
     Channel information is either an explicit edge-vector of half-LLRs
     (`channel_llr`, e.g. beta*y for the Gaussian channel) or a hard
     matrix `x` plus a uniform flip rate `epsilon` in (0, 1/2), giving
-    log((1-eps)/eps) * x_ij per pair. One iteration updates all
-    check-to-variable then all variable-to-check messages; messages are
-    clipped at +-30; the hard decision is the posterior sign with 0
+    log((1-eps)/eps) * x_ij per pair, never both. One iteration updates
+    all check-to-variable then all variable-to-check messages; messages
+    are clipped at +-30; the hard decision is the posterior sign with 0
     mapping to +1. Stops early when the hard decision reaches the
     target (or any codeword when no target is given). Each iteration
     decides on the boolean posterior >= 0, and success against a
@@ -558,6 +548,8 @@ def bp_decode(
         if x is None or epsilon is None:
             raise ValueError("need either channel_llr or (x, epsilon)")
         channel_llr = reliability_weight(epsilon) * _edge_vector(code, x)
+    elif x is not None or epsilon is not None:
+        raise ValueError("give either channel_llr or (x, epsilon), not both")
     lam = _check_readout(channel_llr, "channel_llr", code.n_vars).ravel()
     target_f = None if target is None else _edge_vector(code, target)
     res = _bp_decode(code, lam, max_iters, target_f, record)

@@ -108,7 +108,11 @@ def gen_instance(K: int, seed: int) -> ProblemInstance:
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion; refuses
+    counts outside 0 <= successes <= trials."""
+    if not 0 <= successes <= trials:
+        raise ValueError(f"need 0 <= successes <= trials, got successes={successes}, "
+                         f"trials={trials}")
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
@@ -125,7 +129,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 def _bench_unit(unit) -> dict:
     """The (K_list[ki], eps_list[ei]) row of a bench_iid config. Noise is
     drawn BF_TRIAL_CHUNK trials at a time as edge-vector rows, decoded on
-    trusted cores: BF a chunk as one stack, BP and sampling row by row."""
+    trusted cores: BF a chunk as one stack, BP and sampling row by row.
+    BF and BP give one DecodeResult per trial, read in one shared step."""
     config, ki, ei = unit
     decoder, trials, iters = config["decoder"], config["trials"], config["iters"]
     K, eps = config["K_list"][ki], config["eps_list"][ei]
@@ -143,18 +148,18 @@ def _bench_unit(unit) -> dict:
         ts = range(start, min(start + BF_TRIAL_CHUNK, trials))
         e = _iid_error_vector(code, eps, [trial_seed(*keys, t, 0) for t in ts])
         x = e * target_f  # (T, n_vars) int8 readouts
-        if decoder == "bf":
-            out = _bf_decode_stack(code, vector_to_matrix(code, x), iters, tie_policy, target)
-            ok, used = out.success, out.iterations
-            ties += int(out.tie_failure.sum())
-        elif decoder == "bp":
-            llr = reliability_weight(max(eps, 1e-12)) * x
-            res = [_bp_decode(code, row, iters, target_f, False) for row in llr]
-            ok, used = [r.success for r in res], [r.iterations for r in res]
-        else:
+        if decoder == "mcmc":
             runs = [_run_chain(code, params, budget, trial_seed(*keys, t, 1), target_f, row,
                                False)[0] for t, row in zip(ts, x)]
             ok, used = [r.target_hit is not None for r in runs], [r.target_hit or 0 for r in runs]
+        else:
+            if decoder == "bf":
+                res = _bf_decode_stack(code, vector_to_matrix(code, x), iters, tie_policy, target)
+            else:
+                llr = reliability_weight(max(eps, 1e-12)) * x
+                res = [_bp_decode(code, row, iters, target_f, False) for row in llr]
+            ok, used = [r.success for r in res], [r.iterations for r in res]
+            ties += sum(r.tie_failure for r in res)
         ok = np.asarray(ok, dtype=bool)
         successes += int(ok.sum())
         iter_sum += int(np.asarray(used)[ok].sum())
@@ -197,16 +202,20 @@ def bench_iid(
     supplied; the noise stream per trial is decoder-independent, so
     different decoders face identical error realizations. Ties in the
     BF vote count as failures by default, matching the benchmark
-    convention; COIN is refused, as the benchmark draws no tie coins. A
-    supplied codeword must be a codeword of size K for every K in K_list;
-    the config records the int8 matrix its validation returns, so a float
-    +-1 codeword gives the same report bytes as an int one. Every argument lands in the report's config, so each is checked for
-    every decoder before any unit runs (BP also needs epsilon < 1/2);
-    sizes, counts and the seed must be integers (numpy integers
-    included), as the config would otherwise record truncated ones.
+    convention; COIN is refused, as the benchmark draws no tie coins.
+    tie_policy is a TiePolicy or its string value, which gives the same
+    report. A supplied codeword must be a codeword of size K for every K
+    in K_list; the config records the int8 matrix its validation
+    returns, so a float +-1 codeword gives the same report bytes as an
+    int one. Every argument lands in the report's config, so each is
+    checked for every decoder before any unit runs (BP also needs
+    epsilon < 1/2); sizes, counts and the seed must be integers (numpy
+    integers included), as the config would otherwise record truncated
+    ones.
     """
     if decoder not in ("bf", "bp", "mcmc"):
         raise ValueError(f"unknown decoder {decoder!r}")
+    tie_policy = TiePolicy(tie_policy)
     if tie_policy is TiePolicy.COIN:
         raise ValueError("bench_iid needs a deterministic tie policy (keep or fail), not coin")
     cw = None if codeword is None else validate_spin_matrix(codeword)

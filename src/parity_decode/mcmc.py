@@ -571,7 +571,7 @@ def _run_chain(
     stack is decoded once after the chain, UNIFORM_BLOCK states at a
     time, for run.decoded (one decoded state per sample index) and the
     hits."""
-    _check_count("budget", budget, 1)
+    budget = _check_count("budget", budget, 1)
     rng = as_generator(seed)
     xf0 = _initial_state(code, rng, initial)
     chain = _Chain(code, params, xf0, rng, target_f)
@@ -855,9 +855,11 @@ def hybrid_decode(
     With the same seed and budget the first stage reproduces the
     mcmc_decode chain exactly, and codewords are BF fixed points, so
     hybrid success dominates plain sampling success pointwise. The BF
-    stage keeps the current sign on a tied vote; any tie_policy other
-    than KEEP is refused before sampling.
+    stage keeps the current sign on a tied vote; any tie_policy (a
+    TiePolicy or its string value) other than KEEP is refused before
+    sampling.
     """
+    tie_policy = TiePolicy(tie_policy)
     if tie_policy is not TiePolicy.KEEP:
         raise ValueError("hybrid stage uses the deterministic keep-sign sweep; "
                          f"tie_policy {tie_policy.value!r} is not supported")
@@ -870,10 +872,11 @@ def hybrid_decode(
 
 def average_error_matrix(run: SampleRun, z: np.ndarray) -> np.ndarray:
     """Componentwise mean of sample o z over the run's samples; entries
-    in [-1, 1], diagonal exactly +1."""
+    in [-1, 1], diagonal exactly +1. z must be a spin matrix of the
+    run's size K."""
     if not run.samples:
         raise ValueError("run holds no samples")
-    return np.mean(np.stack(run.samples) * validate_spin_matrix(z), axis=0)
+    return np.mean(np.stack(run.samples) * validate_spin_matrix(z, run.code.K), axis=0)
 
 
 def visit_distribution(

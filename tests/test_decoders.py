@@ -150,6 +150,52 @@ def test_tie_policies_k3():
         bf_step(code, x, TiePolicy.COIN)  # rng required
 
 
+def test_bf_decode_takes_tie_policy_values():
+    # a policy's string value decodes exactly as the member does; an
+    # unknown value is refused by name
+    code = build_code(5)
+    x = sample_iid_errors(code, 0.3, 1)
+    target = all_one_matrix(5)
+    assert bf_decode(code, x, tie_policy=TiePolicy.FAIL, target=target).tie_failure
+    for policy in TiePolicy:
+        want, got = (bf_decode(code, x, tie_policy=p, target=target, rng=np.random.default_rng(3),
+                               record_trajectory=True) for p in (policy, policy.value))
+        assert np.array_equal(got.final, want.final)
+        assert (got.converged, got.success, got.iterations, got.ties, got.tie_failure) == (
+            want.converged, want.success, want.iterations, want.ties, want.tie_failure)
+        assert all(np.array_equal(a, b) for a, b in zip(got.trajectory, want.trajectory))
+    with pytest.raises(ValueError, match="nonsense"):
+        bf_decode(code, x, tie_policy="nonsense")
+
+
+def test_bf_step_takes_tie_policy_values():
+    code = build_code(5)
+    x = sample_iid_errors(code, 0.3, 1)
+    for policy in TiePolicy:
+        want, got = (bf_step(code, x, p, np.random.default_rng(4)) for p in (policy, policy.value))
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1] > 0
+    with pytest.raises(ValueError, match="nonsense"):
+        bf_step(code, x, "nonsense")
+
+
+def test_bf_results_hold_python_flags_and_counts():
+    # bf_decode and every row of the stacked loop give Python bools and
+    # ints, so a result's fields serialise and compare like BP's
+    from parity_decode.decoders import _bf_decode_stack
+
+    for K in (4, 5, 12):
+        code = build_code(K)
+        xs = np.stack([sample_iid_errors(code, 0.3, trial_seed(7, t)) for t in range(6)])
+        for policy in (TiePolicy.KEEP, TiePolicy.FAIL):
+            for target in (None, all_one_matrix(K)):
+                results = _bf_decode_stack(code, xs, 5, policy, target)
+                results.append(bf_decode(code, xs[0], tie_policy=policy, target=target))
+                for r in results:
+                    assert all(type(v) is bool for v in (r.converged, r.success, r.tie_failure))
+                    assert type(r.iterations) is int and type(r.ties) is int
+                    assert r.final.dtype == np.int8 and r.final.shape == (K, K)
+
+
 def test_gauge_invariance_sampled():
     rng = np.random.default_rng(4)
     code = build_code(12)
@@ -478,6 +524,17 @@ def test_bp_decode_refusals():
     for kwargs, message in cases:
         with pytest.raises(ValueError, match=message):
             bp_decode(code, **kwargs)
+
+
+def test_bp_decode_refuses_llrs_with_hard_inputs():
+    # channel_llr given together with x or epsilon is refused, not
+    # decoded from the LLRs alone
+    code = build_code(5)
+    lam = np.ones(code.n_vars)
+    x = -all_one_matrix(5) + 2 * np.eye(5, dtype=np.int8)
+    for kwargs in (dict(x=x, epsilon=0.1), dict(x=x), dict(epsilon=0.1)):
+        with pytest.raises(ValueError, match="not both"):
+            bp_decode(code, channel_llr=lam, target=all_one_matrix(5), **kwargs)
 
 
 def test_iteration_counts_must_be_integers():

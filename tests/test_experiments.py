@@ -240,6 +240,12 @@ def test_wilson_interval_basic():
     assert lo == pytest.approx(0.0, abs=1e-12) and hi < 0.05
 
 
+def test_wilson_interval_refuses_impossible_counts():
+    for successes, trials in ((5, 3), (-1, 3), (0, -1), (1, 0)):
+        with pytest.raises(ValueError, match=f"successes={successes}, trials={trials}"):
+            wilson_interval(successes, trials)
+
+
 # ---------------------------------------------------------------------------
 # i.i.d. benchmark
 
@@ -348,6 +354,23 @@ def test_bench_rejects_coin_ties_before_running(monkeypatch):
     for decoder in ("bf", "bp", "mcmc"):
         with pytest.raises(ValueError, match="tie policy"):
             bench_iid(decoder, (3,), (0.3,), 20, tie_policy=TiePolicy.COIN)
+
+
+def test_bench_takes_tie_policy_values(tmp_path):
+    # a policy's string value gives the member's report bytes; an unknown
+    # value is refused by name
+    for decoder in ("bf", "bp"):
+        for policy in (TiePolicy.KEEP, TiePolicy.FAIL):
+            data = []
+            for value in (policy, policy.value):
+                path = tmp_path / f"{decoder}_{value}.json"
+                bench_iid(decoder, [5], [0.3], trials=40, seed=2, tie_policy=value).to_json(path)
+                data.append(path.read_bytes())
+            assert data[0] == data[1]
+        with pytest.raises(ValueError, match="nonsense"):
+            bench_iid(decoder, [5], [0.3], trials=4, tie_policy="nonsense")
+    with pytest.raises(ValueError, match="tie policy"):
+        bench_iid("bf", [5], [0.3], trials=4, tie_policy="coin")
 
 
 def test_bench_chain_seeds_only_for_sampling(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -344,6 +345,50 @@ def test_hybrid_refuses_tie_policies_other_than_keep(monkeypatch, policy):
     params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
     with pytest.raises(ValueError, match="tie_policy"):
         hybrid_decode(code, params, 20, all_one_matrix(5), 1, tie_policy=policy)
+
+
+def test_hybrid_takes_tie_policy_values(monkeypatch):
+    # "keep" runs as KEEP; "fail" and "coin" are refused like their
+    # members, and an unknown value by name, before the chain runs
+    code = build_code(5)
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
+    target = all_one_matrix(5)
+    ok, run = hybrid_decode(code, params, 20, target, 1, tie_policy="keep")
+    ok_m, run_m = hybrid_decode(code, params, 20, target, 1, tie_policy=TiePolicy.KEEP)
+    assert (ok, run.decoded_target_hit, run.decoded_any_codeword) == (
+        ok_m, run_m.decoded_target_hit, run_m.decoded_any_codeword)
+    assert all(np.array_equal(a, b) for a, b in zip(run.decoded, run_m.decoded))
+    from parity_decode import mcmc
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(mcmc, "_run_chain", no_chain)
+    for value in ("fail", "coin", "nonsense"):
+        with pytest.raises(ValueError, match=value):
+            hybrid_decode(code, params, 20, target, 1, tie_policy=value)
+
+
+def test_chain_records_keep_the_budget_as_a_python_int():
+    # a numpy integer budget is recorded as the int _check_count returns,
+    # so the record serialises
+    code = build_code(5)
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
+    target = all_one_matrix(5)
+    for decode in (mcmc_decode, hybrid_decode):
+        _, run = decode(code, params, np.int64(20), target, 1)
+        assert type(run.budget) is int and run.budget == 20
+        assert json.dumps({"budget": run.budget}) == '{"budget": 20}'
+
+
+def test_average_error_matrix_checks_the_size_of_z():
+    code = build_code(5)
+    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
+    _, run = mcmc_decode(code, params, 20, all_one_matrix(5), 1)
+    assert average_error_matrix(run, all_one_matrix(5)).shape == (5, 5)
+    for z in ([[1]], all_one_matrix(4), all_one_matrix(6)):
+        with pytest.raises(ValueError, match="expected 5"):
+            average_error_matrix(run, z)
 
 
 @pytest.mark.parametrize("iters", [0, -3])

@@ -310,21 +310,20 @@ def test_bf_decode_stack_rows_match_bf_decode(K, policy, eps, seed, max_iters, w
     flips = np.where(rng.random((batch, code.n_vars)) < eps, -1, 1).astype(np.int8)
     xs = (z * vector_to_matrix(code, flips)).astype(np.int8)
     target = z if with_target else None
-    trajs = []
     out = _bf_decode_stack(code, xs.astype(np.float32), max_iters, policy,
                            None if target is None else target.astype(np.float32),
-                           trajectories=trajs)
-    assert out.final.shape == (batch, K, K) and out.final.dtype == np.int8
-    assert len(trajs) == batch
+                           record=True)
+    assert all(r.final.shape == (K, K) and r.final.dtype == np.int8 for r in out)
+    assert len(out) == batch
     for b in range(batch):
         res = bf_decode(code, xs[b], max_iters=max_iters, tie_policy=policy, target=target,
                         record_trajectory=True)
-        assert np.array_equal(out.final[b], res.final)
-        assert (out.converged[b], out.success[b], out.iterations[b], out.ties[b],
-                out.tie_failure[b]) == (res.converged, res.success, res.iterations, res.ties,
+        assert np.array_equal(out[b].final, res.final)
+        assert (out[b].converged, out[b].success, out[b].iterations, out[b].ties,
+                out[b].tie_failure) == (res.converged, res.success, res.iterations, res.ties,
                                         res.tie_failure)
-        assert len(trajs[b]) == len(res.trajectory)
-        for got, want in zip(trajs[b], res.trajectory):
+        assert len(out[b].trajectory) == len(res.trajectory)
+        for got, want in zip(out[b].trajectory, res.trajectory):
             assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
