@@ -65,7 +65,9 @@ BF_TRIAL_CHUNK = 16  # bench_iid BF trials decoded as one stack
 class ProblemInstance:
     """Random all-to-all couplings, kept as a read-only float64 copy,
     with the precomputed logical ground state (first spin pinned +1; the
-    global flip is equivalent)."""
+    global flip is equivalent). K, the couplings and a seed other than
+    None are checked however the instance is built, and K and the seed
+    kept as the Python ints they equal."""
 
     K: int
     couplings: np.ndarray
@@ -75,7 +77,11 @@ class ProblemInstance:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "couplings", _read_only_copy(self.couplings))
+        K, couplings = _check_couplings(self.K, self.couplings)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "couplings", _read_only_copy(couplings))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
 
     @classmethod
     def from_couplings(cls, K: int, couplings, seed=None, label="") -> "ProblemInstance":
@@ -208,10 +214,11 @@ def bench_iid(
     in K_list; the config records the int8 matrix its validation
     returns, so a float +-1 codeword gives the same report bytes as an
     int one. Every argument lands in the report's config, so each is
-    checked for every decoder before any unit runs (BP also needs
-    epsilon < 1/2); sizes, counts and the seed must be integers (numpy
-    integers included), as the config would otherwise record truncated
-    ones.
+    checked in the form the config records (K_list and eps_list as
+    lists, whatever iterables they came as) for every decoder before any
+    unit runs (BP also needs epsilon < 1/2); sizes, counts and the seed
+    must be integers (numpy integers included), as the config would
+    otherwise record truncated ones.
     """
     if decoder not in ("bf", "bp", "mcmc"):
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -233,13 +240,13 @@ def bench_iid(
         raise ValueError("K_list and eps_list must be nonempty")
     n_workers = _worker_count(n_workers)
     eps_max = 0.5 if decoder == "bp" else 1.0
-    if not all(0.0 <= e < eps_max for e in eps_list):
-        raise ValueError(f"every epsilon must be in [0, {eps_max}), got {list(eps_list)}")
+    if not all(0.0 <= e < eps_max for e in config["eps_list"]):
+        raise ValueError(f"every epsilon must be in [0, {eps_max}), got {config['eps_list']}")
     for K in config["K_list"]:  # refuses a bad gamma or family, or a gamma overflowing at K
         _couplings_for(build_code(K), HamiltonianParams(gamma=mcmc_gamma, family=mcmc_family))
     if cw is not None:
         if any(K != len(cw) for K in config["K_list"]):
-            raise ValueError(f"codeword has size {len(cw)}, but K_list is {list(K_list)}")
+            raise ValueError(f"codeword has size {len(cw)}, but K_list is {config['K_list']}")
         if not is_codeword(build_code(len(cw)), cw):
             raise ValueError("codeword violates a triangle check")
     units = [(config, ki, ei) for ki in range(len(config["K_list"]))
@@ -272,29 +279,25 @@ def _lockstep_hits(code, params_rows, budget: int, seeds, targets: np.ndarray,
 
 def _landscape_unit(unit) -> list[dict]:
     """Rows of a block of (b_index, g_index) cells of a landscape config
-    over its instances: every (cell, instance, trial) chain of the block
-    runs through `_lockstep_hits`."""
+    over its instances. Its chains, one per (cell, instance, trial) in
+    that order, run through `_lockstep_hits` from three flat tables:
+    params per (cell, instance) and the instances' targets, each repeated
+    per trial, and one seed per chain."""
     config, instances, cells = unit
     code = build_code(config["K"])
     trials = config["trials_per_cell"]
-    targets = [matrix_to_vector(code, encode(code, inst.ground_state)) for inst in instances]
-    chains = []  # (cell index, instance index, params, seed)
-    for c, (bi, gi) in enumerate(cells):
-        for i, inst in enumerate(instances):
-            params = HamiltonianParams(
-                beta=config["beta_grid"][bi], gamma=config["gamma_grid"][gi],
-                couplings=inst.couplings, family=config["family"])
-            for t in range(trials):
-                # strategy-independent stream: matched chains across strategies
-                chains.append((c, i, params, trial_seed(config["seed"], 23, bi, gi, i, t)))
-    hits = np.zeros((len(cells), len(instances), 2), dtype=np.int64)
-    if chains:
-        flags = _lockstep_hits(
-            code, [p for _, _, p, _ in chains], config["budget"],
-            [seed for _, _, _, seed in chains], np.stack([targets[i] for _, i, _, _ in chains]),
-            config["bf_max_iters"] if config["strategy"] == "hybrid" else None)
-        for (c, i, _, _), row in zip(chains, flags):
-            hits[c, i] += row
+    params = [HamiltonianParams(beta=config["beta_grid"][bi], gamma=config["gamma_grid"][gi],
+                                couplings=inst.couplings, family=config["family"])
+              for bi, gi in cells for inst in instances]
+    # strategy-independent streams: matched chains across strategies
+    seeds = [trial_seed(config["seed"], 23, bi, gi, i, t)
+             for bi, gi in cells for i in range(len(instances)) for t in range(trials)]
+    targets = np.stack([matrix_to_vector(code, encode(code, inst.ground_state))
+                        for inst in instances]).repeat(trials, axis=0)
+    flags = _lockstep_hits(code, [p for p in params for _ in range(trials)], config["budget"],
+                           seeds, np.tile(targets, (len(cells), 1)),
+                           config["bf_max_iters"] if config["strategy"] == "hybrid" else None)
+    hits = flags.reshape(len(cells), len(instances), trials, 2).sum(axis=2)
     runs = trials * len(instances)
     rows = []
     for c, (bi, gi) in enumerate(cells):
@@ -338,6 +341,8 @@ def landscape(
     see identical chains and the hybrid dominates pointwise. The budget,
     trial count, seed and BF iterations land in the report's config, so
     each must be an integer (numpy integers included), as for bench_iid.
+    The grids, any iterables, are checked and sized as the float lists
+    the config records.
     """
     if strategy not in ("mcmc", "hybrid"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -350,7 +355,8 @@ def landscape(
     instances = list(instances)
     if not instances:
         raise ValueError("need at least one instance")
-    if not len(beta_grid) or not len(gamma_grid):
+    beta_grid, gamma_grid = [float(b) for b in beta_grid], [float(g) for g in gamma_grid]
+    if not beta_grid or not gamma_grid:
         raise ValueError("grids must be nonempty")
     K = instances[0].K
     if any(inst.K != K for inst in instances):
@@ -359,19 +365,18 @@ def landscape(
     if budget is None:
         budget = 1200 * n_vars if strategy == "mcmc" else 4 * n_vars
     config = {
-        "K": K, "strategy": strategy, "beta_grid": [float(b) for b in beta_grid],
-        "gamma_grid": [float(g) for g in gamma_grid], "budget": budget,
-        "trials_per_cell": trials_per_cell, "seed": seed,
+        "K": K, "strategy": strategy, "beta_grid": beta_grid, "gamma_grid": gamma_grid,
+        "budget": budget, "trials_per_cell": trials_per_cell, "seed": seed,
         "bf_max_iters": bf_max_iters, "family": family,
         "instances": [inst.label for inst in instances],
         "instance_seeds": [inst.seed for inst in instances],
     }
     # every grid value, the family and the strengths' overflow bound,
     # checked before any chain runs
-    _check_strengths(beta_grid=config["beta_grid"], gamma_grid=config["gamma_grid"])
+    _check_strengths(beta_grid=beta_grid, gamma_grid=gamma_grid)
     code = build_code(K)
     for inst in instances:  # the largest strengths bound every cell's sums
-        _couplings_for(code, HamiltonianParams(max(config["beta_grid"]), max(config["gamma_grid"]),
+        _couplings_for(code, HamiltonianParams(max(beta_grid), max(gamma_grid),
                                                inst.couplings, family))
     cells = [(bi, gi) for bi in range(len(beta_grid)) for gi in range(len(gamma_grid))]
     # one contiguous block of cells per worker

@@ -40,26 +40,25 @@ frame, the chain's fields held in locals, the weights in eight numpy
 calls into preallocated buffers, the coupling term 2 beta J x negated
 entry by entry and the flip's scalars kept in Python. It returns the
 block's energies and each step's weight-memo entry (escape rate, log
-shift and total), and fills an optional state buffer; the callers write
-records, streams and holding times from those. `_Chain.step` is its
-one-uniform case. At low temperature a chain mostly moves among a
-few states: it keeps the weights of its last STATE_MEMO = 64 distinct
-pre-flip states, keyed by an exact integer that one XOR per flip
-updates, and a flip's check-value and adjacent-sum update waits until
-the chain reaches a state outside that memo. Bit k of the key is set
-iff pair k differs from the chain's initial state, a base that never
-changes, so the target hit is key equality: the chain is at the target
-exactly when its key equals the target's key, computed once. On a
-2-vCPU AMD EPYC box a step costs about 2.3 us at K=14 w4 (beta, gamma)
-= (3, 4), where 71% of the steps start from a memo-held state (76% are
-not first visits, so no memo could pass that), 4.6 us at (1.5, 0.2),
-where 1% do, and 5.0 us at K=40 w3 gamma = 1 from an eps = 0.1
-readout, where 48% do. The
-hybrid's BF stage reads the memo's misses too: it decodes every
-distinct state, the ones whose memo entry a block builds (a state's
-first visit always does) and the final state, rather than every step's;
-at that K=14 cell that is 27% of the steps. A run that stores its
-samples decodes the stored stack after the chain instead.
+shift and total), and fills an optional state buffer; the callers draw
+the uniforms and write records, streams and holding times from those. At
+low temperature a chain mostly moves among a few states: it keeps the
+weights of its last STATE_MEMO = 64 distinct pre-flip states, keyed by
+an exact integer that one XOR per flip updates, and a flip's check-value
+and adjacent-sum update waits until the chain reaches a state outside
+that memo. Bit k of the key is set iff pair k differs from the chain's
+initial state, a base that never changes, so the target hit is key
+equality: the chain is at the target exactly when its key equals the
+target's key, computed once. On a 2-vCPU AMD EPYC box a step costs about
+2.3 us at K=14 w4 (beta, gamma) = (3, 4), where 71% of the steps start
+from a memo-held state (76% are not first visits, so no memo could pass
+that), 4.6 us at (1.5, 0.2), where 1% do, and 5.0 us at K=40 w3 gamma =
+1 from an eps = 0.1 readout, where 48% do. The hybrid's BF stage reads
+the memo's misses too: it decodes every distinct state, the ones whose
+memo entry a block builds (a state's first visit always does) and the
+final state, rather than every step's; at that K=14 cell that is 27% of
+the steps. A run that stores its samples decodes the stored stack after
+the chain instead.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
 row with its own parameters and stream; `experiments.landscape` and both
 arms of `experiments.efficiency_ratio` run their chains through it. It is
@@ -68,10 +67,10 @@ no cheaper for one chain: about 18.7 us per step at B=1 and K=14 w4.
 Both start from one from-scratch formula for a chain's totals (check
 values, adjacent sums, unsatisfied count, correlation), `_totals`, which
 the drift checks and `energy` also use. Both reproduce the plain
-per-step loop bit for bit. A chain draws its initial state first, then
-its uniforms in blocks of UNIFORM_BLOCK with `rng.random(m)`, which
-yields the same values as m successive `rng.random()` calls;
-`_Chain.step()` draws one.
+per-step loop bit for bit. A chain's driver draws its initial state
+first, then its uniforms in blocks of UNIFORM_BLOCK with `rng.random(m)`,
+which yields the same values as m successive `rng.random()` calls;
+`rejection_free_step` draws one.
 """
 
 from __future__ import annotations
@@ -148,6 +147,8 @@ class SampleRun:
     The initial state is kept as the edge vector initial_f; `initial`
     is its spin matrix, converted on first read. final_f is the state
     after the last step as an edge vector, kept with or without samples.
+    seed is the chain's seed as given, an integer one (numpy included)
+    as a Python int.
 
     Across hosts: the states, hits and energies agree on every host the
     tests and pinned reports ran on (the weights' ULPs matter only at a
@@ -287,11 +288,12 @@ class _Chain:
     """Single rejection-free chain on the flat (edge-vector) state.
 
     `advance` is the chain's one step kernel: it runs a list of uniforms
-    (a UNIFORM_BLOCK of them for `_run_chain`, one for `step`) in a
-    single Python frame, with the chain's fields in locals, and returns
-    the block's energies and the memo entry each step drew its flip from;
-    a state buffer, a (beta, gamma) schedule and a record of the states
-    whose memo entry it builds are its only options.
+    its caller drew (a UNIFORM_BLOCK of them for `_run_chain`, one for
+    `rejection_free_step`) in a single Python frame, with the chain's
+    fields in locals, and returns the block's energies and the memo
+    entry each step drew its flip from; a state buffer, a (beta, gamma)
+    schedule and a record of the states whose memo entry it builds are
+    its only options.
     The coupling term 2 beta J x is rebuilt only when `set_params`
     changes beta. Check values are kept as -2 s, the amount each
     member's adjacent sum moves when the check negates, and the entries
@@ -321,9 +323,8 @@ class _Chain:
     initial state) at the target and at a codeword, None until then."""
 
     def __init__(self, code: ParityCode, params: HamiltonianParams, xf: np.ndarray,
-                 rng: np.random.Generator, target_f: np.ndarray | None = None):
+                 target_f: np.ndarray | None = None):
         self.code = code
-        self.rng = rng
         self.xf = xf.astype(np.int8)
         self.J = _couplings_for(code, params)
         self.family = params.family
@@ -392,12 +393,6 @@ class _Chain:
     @property
     def energy(self) -> float:
         return float(-self.beta * self.corr + self.gamma * self.n_unsat)
-
-    def step(self) -> tuple[int, float]:
-        """Flip one pair, chosen with one draw from the chain's stream;
-        returns (flip index, escape rate of the pre-flip state)."""
-        k, _, entries = self.advance([self.rng.random()])
-        return k, entries[0][3]
 
     def advance(self, us: list, states=None, schedule=None,
                 misses: dict | None = None) -> tuple[int, list, list]:
@@ -539,9 +534,9 @@ def rejection_free_step(
     """One rejection-free update of a spin matrix. Returns the new state
     (exactly one pair flipped) and the total Metropolis weight of the
     pre-flip state (its escape rate; 1/rate is the holding time)."""
-    chain = _Chain(code, params, _edge_vector(code, x), as_generator(rng))
-    _, rate = chain.step()
-    return vector_to_matrix(code, chain.xf.copy()), rate
+    chain = _Chain(code, params, _edge_vector(code, x))
+    _, _, entries = chain.advance([as_generator(rng).random()])
+    return vector_to_matrix(code, chain.xf.copy()), entries[0][3]
 
 
 def _run_chain(
@@ -574,7 +569,9 @@ def _run_chain(
     budget = _check_count("budget", budget, 1)
     rng = as_generator(seed)
     xf0 = _initial_state(code, rng, initial)
-    chain = _Chain(code, params, xf0, rng, target_f)
+    chain = _Chain(code, params, xf0, target_f)
+    if isinstance(seed, np.integer):  # recorded as the Python int it equals
+        seed = int(seed)
     run = SampleRun(params=params, seed=seed, budget=budget, initial_f=xf0.copy(), code=code)
 
     run.energies, run.escape_rates = np.empty(budget), np.empty(budget)
@@ -704,8 +701,8 @@ def _run_lockstep(
             buf[:, 0] = x
         for j, uniform in enumerate(block):
             t = start + j + 1
-            # v = max(dH, 0) = -log w; w = exp(min v - v), which is
-            # exp(log w - shift) of _Chain.step with shift = max log w
+            # v = max(dH, 0) = -log w; w = exp(min v - v), the weights
+            # _Chain.advance computes, exp(log w - shift) with shift = max log w
             np.multiply(gamma_col, adj_sum, out=v)
             v += cx
             np.maximum(v, 0.0, out=v)
@@ -895,7 +892,7 @@ def visit_distribution(
     _check_count("steps", steps, 0)
     _check_count("burn_in", burn_in, 0)
     rng = as_generator(seed)
-    chain = _Chain(code, params, _initial_state(code, rng, initial), rng)
+    chain = _Chain(code, params, _initial_state(code, rng, initial))
     states = np.empty((min(UNIFORM_BLOCK, steps) + 1, code.n_vars), dtype=np.int8)
     log_hist: dict[bytes, float] = {}
     for start in range(0, steps, UNIFORM_BLOCK):

@@ -83,13 +83,18 @@ def test_ground_state_matches_slow_scan():
                                      (np.int32(5), np.uint8(3))])
 def test_instance_records_k_and_seed_as_ints(tmp_path, K, seed):
     """An instance's K and seed land in landscape configs and trajectory
-    metas, so numpy integers are kept as the ints they equal."""
-    inst = gen_instance(K, seed)
-    assert (inst.K, inst.seed, inst.label) == (5, 3, "K5-s3")
-    assert type(inst.K) is int and type(inst.seed) is int
-    rep = landscape([inst], [1.0], [0.5], budget=20, trials_per_cell=2)
-    rep.to_json(tmp_path / "r.json")
-    rep.to_csv(tmp_path / "r.csv")
+    metas, so numpy integers are kept as the ints they equal, whether
+    gen_instance or the constructor itself builds it."""
+    ref = gen_instance(K, seed)
+    direct = ProblemInstance(K=K, couplings=ref.couplings, ground_state=ref.ground_state,
+                             ground_energy=ref.ground_energy, seed=seed, label=ref.label)
+    for inst in (ref, direct):
+        assert (inst.K, inst.seed, inst.label) == (5, 3, "K5-s3")
+        assert type(inst.K) is int and type(inst.seed) is int
+        rep = landscape([inst], [1.0], [0.5], budget=20, trials_per_cell=2)
+        json.dumps(rep.config)
+        rep.to_json(tmp_path / "r.json")
+        rep.to_csv(tmp_path / "r.csv")
 
 
 @pytest.mark.parametrize("K, seed, message", [
@@ -102,6 +107,22 @@ def test_instance_records_k_and_seed_as_ints(tmp_path, K, seed):
 def test_instance_refuses_bad_k_and_seed(K, seed, message):
     with pytest.raises(ValueError, match=message):
         ProblemInstance.from_couplings(K, np.zeros(int(K * (K - 1) // 2)), seed=seed)
+
+
+@pytest.mark.parametrize("K, couplings, seed, message", [
+    (4.0, np.zeros(6), None, "K must be an integer"),
+    (1, np.zeros(0), None, "K must be >= 2"),
+    (4, np.zeros(5), None, r"couplings length 5 != C\(4,2\)"),
+    (4, np.full(6, np.nan), None, "couplings must be finite"),
+    (4, np.zeros(6), -1, "seed must be >= 0"),
+    (4, np.zeros(6), 2.5, "seed must be an integer"),
+    (4, np.zeros(6), True, "seed must be an integer"),
+])
+def test_instance_built_directly_refuses_bad_fields(K, couplings, seed, message):
+    """The constructor checks what from_couplings checks."""
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance(K=K, couplings=couplings, ground_state=np.ones(4, dtype=np.int8),
+                        ground_energy=0.0, seed=seed)
 
 
 def test_encoded_ground_state_minimizes_code_energy():
@@ -506,6 +527,33 @@ def test_bench_refuses_an_empty_grid_before_any_unit(monkeypatch):
         for K_list, eps_list in (([], [0.1]), ([5], []), ([], [])):
             with pytest.raises(ValueError, match="K_list and eps_list must be nonempty"):
                 bench_iid(decoder, K_list, eps_list, trials=3)
+
+
+def test_drivers_check_the_grids_they_record(monkeypatch):
+    """bench_iid and landscape check and size their grids from the lists
+    their configs record, so a generator grid is checked, named and run
+    as its list form is."""
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("parity_decode.experiments._run_units", no_units)
+        for decoder in ("bf", "mcmc"):
+            with pytest.raises(ValueError, match=r"every epsilon must be in \[0, 1.0\), "
+                                                 r"got \[0.1, 1.5\]"):
+                bench_iid(decoder, [5], (e for e in [0.1, 1.5]), trials=10)
+        with pytest.raises(ValueError, match=r"codeword has size 5, but K_list is \[5, 6\]"):
+            bench_iid("bf", (K for K in [5, 6]), [0.1], trials=3, codeword=all_one_matrix(5))
+        with pytest.raises(ValueError, match="grids must be nonempty"):
+            landscape([gen_instance(5, 1)], iter([]), [0.5], budget=20, trials_per_cell=1)
+    insts = [gen_instance(5, 1), gen_instance(5, 2)]
+    common = dict(budget=20, trials_per_cell=2, seed=3, n_workers=2)
+    for strategy in ("mcmc", "hybrid"):
+        listed = landscape(insts, [0.5, 1.0], [0.2, 0.8, 1.4], strategy=strategy, **common)
+        generated = landscape(insts, (b for b in [0.5, 1.0]), (g for g in [0.2, 0.8, 1.4]),
+                              strategy=strategy, **common)
+        assert generated.rows == listed.rows and generated.config == listed.config
+        assert len(generated.rows) == 6
 
 
 def test_bench_refuses_zero_iterations(monkeypatch):

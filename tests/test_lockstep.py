@@ -214,10 +214,10 @@ def test_chain_adjacent_sums_match_full_gather_every_step(K, family, beta, gamma
     params = HamiltonianParams(beta=beta, gamma=gamma, family=family,
                                couplings=rng.uniform(-1, 1, code.n_vars))
     xf = (rng.integers(0, 2, size=code.n_vars) * 2 - 1).astype(np.int8)
-    chain = _Chain(code, params, xf, rng)
+    chain = _Chain(code, params, xf)
     adj = code.checks3_of_var if family == "w3" else code.checks4_of_var
     for _ in range(25):
-        chain.step()
+        chain.advance([rng.random()])
         s = _syndrome_flat(code, chain.xf, family)
         gathered = [sum(int(s[c]) for c in row if c >= 0) for row in adj]
         assert np.array_equal(chain.adj_sum[:-1], gathered)

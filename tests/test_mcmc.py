@@ -185,10 +185,11 @@ def test_uniform_case_flip_distribution():
     counts = np.zeros(code.n_vars)
     rng = np.random.default_rng(17)
     x = random_spin_matrix(6, rng)
-    chain = _Chain(code, params, matrix_to_vector(code, x), rng)
+    chain = _Chain(code, params, matrix_to_vector(code, x))
     n = 30000
     for _ in range(n):
-        k, rate = chain.step()
+        k, _, entries = chain.advance([rng.random()])
+        rate = entries[0][3]
         counts[k] += 1
         assert rate == pytest.approx(code.n_vars)
     expected = n / code.n_vars
@@ -371,7 +372,8 @@ def test_hybrid_takes_tie_policy_values(monkeypatch):
 
 def test_chain_records_keep_the_budget_as_a_python_int():
     # a numpy integer budget is recorded as the int _check_count returns,
-    # so the record serialises
+    # and a numpy integer seed as the int it equals, so the record
+    # serialises; a generator or seed sequence seed stays as given
     code = build_code(5)
     params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
     target = all_one_matrix(5)
@@ -379,6 +381,12 @@ def test_chain_records_keep_the_budget_as_a_python_int():
         _, run = decode(code, params, np.int64(20), target, 1)
         assert type(run.budget) is int and run.budget == 20
         assert json.dumps({"budget": run.budget}) == '{"budget": 20}'
+        _, run_np = decode(code, params, 20, target, np.int64(1))
+        assert type(run_np.seed) is int and run_np.seed == 1
+        assert json.dumps({"seed": run_np.seed}) == '{"seed": 1}'
+        assert np.array_equal(run_np.final_f, run.final_f)
+        for seed in (np.random.default_rng(1), np.random.SeedSequence(1), None):
+            assert decode(code, params, 20, target, seed)[1].seed is seed
 
 
 def test_average_error_matrix_checks_the_size_of_z():
