@@ -13,11 +13,16 @@ and the hard decision sign[y_i] errs with probability
 1 / (1 + exp(|theta_i|)).
 
 All operations are pure given (inputs, seed), so trials parallelize
-safely with per-trial seed streams.
+safely with per-trial seed streams. trial_seed keys one stream by a
+tuple of integers; the benchmark drivers hash all of a unit's trial
+keys at once (_key_states, one vectorised pass of numpy's SeedSequence
+pool hash) and build each stream from its precomputed PCG64 state
+(_streams), which equals default_rng(trial_seed(*key)) draw for draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +71,125 @@ def spawn_seeds(master_seed: int, n: int) -> list[np.random.SeedSequence]:
 def trial_seed(*key: int) -> np.random.SeedSequence:
     """Deterministic stream keyed by a tuple of non-negative integers."""
     return np.random.SeedSequence([int(k) for k in key])
+
+
+# ---------------------------------------------------------------------------
+# Batched trial streams. The constants and steps are SeedSequence's
+# (numpy/random/bit_generator.pyx) for the case trial_seed makes: pool
+# size 4, no spawn key.
+
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0 .. n - 1: the successive hash
+    constants, which depend on no data."""
+    c = [init]
+    for _ in range(n - 1):
+        c.append(c[-1] * mult & _MASK32)
+    return np.array(c, dtype=np.uint32)[:, None]
+
+
+def _hashmix(x: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the rows of x, row j with the constants
+    consts[j] (xor) and consts[j + 1] (multiplier); consts is a column."""
+    x = (x ^ consts[:-1]) * consts[1:]
+    return x ^ (x >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+_OTHERS = [[d for d in range(4) if d != src] for src in range(4)]
+
+
+def _seed_states(words, counts=None) -> np.ndarray:
+    """(T, 4) uint64 rows, row t equal to
+    SeedSequence(words[t, :counts[t]]).generate_state(4, np.uint64), from
+    a (T, L) uint32 matrix of entropy words zero-padded past each row's
+    count (counts None: every row has all L words). Vectorised over rows
+    and over the pool's four words, held as the rows of a (4, T) pool;
+    the arithmetic stays on arrays, which wrap mod 2**32 silently as the
+    C code does (a numpy scalar would warn)."""
+    w = np.asarray(words, dtype=np.uint32).T
+    L, T = w.shape
+    ha = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * max(L - 4, 0))
+    # fill the pool (a short row's missing words hash as zeros), then mix
+    # every word into every other, then each further word into all four
+    pool = np.zeros((4, T), dtype=np.uint32)
+    pool[:min(L, 4)] = w[:4]
+    pool = _hashmix(pool, ha[:5])
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], ha[4 + 3 * src:8 + 3 * src]))
+    for j in range(4, L):
+        k = 16 + 4 * (j - 4)
+        mixed = _mix(pool, _hashmix(w[j], ha[k:k + 5]))
+        pool = mixed if counts is None else np.where(counts > j, mixed, pool)
+    out = _hashmix(np.concatenate([pool, pool]), _hash_consts(_INIT_B, _MULT_B, 9))
+    # word pairs read as little-endian uint64, as generate_state reads them
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _key_states(keys) -> np.ndarray:
+    """(T, 4) uint64 PCG64 seed states of T keys, equal-length tuples of
+    integers >= 0: row t is what default_rng(trial_seed(*keys[t])) seeds
+    PCG64 with. Each part is split into little-endian 32-bit words, 0
+    giving one zero word, as SeedSequence splits it; a negative part is
+    refused with SeedSequence's message."""
+    words, present = [], []
+    for col in zip(*keys):
+        if min(col) < 0:
+            raise ValueError("expected non-negative integer")
+        n = max(1, -(-int(max(col)).bit_length() // 32))
+        v = (np.array(col, dtype=np.uint32) if n == 1
+             else np.array([int(p) for p in col], dtype=object))
+        for i in range(n):
+            words.append(((v >> 32 * i) & _MASK32).astype(np.uint32))
+            present.append(i == 0 or ((v >> 32 * i) > 0).astype(bool))
+    words = np.stack(words, axis=1) if words else np.zeros((len(keys), 0), dtype=np.uint32)
+    if all(p is True for p in present):
+        return _seed_states(words)
+    present = np.stack([np.broadcast_to(p, len(words)) for p in present], axis=1)
+    # a word absent from its row is 0: a stable sort moves it past the row's words
+    order = np.argsort(~present, axis=1, kind="stable")
+    return _seed_states(np.take_along_axis(words, order, axis=1), present.sum(axis=1))
+
+
+@functools.cache
+def _state_seed_type():
+    """The seed sequence class of _streams, built on first use: importing
+    numpy.random at package import would cost every process its memory."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        """Hands PCG64 one precomputed row of _seed_states. PCG64 reads
+        the returned array's buffer as its four seed words, so the row
+        must be C-contiguous uint64, as every row of _seed_states is."""
+        __slots__ = ("state",)
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds only PCG64's four uint64 state words")
+            return self.state
+
+    return StateSeed
+
+
+def _streams(states: np.ndarray) -> list:
+    """One Generator per row of _key_states: the stream
+    default_rng(trial_seed(*key)) gives, draw for draw."""
+    seed, bits, gen = _state_seed_type(), np.random.PCG64, np.random.Generator
+    return [gen(bits(seed(row))) for row in states]
 
 
 def sample_iid_errors(code: ParityCode, epsilon: float, seed) -> np.ndarray:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    _iid_error_vector, hard_decide, reliability_weight, sample_iid_errors, trial_seed,
+    _iid_error_vector, _key_states, _streams, hard_decide, reliability_weight, sample_iid_errors,
+    trial_seed,
 )
 from .code import (
     all_one_matrix,
@@ -65,9 +66,10 @@ BF_TRIAL_CHUNK = 16  # bench_iid BF trials decoded as one stack
 class ProblemInstance:
     """Random all-to-all couplings, kept as a read-only float64 copy,
     with the precomputed logical ground state (first spin pinned +1; the
-    global flip is equivalent). K, the couplings and a seed other than
-    None are checked however the instance is built, and K and the seed
-    kept as the Python ints they equal."""
+    global flip is equivalent). K, the couplings, the ground state (K
+    entries of +-1), a finite ground energy and a seed other than None
+    are checked however the instance is built; K and the seed are kept
+    as the Python ints they equal, the ground state and energy as given."""
 
     K: int
     couplings: np.ndarray
@@ -80,6 +82,9 @@ class ProblemInstance:
         K, couplings = _check_couplings(self.K, self.couplings)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "couplings", _read_only_copy(couplings))
+        validate_logical_state(self.ground_state, K)
+        if not math.isfinite(self.ground_energy):
+            raise ValueError(f"ground_energy must be finite, got {self.ground_energy}")
         if self.seed is not None:
             object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
 
@@ -136,7 +141,10 @@ def _bench_unit(unit) -> dict:
     """The (K_list[ki], eps_list[ei]) row of a bench_iid config. Noise is
     drawn BF_TRIAL_CHUNK trials at a time as edge-vector rows, decoded on
     trusted cores: BF a chunk as one stack, BP and sampling row by row.
-    BF and BP give one DecodeResult per trial, read in one shared step."""
+    BF and BP give one DecodeResult per trial, read in one shared step.
+    Trial t's noise stream is keyed (seed, 11, ki, ei, t, 0) and a
+    sampling trial's chain stream (..., t, 1); all of them are hashed in
+    one call, and each chunk builds its own Generators."""
     config, ki, ei = unit
     decoder, trials, iters = config["decoder"], config["trials"], config["iters"]
     K, eps = config["K_list"][ki], config["eps_list"][ei]
@@ -148,15 +156,17 @@ def _bench_unit(unit) -> dict:
     if decoder == "mcmc":
         params = HamiltonianParams(gamma=config["mcmc_gamma"], family=config["mcmc_family"])
         budget = code.n_vars if config["mcmc_budget"] is None else config["mcmc_budget"]
-    keys = (config["seed"], 11, ki, ei)
+    states = _key_states([(config["seed"], 11, ki, ei, t, arm)
+                          for arm in range(2 if decoder == "mcmc" else 1) for t in range(trials)])
     successes = ties = iter_sum = 0
     for start in range(0, trials, BF_TRIAL_CHUNK):
-        ts = range(start, min(start + BF_TRIAL_CHUNK, trials))
-        e = _iid_error_vector(code, eps, [trial_seed(*keys, t, 0) for t in ts])
+        stop = min(start + BF_TRIAL_CHUNK, trials)
+        e = _iid_error_vector(code, eps, _streams(states[start:stop]))
         x = e * target_f  # (T, n_vars) int8 readouts
         if decoder == "mcmc":
-            runs = [_run_chain(code, params, budget, trial_seed(*keys, t, 1), target_f, row,
-                               False)[0] for t, row in zip(ts, x)]
+            chains = _streams(states[trials + start:trials + stop])
+            runs = [_run_chain(code, params, budget, rng, target_f, row, False)[0]
+                    for rng, row in zip(chains, x)]
             ok, used = [r.target_hit is not None for r in runs], [r.target_hit or 0 for r in runs]
         else:
             if decoder == "bf":
@@ -258,19 +268,20 @@ def bench_iid(
 # ---------------------------------------------------------------------------
 # (beta, gamma) landscapes
 
-def _lockstep_hits(code, params_rows, budget: int, seeds, targets: np.ndarray,
+def _lockstep_hits(code, params_rows, budget: int, states: np.ndarray, targets: np.ndarray,
                    bf_max_iters: int | None = None) -> np.ndarray:
     """(target hit, any-codeword hit) flags, (n_chains, 2), of independent
     chains from random initial states, run through the lockstep engine
     LOCKSTEP_GROUP chains at a time: mcmc_decode's flags, or with
-    bf_max_iters set hybrid_decode's. Chain c has params_rows[c],
-    seeds[c] and the edge-vector target targets[c]."""
+    bf_max_iters set hybrid_decode's. Chain c has params_rows[c], the
+    stream of the seed state states[c] (a row of _key_states; each group
+    builds its own Generators) and the edge-vector target targets[c]."""
     keys = (("target_hit", "first_codeword") if bf_max_iters is None
             else ("decoded_target_hit", "decoded_any_codeword"))
-    hits = np.zeros((len(seeds), 2), dtype=bool)
-    for start in range(0, len(seeds), LOCKSTEP_GROUP):
-        stop = min(start + LOCKSTEP_GROUP, len(seeds))
-        out = _run_lockstep(code, params_rows[start:stop], budget, seeds[start:stop],
+    hits = np.zeros((len(states), 2), dtype=bool)
+    for start in range(0, len(states), LOCKSTEP_GROUP):
+        stop = min(start + LOCKSTEP_GROUP, len(states))
+        out = _run_lockstep(code, params_rows[start:stop], budget, _streams(states[start:stop]),
                             targets[start:stop], bf_iters=bf_max_iters)
         for i, key in enumerate(keys):
             hits[start:stop, i] = out[key] >= 0
@@ -282,7 +293,7 @@ def _landscape_unit(unit) -> list[dict]:
     over its instances. Its chains, one per (cell, instance, trial) in
     that order, run through `_lockstep_hits` from three flat tables:
     params per (cell, instance) and the instances' targets, each repeated
-    per trial, and one seed per chain."""
+    per trial, and one seed state per chain, all hashed in one call."""
     config, instances, cells = unit
     code = build_code(config["K"])
     trials = config["trials_per_cell"]
@@ -290,12 +301,12 @@ def _landscape_unit(unit) -> list[dict]:
                                 couplings=inst.couplings, family=config["family"])
               for bi, gi in cells for inst in instances]
     # strategy-independent streams: matched chains across strategies
-    seeds = [trial_seed(config["seed"], 23, bi, gi, i, t)
-             for bi, gi in cells for i in range(len(instances)) for t in range(trials)]
+    states = _key_states([(config["seed"], 23, bi, gi, i, t)
+                          for bi, gi in cells for i in range(len(instances)) for t in range(trials)])
     targets = np.stack([matrix_to_vector(code, encode(code, inst.ground_state))
                         for inst in instances]).repeat(trials, axis=0)
     flags = _lockstep_hits(code, [p for p in params for _ in range(trials)], config["budget"],
-                           seeds, np.tile(targets, (len(cells), 1)),
+                           states, np.tile(targets, (len(cells), 1)),
                            config["bf_max_iters"] if config["strategy"] == "hybrid" else None)
     hits = flags.reshape(len(cells), len(instances), trials, 2).sum(axis=2)
     runs = trials * len(instances)
@@ -422,7 +433,8 @@ def efficiency_ratio(
                4 * code.n_vars if budget_b is None else _check_count("budget_b", budget_b, 1))
     # (params, budget, BF iterations) per arm, all checked before any chain
     # runs: arm A's chains are mcmc_decode's, arm B's hybrid_decode's, at
-    # seeds trial_seed(seed, 31, arm, t), run in lockstep batches
+    # seeds trial_seed(seed, 31, arm, t), hashed in one call and run in
+    # lockstep batches
     arms = [(HamiltonianParams(beta=b, gamma=g, couplings=instance.couplings, family=family),
              budget, iters)
             for (b, g), budget, iters in zip((cell_a, cell_b), budgets, (None, bf_max_iters))]
@@ -430,10 +442,11 @@ def efficiency_ratio(
         _couplings_for(code, params)
     target = matrix_to_vector(code, encode(code, instance.ground_state))
     targets = np.repeat(target[None], trials, axis=0)
+    states = _key_states([(seed, 31, arm, t) for arm in range(2) for t in range(trials)])
     succ, spp = [], []
     for arm, (params, budget, iters) in enumerate(arms):
-        seeds = [trial_seed(seed, 31, arm, t) for t in range(trials)]
-        succ.append(int(_lockstep_hits(code, [params] * trials, budget, seeds, targets,
+        succ.append(int(_lockstep_hits(code, [params] * trials, budget,
+                                       states[arm * trials:(arm + 1) * trials], targets,
                                        iters)[:, 0].sum()))
         spp.append(trials * budget / succ[-1] if succ[-1] else math.nan)
     details = {

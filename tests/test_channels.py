@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from parity_decode import (
     AwgnParams,
@@ -18,6 +19,10 @@ from parity_decode import (
 )
 from parity_decode.channels import (
     _iid_error_vector,
+    _key_states,
+    _seed_states,
+    _state_seed_type,
+    _streams,
     check_weight,
     pair_error_prob,
     reliability_weight,
@@ -91,6 +96,67 @@ def test_iid_error_rows_match_sample_iid_errors():
         assert rows.dtype == np.int8 and rows.shape == (16, code.n_vars)
         for row, seed in zip(rows, seeds):
             assert np.array_equal(vector_to_matrix(code, row), sample_iid_errors(code, eps, seed))
+
+
+WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(WORD, min_size=1, max_size=9), min_size=1, max_size=6))
+@example([[0], [2**32 - 1] * 9, [0] * 4, [2**32 - 1, 0, 2**32 - 1, 0, 1]])
+def test_batch_stream_kernel_matches_seed_sequence(rows):
+    """The vectorised hash gives SeedSequence's PCG64 state for word rows
+    of 1-9 words, each row alone and all rows as one zero-padded batch."""
+    expected = np.array([np.random.SeedSequence(np.array(row, dtype=np.uint32))
+                         .generate_state(4, np.uint64) for row in rows])
+    counts = np.array([len(row) for row in rows])
+    padded = np.zeros((len(rows), counts.max()), dtype=np.uint32)
+    for r, row in enumerate(rows):
+        padded[r, :len(row)] = row
+        assert np.array_equal(_seed_states(np.array([row], dtype=np.uint32))[0], expected[r])
+    batch = _seed_states(padded, counts)
+    assert batch.dtype == np.uint64 and batch.flags.c_contiguous
+    assert np.array_equal(batch, expected)
+
+
+@pytest.mark.parametrize("keys", [
+    [(3, 11, 0, 0, t, arm) for arm in range(2) for t in range(20)],  # a bench_iid unit
+    [(0,), (2**32,), (2**40 + 5,), (2**64 + 3,)],
+    # one batch whose rows need 3, 4, 6 and 6 words
+    [(0, 0, 0), (2**32, 1, 0), (2**40 + 5, 2**64 + 3, 7), (3, 2**32, 2**64 + 3)],
+    [(np.int64(5), np.uint64(2**63 + 1), np.uint8(0))],
+])
+def test_batch_streams_match_default_rng(keys):
+    """Each batch stream is default_rng(trial_seed(*key)), draw for draw."""
+    gens = _streams(_key_states(keys))
+    assert len(gens) == len(keys)
+    for key, gen in zip(keys, gens):
+        assert np.array_equal(gen.random(780), np.random.default_rng(trial_seed(*key)).random(780))
+
+
+def test_batch_streams_of_no_keys_and_of_an_empty_key():
+    assert _key_states([]).shape == (0, 4) and _streams(_key_states([])) == []
+    assert np.array_equal(_key_states([()])[0],
+                          np.random.SeedSequence([]).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("keys", [[(1, -1)], [(0, 5), (-(2**40), 5)], [(2**64, 0), (2, -3)]])
+def test_batch_streams_refuse_a_negative_key_part(keys):
+    """Refused as SeedSequence refuses it, not wrapped to 2**32 - 1."""
+    for key in keys:
+        if min(key) < 0:
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                trial_seed(*key)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _key_states(keys)
+
+
+def test_batch_stream_seed_serves_only_pcg64_state():
+    seed = _state_seed_type()(_key_states([(1, 2)])[0])
+    assert seed.generate_state(4, np.uint64) is seed.state
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="four uint64 state words"):
+            seed.generate_state(n_words, dtype)
 
 
 def test_iid_errors_epsilon_range():

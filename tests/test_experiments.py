@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,6 +35,7 @@ from parity_decode import (
     wilson_interval,
 )
 from parity_decode import MatrixFormatError, experiments
+from parity_decode.channels import _key_states
 from parity_decode.experiments import brute_force_ground_state
 from parity_decode.reports import TrajectoryDump
 
@@ -123,6 +125,33 @@ def test_instance_built_directly_refuses_bad_fields(K, couplings, seed, message)
     with pytest.raises(ValueError, match=message):
         ProblemInstance(K=K, couplings=couplings, ground_state=np.ones(4, dtype=np.int8),
                         ground_energy=0.0, seed=seed)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ground_state", np.ones(3), "logical state has length 3, expected 5"),
+    ("ground_state", np.array([1, 1, 0, -1, 1]), r"entries must be \+1 or -1"),
+    ("ground_state", np.full(5, 2.0), r"entries must be \+1 or -1"),
+    ("ground_energy", np.float64(np.nan), "ground_energy must be finite, got nan"),
+    ("ground_energy", math.inf, "ground_energy must be finite, got inf"),
+    ("ground_energy", -math.inf, "ground_energy must be finite, got -inf"),
+])
+def test_instance_refuses_a_bad_ground_state_or_energy(field, value, message):
+    """Refused at construction, built directly or replaced into a valid
+    instance, not first inside a landscape unit."""
+    ref = gen_instance(5, 3)
+    fields = {"K": 5, "couplings": ref.couplings, "ground_state": ref.ground_state,
+              "ground_energy": ref.ground_energy, "seed": 3}
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance(**{**fields, field: value})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(ref, **{field: value})
+
+
+def test_instance_keeps_its_ground_state_and_energy_as_given():
+    ref = gen_instance(5, 3)
+    Z, E = ref.ground_state.astype(np.float64), np.float32(ref.ground_energy)
+    inst = ProblemInstance(K=5, couplings=ref.couplings, ground_state=Z, ground_energy=E)
+    assert inst.ground_state is Z and inst.ground_energy is E
 
 
 def test_encoded_ground_state_minimizes_code_energy():
@@ -395,20 +424,19 @@ def test_bench_takes_tie_policy_values(tmp_path):
 
 
 def test_bench_chain_seeds_only_for_sampling(monkeypatch):
-    # BF and BP trials draw one noise seed each; the sampler also a chain seed
-    from parity_decode import experiments
-
+    # BF and BP trials hash one noise key each; the sampler also a chain
+    # key, in the same call
     calls = []
 
-    def counting_seed(*key):
-        calls.append(key)
-        return trial_seed(*key)
+    def counting_states(keys):
+        calls.append(list(keys))
+        return _key_states(keys)
 
-    monkeypatch.setattr(experiments, "trial_seed", counting_seed)
-    for decoder, per_trial in (("bf", 1), ("bp", 1), ("mcmc", 2)):
+    monkeypatch.setattr(experiments, "_key_states", counting_states)
+    for decoder, arms in (("bf", 1), ("bp", 1), ("mcmc", 2)):
         calls.clear()
         bench_iid(decoder, [5], [0.1], trials=7, seed=2)
-        assert len(calls) == 7 * per_trial
+        assert calls == [[(2, 11, 0, 0, t, arm) for arm in range(arms) for t in range(7)]]
 
 
 def test_bench_bp_trials_run_on_the_edge_vector_target(monkeypatch):
