@@ -144,6 +144,63 @@ def test_lockstep_crosses_drift_checks_on_a_long_chain():
             assert out["escape_rates"][b].tobytes() == run.escape_rates.tobytes()
 
 
+def _landscape_k14_table():
+    """The landscape_k14 benchmark's chain table: K = 14, w4, one chain
+    per (beta, gamma) in (1.5, 3.0) x (0.2, 1.5) and instance, 12
+    instances, budget 4 C(14, 2) = 364."""
+    code = build_code(14)
+    insts = [gen_instance(14, i) for i in range(12)]
+    params, seeds, targets = [], [], []
+    for bi, beta in enumerate((1.5, 3.0)):
+        for gi, gamma in enumerate((0.2, 1.5)):
+            for i, inst in enumerate(insts):
+                params.append(HamiltonianParams(beta=beta, gamma=gamma,
+                                                couplings=inst.couplings, family="w4"))
+                seeds.append(trial_seed(0, 23, bi, gi, i, 0))
+                targets.append(matrix_to_vector(code, encode(code, inst.ground_state)))
+    return code, params, 364, seeds, np.stack(targets)
+
+
+def _k21_w3_table():
+    """K = 21, w3 (19 checks per pair), 16 chains: mixed cells, random
+    couplings and codeword targets."""
+    code, B = build_code(21), 16
+    rng = np.random.default_rng(21)
+    params = [HamiltonianParams(beta=(0.0, 0.5, 2.0, 4.0)[b % 4], gamma=(0.3, 1.5)[b // 4 % 2],
+                                couplings=rng.uniform(-1, 1, code.n_vars), family="w3")
+              for b in range(B)]
+    targets = np.stack([matrix_to_vector(code, encode(code, np.where(rng.random(21) < 0.5, 1, -1)))
+                        for _ in range(B)])
+    return code, params, 210, list(range(700, 700 + B)), targets
+
+
+@pytest.mark.parametrize("table", [_landscape_k14_table, _k21_w3_table],
+                         ids=["landscape_k14", "k21_w3"])
+def test_lockstep_rows_equal_single_chains_at_benchmark_shapes(table):
+    code, params, budget, seeds, targets = table()
+    _assert_rows_match_single_chains(code, params, budget, seeds, targets, 5)
+
+
+def test_lockstep_passes_a_real_drift_check_without_record():
+    # one K = 14 w4 batch past ENERGY_CHECK_INTERVAL at its real value, on
+    # landscape_k14's instances: the check passes on every row, and the
+    # hits (a target and codewords at 752-7024) stay the single chains'
+    code, params, _, seeds, targets = _landscape_k14_table()
+    rows = [(3.0, 4.0, 1), (3.0, 4.0, 3), (3.0, 4.0, 11), (1.5, 3.0, 0)]
+    params = [HamiltonianParams(beta=beta, gamma=gamma, couplings=params[i].couplings,
+                                family="w4") for beta, gamma, i in rows]
+    seeds, targets = [seeds[i] for *_, i in rows], targets[[i for *_, i in rows]]
+    budget = mcmc.ENERGY_CHECK_INTERVAL + 5
+    with mock.patch.object(mcmc, "_checked_totals", wraps=mcmc._checked_totals) as checked:
+        out = _run_lockstep(code, params, budget, seeds, targets)
+    assert checked.call_count == len(rows)
+    assert (out["first_codeword"] > 0).all() and out["target_hit"][2] > 0
+    for b in range(len(rows)):
+        run, _ = _run_chain(code, params[b], budget, seeds[b], targets[b], None, False)
+        assert out["target_hit"][b] == _none_as(run.target_hit)
+        assert out["first_codeword"][b] == _none_as(run.first_codeword)
+
+
 @pytest.mark.parametrize("engine", ["lockstep", "single"])
 def test_drift_check_raises_on_corrupted_adjacent_sums(engine):
     code = build_code(5)
