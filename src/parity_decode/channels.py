@@ -246,10 +246,12 @@ def hard_decision_error_prob(theta: np.ndarray) -> np.ndarray:
 def hard_decide(y: np.ndarray, code: ParityCode | None = None) -> np.ndarray:
     """Componentwise sign of an edge-vector observation, as a spin
     matrix. Zero maps to +1 (fixed policy; a probability-zero event for
-    Gaussian noise). The observation must be finite, C(K,2) long for
-    some K, and code.n_vars long when a code is given: a NaN has no
-    sign."""
-    y = _check_readout(y, "observation", None if code is None else code.n_vars).ravel()
+    Gaussian noise). The observation must be one-dimensional (a 6 x 6
+    matrix is not the 36 pairs of K = 9), finite, C(K,2) long for some
+    K, and code.n_vars long when a code is given: a NaN has no sign."""
+    if np.ndim(y) != 1:
+        raise ValueError(f"observation must be a 1-D edge vector, got shape {np.shape(y)}")
+    y = _check_readout(y, "observation", None if code is None else code.n_vars)
     code = code or build_code(_k_from_edge_count(len(y)))
     return vector_to_matrix(code, np.where(y >= 0, 1, -1).astype(np.int8))
 

@@ -268,45 +268,59 @@ def bench_iid(
 # ---------------------------------------------------------------------------
 # (beta, gamma) landscapes
 
-def _lockstep_hits(code, params_rows, budget: int, states: np.ndarray, targets: np.ndarray,
+def _chain_table(code, cells, instances, trials: int) -> tuple:
+    """The lockstep rows of `trials` chains per (beta, gamma) cell and
+    instance, in (cell, instance, trial) order, the order their seeds are
+    hashed in: float64 beta and gamma and each row's instance index, all
+    (rows,), then per instance its couplings (the instance's checked
+    read-only float64 copy) and its encoded ground state as an edge
+    vector, (n_instances, n_vars). A group of rows takes its couplings
+    and targets from those two by instance index, so the table holds 24
+    bytes per chain, not 9 n_vars."""
+    per_cell = len(instances) * trials
+    beta, gamma = np.repeat(np.array(cells, dtype=np.float64).T, per_cell, axis=1)
+    which = np.tile(np.repeat(np.arange(len(instances)), trials), len(cells))
+    J = np.stack([inst.couplings for inst in instances])
+    targets = np.stack([matrix_to_vector(code, encode(code, inst.ground_state))
+                        for inst in instances])
+    return beta, gamma, which, J, targets
+
+
+def _lockstep_hits(code, family: str, table: tuple, budget: int, states: np.ndarray,
                    bf_max_iters: int | None = None) -> np.ndarray:
     """(target hit, any-codeword hit) flags, (n_chains, 2), of independent
     chains from random initial states, run through the lockstep engine
     LOCKSTEP_GROUP chains at a time: mcmc_decode's flags, or with
-    bf_max_iters set hybrid_decode's. Chain c has params_rows[c], the
-    stream of the seed state states[c] (a row of _key_states; each group
-    builds its own Generators) and the edge-vector target targets[c]."""
+    bf_max_iters set hybrid_decode's. Chain c is row c of the
+    _chain_table table, with the stream of the seed state states[c] (a
+    row of _key_states; each group builds its own Generators)."""
+    beta, gamma, which, J, targets = table
     keys = (("target_hit", "first_codeword") if bf_max_iters is None
             else ("decoded_target_hit", "decoded_any_codeword"))
     hits = np.zeros((len(states), 2), dtype=bool)
     for start in range(0, len(states), LOCKSTEP_GROUP):
-        stop = min(start + LOCKSTEP_GROUP, len(states))
-        out = _run_lockstep(code, params_rows[start:stop], budget, _streams(states[start:stop]),
-                            targets[start:stop], bf_iters=bf_max_iters)
+        rows = slice(start, start + LOCKSTEP_GROUP)
+        out = _run_lockstep(code, family, beta[rows], gamma[rows], J[which[rows]], budget,
+                            _streams(states[rows]), targets[which[rows]], bf_iters=bf_max_iters)
         for i, key in enumerate(keys):
-            hits[start:stop, i] = out[key] >= 0
+            hits[rows, i] = out[key] >= 0
     return hits
 
 
 def _landscape_unit(unit) -> list[dict]:
     """Rows of a block of (b_index, g_index) cells of a landscape config
     over its instances. Its chains, one per (cell, instance, trial) in
-    that order, run through `_lockstep_hits` from three flat tables:
-    params per (cell, instance) and the instances' targets, each repeated
-    per trial, and one seed state per chain, all hashed in one call."""
+    that order, run through `_lockstep_hits` on the cells' _chain_table,
+    with one seed state per chain, all hashed in one call."""
     config, instances, cells = unit
     code = build_code(config["K"])
     trials = config["trials_per_cell"]
-    params = [HamiltonianParams(beta=config["beta_grid"][bi], gamma=config["gamma_grid"][gi],
-                                couplings=inst.couplings, family=config["family"])
-              for bi, gi in cells for inst in instances]
+    table = _chain_table(code, [(config["beta_grid"][bi], config["gamma_grid"][gi])
+                                for bi, gi in cells], instances, trials)
     # strategy-independent streams: matched chains across strategies
     states = _key_states([(config["seed"], 23, bi, gi, i, t)
                           for bi, gi in cells for i in range(len(instances)) for t in range(trials)])
-    targets = np.stack([matrix_to_vector(code, encode(code, inst.ground_state))
-                        for inst in instances]).repeat(trials, axis=0)
-    flags = _lockstep_hits(code, [p for p in params for _ in range(trials)], config["budget"],
-                           states, np.tile(targets, (len(cells), 1)),
+    flags = _lockstep_hits(code, config["family"], table, config["budget"], states,
                            config["bf_max_iters"] if config["strategy"] == "hybrid" else None)
     hits = flags.reshape(len(cells), len(instances), trials, 2).sum(axis=2)
     runs = trials * len(instances)
@@ -431,22 +445,20 @@ def efficiency_ratio(
     code = build_code(instance.K)
     budgets = (1200 * code.n_vars if budget_a is None else _check_count("budget_a", budget_a, 1),
                4 * code.n_vars if budget_b is None else _check_count("budget_b", budget_b, 1))
-    # (params, budget, BF iterations) per arm, all checked before any chain
-    # runs: arm A's chains are mcmc_decode's, arm B's hybrid_decode's, at
-    # seeds trial_seed(seed, 31, arm, t), hashed in one call and run in
-    # lockstep batches
-    arms = [(HamiltonianParams(beta=b, gamma=g, couplings=instance.couplings, family=family),
-             budget, iters)
-            for (b, g), budget, iters in zip((cell_a, cell_b), budgets, (None, bf_max_iters))]
-    for params, _, _ in arms:
-        _couplings_for(code, params)
-    target = matrix_to_vector(code, encode(code, instance.ground_state))
-    targets = np.repeat(target[None], trials, axis=0)
+    # each cell's strengths and family, checked before any chain runs: arm
+    # A's chains are mcmc_decode's, arm B's hybrid_decode's, at seeds
+    # trial_seed(seed, 31, arm, t), hashed in one call and run in lockstep
+    # batches
+    for b, g in (cell_a, cell_b):
+        _couplings_for(code, HamiltonianParams(beta=b, gamma=g, couplings=instance.couplings,
+                                               family=family))
     states = _key_states([(seed, 31, arm, t) for arm in range(2) for t in range(trials)])
     succ, spp = [], []
-    for arm, (params, budget, iters) in enumerate(arms):
-        succ.append(int(_lockstep_hits(code, [params] * trials, budget,
-                                       states[arm * trials:(arm + 1) * trials], targets,
+    for arm, (cell, budget, iters) in enumerate(zip((cell_a, cell_b), budgets,
+                                                    (None, bf_max_iters))):
+        table = _chain_table(code, [cell], [instance], trials)
+        succ.append(int(_lockstep_hits(code, family, table, budget,
+                                       states[arm * trials:(arm + 1) * trials],
                                        iters)[:, 0].sum()))
         spp.append(trials * budget / succ[-1] if succ[-1] else math.nan)
     details = {

@@ -60,19 +60,21 @@ final state, rather than every step's; at that K=14 cell that is 27% of
 the steps. A run that stores its samples decodes the stored stack after
 the chain instead.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
-row with its own parameters and stream; `experiments.landscape` and both
-arms of `experiments.efficiency_ratio` run their chains through it. Its
-rows hold `_Chain`'s state form: check values as h = -2 s, and a flip of
-pair k moves the unsatisfied count by k's pre-flip adjacent sum and each
-member's adjacent sum by the h of its flipped check. The flipped checks
-and their members are gathered by `take` on the flip table's rows plus a
+row with its own stream. Its rows come as a table: one check family, and
+per row float64 strengths beta and gamma and a couplings row J (zero for
+a chain without couplings). `experiments.landscape` and both arms of
+`experiments.efficiency_ratio` build that table once, from one builder,
+after their entry checks, which are the only refusal its rows meet; the
+engine reads no `HamiltonianParams`. Its rows hold `_Chain`'s state
+form: check values as h = -2 s, and a flip of pair k moves the
+unsatisfied count by k's pre-flip adjacent sum and each member's
+adjacent sum by the h of its flipped check. The flipped checks and their
+members are gathered by `take` on the flip table's rows plus a
 same-shape table of row offsets, built once per call, and gamma is held
 at the weights' (B, n_vars + 1) shape, so no operand of the step is
 broadcast. On a 2-vCPU Intel Xeon (numpy 2.4.6) a chain-step costs about
-1.3 us at K=14 w4 and B=48, the landscape's batch, against 1.5-1.6 us
-when the step broadcast per-row offsets and summed gathered check
-values. It is no cheaper for one chain: about 22 us per step at B=1
-(30 us before).
+1.3 us at K=14 w4 and B=48, the landscape's batch. It is no cheaper for
+one chain: about 22 us per step at B=1.
 
 Both start from one from-scratch formula for a chain's totals (check
 values, adjacent sums, unsatisfied count, correlation), `_totals`, which
@@ -190,26 +192,27 @@ class SampleRun:
 
 
 def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | None:
-    """The couplings of params as an edge vector (None for the
-    penalty-only form), one finite value per pair at any beta (the one
-    couplings check, code._check_couplings, refuses others), returned
-    only after _overflow_check accepts params' (beta, gamma) with them.
-    This is the one refusal of overflowing strengths: energies, chain
-    and lockstep set-ups and the drivers' entry checks all go through
-    it, and `_Chain` keeps the bound's closure only to check the
-    (beta, gamma) of `set_params`."""
-    J = _coupling_vector(code, params.couplings, "beta > 0" if params.beta > 0 else None)
-    _overflow_check(code, params.family, J)(params.beta, params.gamma)
+    """The couplings of params as an edge vector, as _bounded_couplings
+    gives them, returned only after its bound accepts params' (beta,
+    gamma). Energies, `boltzmann_distribution` and the drivers' entry
+    checks go through it; `_Chain` calls _bounded_couplings itself and
+    keeps the bound for `set_params`."""
+    J, bounded = _bounded_couplings(code, params)
+    bounded(params.beta, params.gamma)
     return J
 
 
-def _overflow_check(code: ParityCode, family: str, J: np.ndarray | None):
-    """The refusal of strengths that overflow on this code and couplings:
-    a function of (beta, gamma) that raises ValueError unless the bound
-    2 beta max|J| + gamma deg of every flip's weight exponent (deg the
-    family's checks per variable) and the bound beta sum|J| + gamma
-    n_checks of the energy are finite."""
-    members, adj = _family(code, family)
+def _bounded_couplings(code: ParityCode, params: HamiltonianParams) -> tuple:
+    """(J, bound): the couplings of params as an edge vector (None for
+    the penalty-only form, refused at beta > 0), one finite value per
+    pair at any beta (the one couplings check, code._check_couplings,
+    refuses others), and the one refusal of strengths that overflow on
+    this code and couplings: a function of (beta, gamma) that raises
+    ValueError unless the bound 2 beta max|J| + gamma deg of every
+    flip's weight exponent (deg the family's checks per variable) and
+    the bound beta sum|J| + gamma n_checks of the energy are finite."""
+    J = _coupling_vector(code, params.couplings, "beta > 0" if params.beta > 0 else None)
+    members, adj = _family(code, params.family)
     deg, n_checks = adj.shape[1], len(members)
     with np.errstate(over="ignore"):
         jmax, jsum = (0.0, 0.0) if J is None else (float(np.abs(J).max()), float(np.abs(J).sum()))
@@ -222,9 +225,9 @@ def _overflow_check(code: ParityCode, family: str, J: np.ndarray | None):
         if not (math.isfinite(flip) and math.isfinite(total)):
             raise ValueError(
                 f"(beta, gamma) = ({beta}, {gamma}) overflows the energy at K = {code.K}, "
-                f"family {family!r}: 2 beta max|J| + {deg} gamma and "
+                f"family {params.family!r}: 2 beta max|J| + {deg} gamma and "
                 f"beta sum|J| + {n_checks} gamma must be finite")
-    return check
+    return J, check
 
 
 def energy(code: ParityCode, params: HamiltonianParams, x: np.ndarray) -> float:
@@ -336,9 +339,12 @@ class _Chain:
                  target_f: np.ndarray | None = None):
         self.code = code
         self.xf = xf.astype(np.int8)
-        self.J = _couplings_for(code, params)
         self.family = params.family
-        self._bounded = _overflow_check(code, self.family, self.J)
+        self.J, self._bounded = _bounded_couplings(code, params)
+        self._memo = {}     # state key -> (cum, shift, total, rate, n_unsat)
+        self._pending = []  # flips whose check-value and adjacent-sum updates wait
+        self.beta = self.gamma = self._cx = None
+        self.set_params(params.beta, params.gamma)  # refuses overflow before any sum
         self.adj, self.members, self.size = _flip_table(code, self.family)
         s, self._adj_sum, n_unsat, corr = _totals(code, self.family, self.adj, self.J, self.xf)
         self._h = -2.0 * s
@@ -352,12 +358,7 @@ class _Chain:
         self.first_codeword = 0 if self.n_unsat == 0 else None
         self._v = np.empty(code.n_vars)
         self._rows = list(np.empty((STATE_MEMO, code.n_vars)))  # the memo's cum rows
-        self._memo = {}     # state key -> (cum, shift, total, rate, n_unsat)
-        self._key = 0       # the current state's key
-        self._entry = None  # its memo entry, None when the memo lacks it
-        self._pending = []  # flips whose check-value and adjacent-sum updates wait
-        self.beta = self.gamma = self._cx = None
-        self.set_params(params.beta, params.gamma)
+        self._key = 0  # the current state's key (_entry, its memo entry, None until built)
         self.steps_done = 0
 
     def set_params(self, beta, gamma) -> None:
@@ -636,7 +637,10 @@ def _run_chain(
 
 def _run_lockstep(
     code: ParityCode,
-    params_rows,
+    family: str,
+    beta: np.ndarray,
+    gamma: np.ndarray,
+    J: np.ndarray,
     budget: int,
     seeds,
     targets: np.ndarray,
@@ -645,11 +649,15 @@ def _run_lockstep(
 ) -> dict:
     """Advance B independent chains in lockstep on (B, n_vars) arrays.
 
-    Row b is the chain _run_chain would run with params_rows[b],
-    seeds[b] and the edge-vector target targets[b] (random initial
-    state, fixed parameters, one family for all rows), bit for bit.
-    Returns a dict of arrays: target_hit and first_codeword (B,) with -1
-    for never; with record set, states (B, budget + 1, n_vars) int8,
+    The rows come as a table that the caller has checked (the drivers'
+    entry checks; the engine refuses only a budget below 1): one check
+    family, float64 strengths beta and gamma (B,) and float64 couplings
+    J (B, n_vars), a zero row for a chain without couplings. Row b is,
+    bit for bit, the chain _run_chain would run with beta[b], gamma[b],
+    couplings J[b] and the family, from seeds[b] toward the edge-vector
+    target targets[b] (random initial state, fixed parameters). Returns
+    a dict of arrays: target_hit and first_codeword (B,) with -1 for
+    never; with record set, states (B, budget + 1, n_vars) int8,
     initial state first, and energies and escape_rates (B, budget), as
     _run_chain's stack and records; with bf_iters set, hybrid_decode's
     first hits decoded_target_hit and decoded_any_codeword (B,), from
@@ -667,26 +675,13 @@ def _run_lockstep(
     np.add.at then moves each member's sum by its check's h, and h
     negates. The target and codeword masks are built only on steps where
     some row is at a target or a codeword. Per chain-step at K = 14 w4
-    and B = 48 this costs about 1.3 us, against 1.5-1.6 us for the
-    broadcast offsets and summed check values it replaced (2-vCPU Intel
-    Xeon, numpy 2.4.6)."""
+    and B = 48 this costs about 1.3 us (2-vCPU Intel Xeon, numpy 2.4.6)."""
     _check_count("budget", budget, 1)
-    family = params_rows[0].family
-    if any(p.family != family for p in params_rows):
-        raise ValueError("lockstep chains must share one check family")
     B, n = len(seeds), code.n_vars
     adj, members, size = _flip_table(code, family)
     rngs = [as_generator(seed) for seed in seeds]
     x = np.array([_initial_state(code, rng, None) for rng in rngs])
     targets = np.asarray(targets, dtype=np.int8).reshape(B, n)
-
-    beta = np.array([p.beta for p in params_rows], dtype=np.float64)
-    gamma = np.array([p.gamma for p in params_rows], dtype=np.float64)
-    J = np.zeros((B, n))  # a zero row for a chain without couplings
-    for b, p in enumerate(params_rows):
-        Jb = _couplings_for(code, p)
-        if Jb is not None:
-            J[b] = Jb
     # coupling part of dH, 2 beta J x, negated in place on every flip; its
     # dummy-variable column is +inf, so the dummy's weight is exactly 0
     cx = _padded(2.0 * beta[:, None] * J * x, np.inf)
@@ -803,12 +798,15 @@ def pack_state_hex(xf: np.ndarray) -> str:
 
 def unpack_state_hex(text: str, n_vars: int) -> np.ndarray:
     """Edge vector of n_vars spins from pack_state_hex's text, which must
-    hold ceil(n_vars / 8) bytes."""
+    hold ceil(n_vars / 8) bytes and no set bit past the n_vars spins, so
+    one state has one text."""
     raw = bytes.fromhex(text)
     if len(raw) != -(-n_vars // 8):
         raise ValueError(f"state hex holds {len(raw)} bytes, not ceil({n_vars} / 8)")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_vars]
-    return np.where(bits == 1, -1, 1).astype(np.int8)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    if bits[n_vars:].any():
+        raise ValueError(f"state hex sets a padding bit past its {n_vars} spins")
+    return np.where(bits[:n_vars] == 1, -1, 1).astype(np.int8)
 
 
 def mcmc_decode(

@@ -275,6 +275,8 @@ def test_hard_decide_sign_conventions():
     (np.r_[np.zeros(9), np.nan], build_code(5), "observation contains non-finite entries"),
     (np.r_[np.nan, np.zeros(9)], None, "observation contains non-finite entries"),
     (np.zeros(0), None, r"length 0 is not a pair count C\(K,2\)"),
+    (np.ones((6, 6)), None, r"1-D edge vector, got shape \(6, 6\)"),
+    (np.ones((6, 6)), build_code(9), r"1-D edge vector, got shape \(6, 6\)"),
 ])
 def test_hard_decide_refuses_bad_lengths(y, code, message):
     with pytest.raises(ValueError, match=message):

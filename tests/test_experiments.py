@@ -1009,6 +1009,17 @@ def test_efficiency_ratio_details_match_per_chain_oracle(K):
     assert repr(details) == repr(expected) and repr(ratio) == repr(expected["ratio"])
 
 
+def test_efficiency_ratio_integer_cells_give_the_float_cells_details():
+    # the lockstep row table holds each cell as float64
+    inst = gen_instance(5, 75)
+    nv = build_code(5).n_vars
+    run = lambda a, b: efficiency_ratio(inst, a, b, seed=2, trials=6, budget_a=20 * nv,
+                                        budget_b=4 * nv, return_details=True)[1]
+    details = run((1, 0), (2, 1))
+    assert details["successes_a"] > 0 and details["successes_b"] > 0
+    assert repr(details) == repr(run((1.0, 0.0), (2.0, 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 

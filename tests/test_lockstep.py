@@ -56,13 +56,21 @@ def _none_as(hit):
     return -1 if hit is None else hit
 
 
+def _lockstep(code, params, *args, **kwargs):
+    """_run_lockstep on HamiltonianParams rows of one family, given as
+    the engine's row table: a zero couplings row where a row has none."""
+    J = [np.zeros(code.n_vars) if p.couplings is None else p.couplings for p in params]
+    return _run_lockstep(code, params[0].family, np.array([p.beta for p in params], float),
+                         np.array([p.gamma for p in params], float), np.array(J), *args, **kwargs)
+
+
 def _assert_rows_match_single_chains(code, params, budget, seeds, targets, iters):
     """Every row of a lockstep batch equals its single chain, and the
     batch's decoded hits, with and without recorded states, equal
     hybrid_decode's."""
-    out = _run_lockstep(code, params, budget, seeds, targets,
-                        record=True, bf_iters=iters)
-    streamed = _run_lockstep(code, params, budget, seeds, targets, bf_iters=iters)
+    out = _lockstep(code, params, budget, seeds, targets,
+                    record=True, bf_iters=iters)
+    streamed = _lockstep(code, params, budget, seeds, targets, bf_iters=iters)
     assert "states" not in streamed
     for b in range(len(seeds)):
         run, states = _run_chain(code, params[b], budget, seeds[b], targets[b], None, True)
@@ -137,7 +145,7 @@ def test_lockstep_crosses_drift_checks_on_a_long_chain():
     targets = np.stack([matrix_to_vector(code, encode(code, inst.ground_state))] * 3)
     budget = 2 * mcmc.UNIFORM_BLOCK + 17
     with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", 500):
-        out = _run_lockstep(code, params, budget, [1, 2, 3], targets, record=True)
+        out = _lockstep(code, params, budget, [1, 2, 3], targets, record=True)
         for b, seed in enumerate([1, 2, 3]):
             run, _ = _run_chain(code, params[b], budget, seed, targets[b], None, False)
             assert out["energies"][b].tobytes() == run.energies.tobytes()
@@ -192,7 +200,7 @@ def test_lockstep_passes_a_real_drift_check_without_record():
     seeds, targets = [seeds[i] for *_, i in rows], targets[[i for *_, i in rows]]
     budget = mcmc.ENERGY_CHECK_INTERVAL + 5
     with mock.patch.object(mcmc, "_checked_totals", wraps=mcmc._checked_totals) as checked:
-        out = _run_lockstep(code, params, budget, seeds, targets)
+        out = _lockstep(code, params, budget, seeds, targets)
     assert checked.call_count == len(rows)
     assert (out["first_codeword"] > 0).all() and out["target_hit"][2] > 0
     for b in range(len(rows)):
@@ -221,7 +229,7 @@ def test_drift_check_raises_on_corrupted_adjacent_sums(engine):
             mock.patch.object(mcmc, "_adjacent_sums", corrupted):
         with pytest.raises(RuntimeError, match="adjacent check sums"):
             if engine == "lockstep":
-                _run_lockstep(code, [params], 10, [0], targets)
+                _lockstep(code, [params], 10, [0], targets)
             else:
                 _run_chain(code, params, 10, 0, targets[0], None, False)
 
@@ -246,19 +254,18 @@ def test_drift_check_raises_on_corrupted_correlation(engine):
             mock.patch.object(mcmc, "_totals", corrupted):
         with pytest.raises(RuntimeError, match="energy drifted"):
             if engine == "lockstep":
-                _run_lockstep(code, [params], 10, [0], targets)
+                _lockstep(code, [params], 10, [0], targets)
             else:
                 _run_chain(code, params, 10, 0, targets[0], None, False)
     assert len(calls) == 2
 
 
 def test_lockstep_rejects_mixed_families():
+    # one family is the engine's argument, so a mixed batch cannot be
+    # given; a budget below 1 is still refused
     code = build_code(4)
-    params = [HamiltonianParams(family="w3"), HamiltonianParams(family="w4")]
     with pytest.raises(ValueError):
-        _run_lockstep(code, params, 5, [0, 1], np.ones((2, code.n_vars)))
-    with pytest.raises(ValueError):
-        _run_lockstep(code, params[:1], 0, [0], np.ones((1, code.n_vars)))
+        _lockstep(code, [HamiltonianParams(family="w3")], 0, [0], np.ones((1, code.n_vars)))
 
 
 @SETTINGS
@@ -342,9 +349,9 @@ def test_landscape_rows_equal_per_chain_oracle(strategy):
     assert sum(r["target_successes"] for r in rep.rows) > 0
     batches = []
 
-    def spy(code, params_rows, *args, **kwargs):
-        batches.append(len(params_rows))
-        return _run_lockstep(code, params_rows, *args, **kwargs)
+    def spy(code, family, beta, *args, **kwargs):
+        batches.append(len(beta))
+        return _run_lockstep(code, family, beta, *args, **kwargs)
 
     n_chains = 6 * len(insts) * LAND["trials_per_cell"]
     with mock.patch.object(experiments, "_run_lockstep", spy):

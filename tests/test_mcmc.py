@@ -8,6 +8,7 @@ import pytest
 from parity_decode import (
     HamiltonianParams,
     InversionWeights,
+    ProblemInstance,
     TiePolicy,
     all_one_matrix,
     average_error_matrix,
@@ -22,6 +23,7 @@ from parity_decode import (
     hybrid_decode,
     inversion_function,
     inversion_profile,
+    landscape,
     mcmc_decode,
     random_spin_matrix,
     rejection_free_step,
@@ -616,10 +618,21 @@ def test_unpack_state_hex_refuses_a_wrong_byte_count():
         message = rf"holds {len(text) // 2} bytes, not ceil\({n_vars} / 8\)"
         with pytest.raises(ValueError, match=message):
             unpack_state_hex(text, n_vars)
-    assert unpack_state_hex("abcdef", 20).shape == (20,)
+    assert unpack_state_hex("abcde0", 20).shape == (20,)
     for n_vars in (0, 1, 8, 9, 20):
         xf = np.where(np.arange(n_vars) % 3 == 0, -1, 1).astype(np.int8)
         assert np.array_equal(unpack_state_hex(pack_state_hex(xf), n_vars), xf)
+
+
+def test_unpack_state_hex_refuses_set_padding_bits():
+    """One state has one text: a set bit past the n_vars spins is
+    refused, so "ffff" no longer decodes as "ffc0" does."""
+    from parity_decode import unpack_state_hex
+
+    assert np.array_equal(unpack_state_hex("ffc0", 10), -np.ones(10, dtype=np.int8))
+    for text, n_vars in (("ffff", 10), ("ffc1", 10), ("abcdef", 20), ("01", 7)):
+        with pytest.raises(ValueError, match="padding bit past its"):
+            unpack_state_hex(text, n_vars)
 
 
 def test_final_f_is_the_last_state_with_or_without_samples():
@@ -675,15 +688,18 @@ def test_strengths_that_overflow_are_refused_where_the_code_is_known(family):
         run = mcmc_decode(code, ok, 2000, target, seed=1)[1]
         assert np.isfinite(run.energies).all() and np.isfinite(run.escape_rates).all()
         assert math.isfinite(energy(code, ok, x))
-        out = _run_lockstep(code, [ok, ok], 300, [1, 2], targets, record=True)
+        out = _run_lockstep(code, family, np.full(2, beta), np.full(2, gamma), np.stack([J, J]),
+                            300, [1, 2], targets, record=True)
         assert np.isfinite(out["energies"]).all() and np.isfinite(out["escape_rates"]).all()
     assert math.isfinite(sum(boltzmann_distribution(code, ok).values()))
+    inst = ProblemInstance.from_couplings(6, J)  # lockstep rows are checked by their driver
     for beta, gamma in ((1.0, 1e308), (1e308, 1.0)):
         bad = HamiltonianParams(beta=beta, gamma=gamma, couplings=J, family=family)
         for call in (lambda: mcmc_decode(code, bad, 10, target, seed=1),
                      lambda: energy(code, bad, x),
                      lambda: boltzmann_distribution(code, bad),
-                     lambda: _run_lockstep(code, [ok, bad], 10, [1, 2], targets)):
+                     lambda: landscape([inst], [beta], [gamma], budget=10, trials_per_cell=1,
+                                       family=family)):
             with pytest.raises(ValueError, match="overflows the energy at K = 6"):
                 call()
     # a schedule passes through set_params, which checks each new value
@@ -701,12 +717,12 @@ def test_non_finite_couplings_are_refused_at_every_beta(beta, bad):
     code = build_code(4)
     J = np.r_[np.zeros(code.n_vars - 1), bad]
     params = HamiltonianParams(beta=beta, gamma=1.0, couplings=J)
-    ok = HamiltonianParams(beta=beta, gamma=1.0, couplings=np.zeros(code.n_vars))
-    x, targets = all_one_matrix(4), np.ones((2, code.n_vars), dtype=np.int8)
+    x = all_one_matrix(4)
     weights = InversionWeights(beta=beta)
     for call in (lambda: mcmc_decode(code, params, 10, x, seed=1),
                  lambda: hybrid_decode(code, params, 10, x, seed=1),
-                 lambda: _run_lockstep(code, [ok, params], 10, [1, 2], targets),
+                 # lockstep rows take their couplings from a ProblemInstance
+                 lambda: ProblemInstance.from_couplings(4, J),
                  lambda: energy(code, params, x),
                  lambda: boltzmann_distribution(code, params),
                  lambda: inversion_profile("mcmc", code, x, J, weights),
