@@ -230,9 +230,8 @@ def cmd_decode(args) -> int:
     ))
     header = "trial,decoder,K,epsilon,iterations,success,ties"
     if args.csv:
-        new = not os.path.exists(args.csv)
         with open(args.csv, "a") as fh:
-            if new:
+            if fh.tell() == 0:  # a missing or empty file starts with the header
                 fh.write(header + "\n")
             fh.write(row + "\n")
     else:

@@ -59,11 +59,11 @@ class ParityCode:
             row v is the pair carried by variable node v.
         pair_index: (K, K) lookup, pair_index[i, j] = variable index of
             {i, j}; -1 on the diagonal.
-        checks3: (n_checks3, 3) logical triples {i, j, k}, i<j<k.
-        checks3_vars: (n_checks3, 3) variable indices (ij, ik, jk).
-        checks4: (n_checks4, 4) logical quadruples (k, k+1, m, m+1).
-        checks4_vars: (n_checks4, 4) variable indices; -1 marks a
-            fictitious diagonal member (fixed at +1, never stored).
+        checks3_vars: (n_checks3, 3) variable indices (ij, ik, jk) of
+            the triangle on logical spins i<j<k.
+        checks4_vars: (n_checks4, 4) variable indices of the plaquette
+            on logical spins (k, k+1, m, m+1); -1 marks a fictitious
+            diagonal member (fixed at +1, never stored).
         checks3_of_var: (n_vars, K-2) triangle checks adjacent to each
             variable node.
         checks4_of_var: (n_vars, 4) plaquette checks adjacent to each
@@ -73,9 +73,7 @@ class ParityCode:
     K: int
     edges: np.ndarray
     pair_index: np.ndarray
-    checks3: np.ndarray
     checks3_vars: np.ndarray
-    checks4: np.ndarray
     checks4_vars: np.ndarray
     checks3_of_var: np.ndarray
     checks4_of_var: np.ndarray
@@ -86,11 +84,11 @@ class ParityCode:
 
     @property
     def n_checks3(self) -> int:
-        return len(self.checks3)
+        return len(self.checks3_vars)
 
     @property
     def n_checks4(self) -> int:
-        return len(self.checks4)
+        return len(self.checks4_vars)
 
     @property
     def var_degree3(self) -> int:
@@ -177,9 +175,7 @@ def _construct(K: int) -> ParityCode:
     arrays = dict(
         edges=edges,
         pair_index=pair_index,
-        checks3=checks3,
         checks3_vars=checks3_vars,
-        checks4=checks4,
         checks4_vars=checks4_vars,
         checks3_of_var=_member_positions(checks3_vars, n_vars, K - 2) // 3,
         checks4_of_var=_member_positions(checks4_vars, n_vars, 4) // 4,

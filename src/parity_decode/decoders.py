@@ -82,9 +82,10 @@ class DecodeResult:
     posteriors: list | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversionWeights:
-    """Weights of the inversion-function family.
+    """Weights of the inversion-function family. Compared and hashed by
+    identity, as wk may be an array.
 
     w0: weight of the channel hard decision. It is validated and
         stored, but no inversion kind reads it: whether weighted BF

@@ -62,14 +62,16 @@ DEFAULT_GAMMA_GRID = tuple(round(0.1 * i, 2) for i in range(16))   # 0 .. 1.5
 BF_TRIAL_CHUNK = 16  # bench_iid BF trials decoded as one stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Random all-to-all couplings, kept as a read-only float64 copy,
     with the precomputed logical ground state (first spin pinned +1; the
     global flip is equivalent). K, the couplings, the ground state (K
     entries of +-1), a finite ground energy and a seed other than None
     are checked however the instance is built; K and the seed are kept
-    as the Python ints they equal, the ground state and energy as given."""
+    as the Python ints they equal, the ground state and energy as given.
+    Compared and hashed by identity, as its arrays have no one truth
+    value."""
 
     K: int
     couplings: np.ndarray
@@ -540,8 +542,13 @@ def trajectory_demo(
 # ---------------------------------------------------------------------------
 
 def _worker_count(n_workers: int | None) -> int:
-    """n_workers checked to be an integer >= 1; None means every CPU."""
-    return (os.cpu_count() or 1) if n_workers is None else _check_count("n_workers", n_workers, 1)
+    """n_workers checked to be an integer >= 1; None means every CPU the
+    process may run on: its affinity mask where the platform has one."""
+    if n_workers is not None:
+        return _check_count("n_workers", n_workers, 1)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_units(fn, units: list, n_workers: int) -> list:

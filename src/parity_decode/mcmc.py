@@ -33,12 +33,13 @@ take the minimum as v.min(axis=-1), which costs about 0.7 us on one
 C(14, 2) row where the single chain's v[v.argmin()] costs 0.16 us
 (2-vCPU AMD EPYC), so every weight-memo miss would cost about 0.5 us
 more.
-`_Chain` runs one chain, for `mcmc_decode`, `hybrid_decode`,
-`visit_distribution` and `rejection_free_step`, all through one step
-kernel, `_Chain.advance`: a block of UNIFORM_BLOCK steps in one Python
-frame, the chain's fields held in locals, the weights in eight numpy
-calls into preallocated buffers, the coupling term 2 beta J x negated
-entry by entry and the flip's scalars kept in Python. It returns the
+`_Chain` runs one chain, for `mcmc_decode`, `hybrid_decode` and
+`rejection_free_step` (all through `_run_chain`) and for
+`visit_distribution`, all through one step kernel, `_Chain.advance`: a
+block of UNIFORM_BLOCK steps in one Python frame, the chain's fields
+held in locals, the weights in eight numpy calls into preallocated
+buffers, the coupling term 2 beta J x negated entry by entry and the
+flip's scalars kept in Python. It returns the
 block's energies and each step's weight-memo entry (escape rate, log
 shift and total), and fills an optional state buffer; the callers draw
 the uniforms and write records, streams and holding times from those. At
@@ -78,11 +79,12 @@ one chain: about 22 us per step at B=1.
 
 Both start from one from-scratch formula for a chain's totals (check
 values, adjacent sums, unsatisfied count, correlation), `_totals`, which
-the drift checks and `energy` also use. Both reproduce the plain
-per-step loop bit for bit. A chain's driver draws its initial state
-first, then its uniforms in blocks of UNIFORM_BLOCK with `rng.random(m)`,
-which yields the same values as m successive `rng.random()` calls;
-`rejection_free_step` draws one.
+the drift checks also use; `energy` is the energy of a fresh `_Chain`.
+Both reproduce the plain per-step loop bit for bit. A chain's driver
+draws its initial state first, then its uniforms in blocks of
+UNIFORM_BLOCK with `rng.random(m)`, which yields the same values as m
+successive `rng.random()` calls; `rejection_free_step` is a one-step
+`_run_chain` and draws one.
 """
 
 from __future__ import annotations
@@ -111,11 +113,7 @@ from .code import (
     _syndrome_flat,
     build_code,
 )
-from .decoders import (
-    TiePolicy,
-    _coupling_vector,
-    bf_sweep_batch,
-)
+from .decoders import _coupling_vector, bf_sweep_batch
 
 ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
@@ -125,12 +123,13 @@ STATE_MEMO = 64           # pre-flip states whose weights a single chain keeps
 _ZERO = np.zeros(())  # 0-d operands cost a ufunc call less than Python floats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianParams:
     """Energy parameters: correlation strength beta, penalty strength
     gamma, per-pair couplings (None for the penalty-only form; others
     kept as a read-only float64 copy) and the check family ("w4"
-    plaquettes or "w3" triangles)."""
+    plaquettes or "w3" triangles). Compared and hashed by identity, as
+    the couplings array has no one truth value."""
 
     beta: float = 0.0
     gamma: float = 1.0
@@ -194,9 +193,9 @@ class SampleRun:
 def _couplings_for(code: ParityCode, params: HamiltonianParams) -> np.ndarray | None:
     """The couplings of params as an edge vector, as _bounded_couplings
     gives them, returned only after its bound accepts params' (beta,
-    gamma). Energies, `boltzmann_distribution` and the drivers' entry
-    checks go through it; `_Chain` calls _bounded_couplings itself and
-    keeps the bound for `set_params`."""
+    gamma). `boltzmann_distribution` and the drivers' entry checks go
+    through it; `_Chain`, and with it `energy`, calls _bounded_couplings
+    itself and keeps the bound for `set_params`."""
     J, bounded = _bounded_couplings(code, params)
     bounded(params.beta, params.gamma)
     return J
@@ -231,11 +230,9 @@ def _bounded_couplings(code: ParityCode, params: HamiltonianParams) -> tuple:
 
 
 def energy(code: ParityCode, params: HamiltonianParams, x: np.ndarray) -> float:
-    """Exact energy of a state under the configured parameters."""
-    adj = _flip_table(code, params.family)[0]
-    J = _couplings_for(code, params)
-    _, _, n_unsat, corr = _totals(code, params.family, adj, J, _edge_vector(code, x))
-    return float(-params.beta * corr + params.gamma * n_unsat)
+    """Exact energy of a state under the configured parameters: the
+    energy of a fresh chain started there."""
+    return _Chain(code, params, _edge_vector(code, x)).energy
 
 
 @functools.cache
@@ -301,9 +298,9 @@ class _Chain:
     """Single rejection-free chain on the flat (edge-vector) state.
 
     `advance` is the chain's one step kernel: it runs a list of uniforms
-    its caller drew (a UNIFORM_BLOCK of them for `_run_chain`, one for
-    `rejection_free_step`) in a single Python frame, with the chain's
-    fields in locals, and returns the block's energies and the memo
+    its caller drew (a block of up to UNIFORM_BLOCK of them, from
+    `_run_chain` or `visit_distribution`) in a single Python frame, with
+    the chain's fields in locals, and returns the block's energies and the memo
     entry each step drew its flip from; a state buffer, a (beta, gamma)
     schedule and a record of the states whose memo entry it builds are
     its only options.
@@ -545,9 +542,8 @@ def rejection_free_step(
     """One rejection-free update of a spin matrix. Returns the new state
     (exactly one pair flipped) and the total Metropolis weight of the
     pre-flip state (its escape rate; 1/rate is the holding time)."""
-    chain = _Chain(code, params, _edge_vector(code, x))
-    _, _, entries = chain.advance([as_generator(rng).random()])
-    return vector_to_matrix(code, chain.xf.copy()), entries[0][3]
+    run, _ = _run_chain(code, params, 1, rng, None, _edge_vector(code, x), True)
+    return run.samples[0], float(run.escape_rates[0])
 
 
 def _run_chain(
@@ -861,7 +857,6 @@ def hybrid_decode(
     target: np.ndarray,
     seed,
     bf_max_iters: int = 5,
-    tie_policy: TiePolicy = TiePolicy.KEEP,
     initial: np.ndarray | None = None,
     store_samples: bool = True,
 ) -> tuple[bool, SampleRun]:
@@ -876,14 +871,9 @@ def hybrid_decode(
     With the same seed and budget the first stage reproduces the
     mcmc_decode chain exactly, and codewords are BF fixed points, so
     hybrid success dominates plain sampling success pointwise. The BF
-    stage keeps the current sign on a tied vote; any tie_policy (a
-    TiePolicy or its string value) other than KEEP is refused before
-    sampling.
+    stage is bf_sweep_batch, which keeps the current sign on a tied vote
+    by construction, so it has no tie policy.
     """
-    tie_policy = TiePolicy(tie_policy)
-    if tie_policy is not TiePolicy.KEEP:
-        raise ValueError("hybrid stage uses the deterministic keep-sign sweep; "
-                         f"tie_policy {tie_policy.value!r} is not supported")
     _check_count("bf_max_iters", bf_max_iters, 1)
     target_f = _edge_vector(code, target)
     run, _ = _run_chain(code, params, budget, seed, target_f, initial, store_samples,

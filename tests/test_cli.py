@@ -207,6 +207,15 @@ def test_decode_csv_append(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_decode_csv_onto_an_empty_file_writes_the_header(tmp_path, capsys):
+    out_csv = tmp_path / "empty.csv"
+    out_csv.write_text("")
+    run_cli(["decode", "--gen-iid", "5", "0.1", "--seed", "1", "--csv", str(out_csv)], capsys)
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "trial,decoder,K,epsilon,iterations,success,ties"
+    assert len(lines) == 2
+
+
 def test_bench_writes_reports_and_determinism(tmp_path, capsys):
     args = ["bench", "--decoder", "bf", "--k", "6,8", "--epsilon", "0.1",
             "--trials", "50", "--seed", "4", "--threads", "1",

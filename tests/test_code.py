@@ -67,7 +67,7 @@ def test_build_code_one_read_only_instance_per_k():
         code = build_code(K)
         assert build_code(int(K)) is code
         arrays = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 8
+        assert len(arrays) == 6
         for a in arrays:
             assert not a.flags.writeable
         with pytest.raises(ValueError):

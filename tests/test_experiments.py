@@ -396,6 +396,31 @@ def test_drivers_refuse_bad_worker_counts_before_any_unit(monkeypatch, n_workers
                   n_workers=n_workers)
 
 
+def test_default_worker_count_is_the_affinity_mask(monkeypatch):
+    # two CPUs on the host, one allowed: n_workers=None (the CLI without
+    # --threads) gives the drivers one worker
+    class Counted(Exception):
+        pass
+
+    def count_workers(fn, units, n_workers):
+        raise Counted(n_workers)
+
+    monkeypatch.setattr("parity_decode.experiments._run_units", count_workers)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    for run in (lambda: bench_iid("bf", [5, 6], [0.1], trials=2, n_workers=None),
+                lambda: landscape([gen_instance(5, 1)], [1.0, 2.0], [0.5], budget=20,
+                                  trials_per_cell=1, n_workers=None)):
+        with pytest.raises(Counted) as counted:
+            run()
+        assert counted.value.args == (1,)
+    # where the platform has no affinity mask, the CPU count, or 1 if unknown
+    monkeypatch.delattr("os.sched_getaffinity")
+    assert experiments._worker_count(None) == 2
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert experiments._worker_count(None) == 1
+
+
 def test_bench_rejects_coin_ties_before_running(monkeypatch):
     def no_units(*args):
         raise AssertionError("a unit ran")

@@ -9,7 +9,6 @@ from parity_decode import (
     HamiltonianParams,
     InversionWeights,
     ProblemInstance,
-    TiePolicy,
     all_one_matrix,
     average_error_matrix,
     boltzmann_distribution,
@@ -64,6 +63,21 @@ def test_params_keep_a_read_only_copy_of_the_couplings():
     # a 2-D or integer source is kept flat, as float64
     kept = HamiltonianParams(couplings=np.arange(10).reshape(2, 5)).couplings
     assert kept.shape == (10,) and kept.dtype == np.float64
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    # equal arrays have no one truth value: each record is its own key
+    J = np.linspace(-0.5, 0.5, 6)
+    pairs = [
+        (HamiltonianParams(1.0, 1.0, J), HamiltonianParams(1.0, 1.0, J.copy())),
+        (HamiltonianParams(0.0, 1.0), HamiltonianParams(0.0, 1.0)),
+        (gen_instance(4, 1), gen_instance(4, 1)),
+        (InversionWeights(wk=np.ones(3)), InversionWeights(wk=np.ones(3))),
+    ]
+    for a, b in pairs:
+        assert a == a and not a == b and a != b
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+        assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
 
 
 def test_energy_of_codeword_penalty_only():
@@ -332,44 +346,6 @@ def test_hybrid_equals_mcmc_at_huge_gamma():
         h_ok, _ = hybrid_decode(code, params, 120, target, seed, initial=target)
         agree += m_ok == h_ok
     assert agree >= 9
-
-
-@pytest.mark.parametrize("policy", [TiePolicy.FAIL, TiePolicy.COIN])
-def test_hybrid_refuses_tie_policies_other_than_keep(monkeypatch, policy):
-    # the BF stage keeps signs on ties and counts none, so FAIL would be
-    # silently ignored: refused, like COIN, before the chain runs
-    from parity_decode import mcmc
-
-    def no_chain(*args, **kwargs):
-        raise AssertionError("the chain ran")
-
-    monkeypatch.setattr(mcmc, "_run_chain", no_chain)
-    code = build_code(5)
-    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
-    with pytest.raises(ValueError, match="tie_policy"):
-        hybrid_decode(code, params, 20, all_one_matrix(5), 1, tie_policy=policy)
-
-
-def test_hybrid_takes_tie_policy_values(monkeypatch):
-    # "keep" runs as KEEP; "fail" and "coin" are refused like their
-    # members, and an unknown value by name, before the chain runs
-    code = build_code(5)
-    params = HamiltonianParams(beta=0.0, gamma=1.0, family="w3")
-    target = all_one_matrix(5)
-    ok, run = hybrid_decode(code, params, 20, target, 1, tie_policy="keep")
-    ok_m, run_m = hybrid_decode(code, params, 20, target, 1, tie_policy=TiePolicy.KEEP)
-    assert (ok, run.decoded_target_hit, run.decoded_any_codeword) == (
-        ok_m, run_m.decoded_target_hit, run_m.decoded_any_codeword)
-    assert all(np.array_equal(a, b) for a, b in zip(run.decoded, run_m.decoded))
-    from parity_decode import mcmc
-
-    def no_chain(*args, **kwargs):
-        raise AssertionError("the chain ran")
-
-    monkeypatch.setattr(mcmc, "_run_chain", no_chain)
-    for value in ("fail", "coin", "nonsense"):
-        with pytest.raises(ValueError, match=value):
-            hybrid_decode(code, params, 20, target, 1, tie_policy=value)
 
 
 def test_chain_records_keep_the_budget_as_a_python_int():
