@@ -63,13 +63,14 @@ class TiePolicy(Enum):
     COIN = "coin"
 
 
-@dataclass
+@dataclass(eq=False)
 class DecodeResult:
     """Outcome of an iterative decode.
 
     converged means a fixed point was reached: one further sweep leaves
     `final` unchanged. success is final == target when a target was
-    given, else final being a codeword.
+    given, else final being a codeword. Compared and hashed by identity,
+    as its arrays have no one truth value.
     """
 
     final: np.ndarray
@@ -152,15 +153,23 @@ def _bf_sweep(z: np.ndarray, ties: bool = True) -> tuple[np.ndarray, np.ndarray 
     return w, tie
 
 
+def _tie_policy(tie_policy, rng: np.random.Generator | None) -> TiePolicy:
+    """The TiePolicy of a TiePolicy or its string value, refusing COIN
+    without an rng whether or not a tie would occur."""
+    tie_policy = TiePolicy(tie_policy)
+    if tie_policy is TiePolicy.COIN and rng is None:
+        raise ValueError("COIN tie policy needs an rng")
+    return tie_policy
+
+
 def _break_ties(code: ParityCode, new: np.ndarray, tie: np.ndarray,
                 tie_policy: TiePolicy, rng: np.random.Generator | None) -> np.ndarray:
     """Tied pairs of one sweep of a stack (..., K, K), per matrix; under
-    COIN each is negated in `new` with probability 1/2, one coin per tied
-    pair drawn in edge order, matrix by matrix."""
+    COIN (with the rng _tie_policy requires) each is negated in `new`
+    with probability 1/2, one coin per tied pair drawn in edge order,
+    matrix by matrix."""
     n_ties = np.count_nonzero(tie, axis=(-2, -1)) // 2
     if tie_policy is TiePolicy.COIN and n_ties.any():
-        if rng is None:
-            raise ValueError("COIN tie policy needs an rng")
         flat_new = new.reshape(-1, code.K, code.K)
         flat_tie = tie.reshape(-1, code.K, code.K)
         for b in np.flatnonzero(n_ties):
@@ -183,9 +192,10 @@ def bf_step(
     Per pair {i,j} the sweep realizes the majority vote
     sign(1 + sum_k s_ijk) deciding whether to keep or negate x_ij; all
     C(K,2) pairs update simultaneously. Codewords are fixed points.
-    tie_policy is a TiePolicy or its string value.
+    tie_policy is a TiePolicy or its string value; COIN without an rng
+    is refused at entry.
     """
-    tie_policy = TiePolicy(tie_policy)
+    tie_policy = _tie_policy(tie_policy, rng)
     new, tie = _bf_sweep(_to_z(validate_spin_matrix(x, code.K)))
     n_ties = _break_ties(code, new, tie, tie_policy, rng)
     return _to_x(new), int(n_ties)
@@ -204,13 +214,15 @@ def _bf_decode_stack(
     dtype: one DecodeResult per row, each as bf_decode would decode that
     row alone. `target` is one +-1 (K, K) matrix shared by all rows, or
     None for "any codeword". The sweeps run on BF states Z = 2X - I/2
-    (_to_z). Rows leave the stack when they reach the target, hit a
-    fixed point, fail on a tie (FAIL) or spend max_iters sweeps; their
-    outcomes wait in per-row arrays, and the results are built once, on
-    exit, with `final` an int8 (K, K) view and the flags and counts
-    Python bools and ints. COIN coins are drawn row by row from the one
-    rng; with record set each result's trajectory is its list of int8
-    states."""
+    (_to_z). Every row leaves the stack at the loop top, through one
+    block, when it is at the target, failed on a tie (FAIL) or reached a
+    fixed point in the sweep before, or has spent max_iters sweeps; a
+    fixed point's sweep is not counted, and a tie failure's state is the
+    sweep's output. Outcomes wait in per-row arrays, and the results are
+    built once, on exit, with `final` an int8 (K, K) view and the flags
+    and counts Python bools and ints. COIN coins are drawn row by row
+    from the one rng; with record set each result's trajectory is its
+    list of int8 states."""
     B = len(cur)
     final = np.empty((B, code.K, code.K), dtype=np.float32)
     converged = np.zeros(B, dtype=bool)
@@ -221,17 +233,21 @@ def _bf_decode_stack(
     trajectories = [[m] for m in cur.astype(np.int8)] if record else [None] * B
     cur, target = _to_z(cur), None if target is None else _to_z(target)
     rows = np.arange(B)
+    failed = fixed = np.zeros(B, dtype=bool)  # the last sweep's exits
     for n in range(max_iters + 1):
         if target is not None:
             done = (cur == target).all(axis=(-2, -1))
         else:
             done = _is_codeword_flat(code, _to_x(matrix_to_vector(code, cur)))
-        stop = done | (n == max_iters)
+        done &= ~failed
+        stop = done | failed | fixed | (n == max_iters)
         if stop.any():
             r = rows[stop]
             final[r] = cur[stop]
-            converged[r] = success[r] = done[stop]
-            iterations[r] = n
+            converged[r] = (done | fixed)[stop]
+            success[r] = done[stop]
+            tie_failure[r] = failed[stop]
+            iterations[r] = n - fixed[stop]
             cur, rows = cur[~stop], rows[~stop]
         if not len(rows):
             break
@@ -243,16 +259,7 @@ def _bf_decode_stack(
         if record:
             for b in np.flatnonzero(~fixed):
                 trajectories[rows[b]].append(_to_x(nxt[b]))
-        r = rows[failed]
-        final[r] = nxt[failed]
-        tie_failure[r] = True
-        iterations[r] = n + 1
-        r = rows[fixed]
-        final[r] = cur[fixed]
-        converged[r] = True
-        iterations[r] = n
-        going = ~(failed | fixed)
-        cur, rows = nxt[going], rows[going]
+        cur = nxt
     return [DecodeResult(*row) for row in zip(
         _to_x(final), converged.tolist(), success.tolist(), iterations.tolist(), ties.tolist(),
         tie_failure.tolist(), trajectories)]
@@ -270,13 +277,14 @@ def bf_decode(
     """Iterate BF sweeps until the target (or any codeword) is reached,
     a fixed point occurs, or max_iters sweeps are spent.
 
-    x, target and the tie policy (a TiePolicy or its string value) are
-    checked once; the result is the one row of _bf_decode_stack.
+    x, target and the tie policy (a TiePolicy or its string value; COIN
+    needs an rng) are checked once; the result is the one row of
+    _bf_decode_stack.
     Deterministic for KEEP/FAIL policies: identical inputs give the
     identical result.
     """
     _check_count("max_iters", max_iters, 1)
-    tie_policy = TiePolicy(tie_policy)
+    tie_policy = _tie_policy(tie_policy, rng)
     cur = validate_spin_matrix(x, code.K)
     if target is not None:
         target = validate_spin_matrix(target, code.K)

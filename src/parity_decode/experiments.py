@@ -52,14 +52,13 @@ from .decoders import (
     bp_decode,
     count_errors,
 )
-from .mcmc import (
-    LOCKSTEP_GROUP, HamiltonianParams, _couplings_for, _run_chain, _run_lockstep, mcmc_decode,
-)
+from .mcmc import HamiltonianParams, _couplings_for, _run_chain, _run_lockstep, mcmc_decode
 from .reports import BenchmarkReport, TrajectoryDump
 
 DEFAULT_BETA_GRID = tuple(round(0.25 * i, 2) for i in range(13))   # 0 .. 3.0
 DEFAULT_GAMMA_GRID = tuple(round(0.1 * i, 2) for i in range(16))   # 0 .. 1.5
 BF_TRIAL_CHUNK = 16  # bench_iid BF trials decoded as one stack
+LOCKSTEP_GROUP = 256  # chains advanced together by _run_lockstep
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,33 +269,26 @@ def bench_iid(
 # ---------------------------------------------------------------------------
 # (beta, gamma) landscapes
 
-def _chain_table(code, cells, instances, trials: int) -> tuple:
-    """The lockstep rows of `trials` chains per (beta, gamma) cell and
-    instance, in (cell, instance, trial) order, the order their seeds are
-    hashed in: float64 beta and gamma and each row's instance index, all
-    (rows,), then per instance its couplings (the instance's checked
-    read-only float64 copy) and its encoded ground state as an edge
-    vector, (n_instances, n_vars). A group of rows takes its couplings
-    and targets from those two by instance index, so the table holds 24
-    bytes per chain, not 9 n_vars."""
+def _lockstep_hits(code, family: str, cells, instances, trials: int, budget: int,
+                   states: np.ndarray, bf_max_iters: int | None = None) -> np.ndarray:
+    """(target hit, any-codeword hit) flags, (n_chains, 2), of `trials`
+    independent chains per (beta, gamma) cell and instance, in (cell,
+    instance, trial) order, the order their seeds are hashed in: chain c
+    runs from a random initial state with the stream of the seed state
+    states[c] (a row of _key_states) toward its instance's encoded
+    ground state, as mcmc_decode, or with bf_max_iters set as
+    hybrid_decode. The rows hold float64 beta, gamma and an instance
+    index (24 bytes per chain); each group of LOCKSTEP_GROUP rows, run by
+    _run_lockstep, gathers its couplings and targets from the stacked
+    (n_instances, n_vars) ones and builds its own Generators, so the
+    group's states are at most LOCKSTEP_GROUP * (UNIFORM_BLOCK + 1) *
+    C(K, 2) bytes, about 72 MB at K = 24, whatever the budget."""
     per_cell = len(instances) * trials
     beta, gamma = np.repeat(np.array(cells, dtype=np.float64).T, per_cell, axis=1)
     which = np.tile(np.repeat(np.arange(len(instances)), trials), len(cells))
     J = np.stack([inst.couplings for inst in instances])
     targets = np.stack([matrix_to_vector(code, encode(code, inst.ground_state))
                         for inst in instances])
-    return beta, gamma, which, J, targets
-
-
-def _lockstep_hits(code, family: str, table: tuple, budget: int, states: np.ndarray,
-                   bf_max_iters: int | None = None) -> np.ndarray:
-    """(target hit, any-codeword hit) flags, (n_chains, 2), of independent
-    chains from random initial states, run through the lockstep engine
-    LOCKSTEP_GROUP chains at a time: mcmc_decode's flags, or with
-    bf_max_iters set hybrid_decode's. Chain c is row c of the
-    _chain_table table, with the stream of the seed state states[c] (a
-    row of _key_states; each group builds its own Generators)."""
-    beta, gamma, which, J, targets = table
     keys = (("target_hit", "first_codeword") if bf_max_iters is None
             else ("decoded_target_hit", "decoded_any_codeword"))
     hits = np.zeros((len(states), 2), dtype=bool)
@@ -312,17 +304,17 @@ def _lockstep_hits(code, family: str, table: tuple, budget: int, states: np.ndar
 def _landscape_unit(unit) -> list[dict]:
     """Rows of a block of (b_index, g_index) cells of a landscape config
     over its instances. Its chains, one per (cell, instance, trial) in
-    that order, run through `_lockstep_hits` on the cells' _chain_table,
-    with one seed state per chain, all hashed in one call."""
+    that order, run through one `_lockstep_hits` call, with one seed
+    state per chain, all hashed in one call."""
     config, instances, cells = unit
     code = build_code(config["K"])
     trials = config["trials_per_cell"]
-    table = _chain_table(code, [(config["beta_grid"][bi], config["gamma_grid"][gi])
-                                for bi, gi in cells], instances, trials)
     # strategy-independent streams: matched chains across strategies
     states = _key_states([(config["seed"], 23, bi, gi, i, t)
                           for bi, gi in cells for i in range(len(instances)) for t in range(trials)])
-    flags = _lockstep_hits(code, config["family"], table, config["budget"], states,
+    strengths = [(config["beta_grid"][bi], config["gamma_grid"][gi]) for bi, gi in cells]
+    flags = _lockstep_hits(code, config["family"], strengths, instances, trials,
+                           config["budget"], states,
                            config["bf_max_iters"] if config["strategy"] == "hybrid" else None)
     hits = flags.reshape(len(cells), len(instances), trials, 2).sum(axis=2)
     runs = trials * len(instances)
@@ -458,8 +450,7 @@ def efficiency_ratio(
     succ, spp = [], []
     for arm, (cell, budget, iters) in enumerate(zip((cell_a, cell_b), budgets,
                                                     (None, bf_max_iters))):
-        table = _chain_table(code, [cell], [instance], trials)
-        succ.append(int(_lockstep_hits(code, family, table, budget,
+        succ.append(int(_lockstep_hits(code, family, [cell], [instance], trials, budget,
                                        states[arm * trials:(arm + 1) * trials],
                                        iters)[:, 0].sum()))
         spp.append(trials * budget / succ[-1] if succ[-1] else math.nan)

@@ -63,10 +63,12 @@ the chain instead.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
 row with its own stream. Its rows come as a table: one check family, and
 per row float64 strengths beta and gamma and a couplings row J (zero for
-a chain without couplings). `experiments.landscape` and both arms of
-`experiments.efficiency_ratio` build that table once, from one builder,
-after their entry checks, which are the only refusal its rows meet; the
-engine reads no `HamiltonianParams`. Its rows hold `_Chain`'s state
+a chain without couplings). Its one package caller,
+`experiments._lockstep_hits`, builds those rows for
+`experiments.landscape` and both arms of `experiments.efficiency_ratio`
+after their entry checks, which are the only refusal its rows meet, and
+runs them in groups that bound the engine's memory, stated per B rows;
+the engine reads no `HamiltonianParams`. Its rows hold `_Chain`'s state
 form: check values as h = -2 s, and a flip of pair k moves the
 unsatisfied count by k's pre-flip adjacent sum and each member's
 adjacent sum by the h of its flipped check. The flipped checks and their
@@ -117,7 +119,6 @@ from .decoders import _coupling_vector, bf_sweep_batch
 
 ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
-LOCKSTEP_GROUP = 256      # chains advanced together by _run_lockstep
 UNIFORM_BLOCK = 1024      # uniforms pre-drawn, and hybrid states decoded, per block
 STATE_MEMO = 64           # pre-flip states whose weights a single chain keeps
 _ZERO = np.zeros(())  # 0-d operands cost a ufunc call less than Python floats
@@ -143,7 +144,7 @@ class HamiltonianParams:
             object.__setattr__(self, "couplings", _read_only_copy(self.couplings))
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleRun:
     """Record of one chain: the state after each step (len == budget),
     per-sample energies, and the escape rate of the state each step
@@ -159,7 +160,8 @@ class SampleRun:
     is its spin matrix, converted on first read. final_f is the state
     after the last step as an edge vector, kept with or without samples.
     seed is the chain's seed as given, an integer one (numpy included)
-    as a Python int.
+    as a Python int. Compared and hashed by identity, as its arrays have
+    no one truth value.
 
     Across hosts: the states, hits and energies agree on every host the
     tests and pinned reports ran on (the weights' ULPs matter only at a
@@ -659,8 +661,8 @@ def _run_lockstep(
     first hits decoded_target_hit and decoded_any_codeword (B,), from
     _bf_stage run row by row on each block of UNIFORM_BLOCK steps. Rows
     with both hits are skipped. Without record, the block's states are
-    at most LOCKSTEP_GROUP * (UNIFORM_BLOCK + 1) * C(K, 2) bytes, about
-    72 MB at K = 24, whatever the budget.
+    at most B * (UNIFORM_BLOCK + 1) * C(K, 2) bytes for the B rows,
+    whatever the budget.
 
     The state is _Chain's, row by row: check values h = -2 s (float64),
     adjacent sums, unsatisfied counts (float64, moved by the flipped

@@ -83,11 +83,12 @@ class BenchmarkReport:
 _ITERATION_HEADER = re.compile(r"# iteration=([0-9]+) errors=([0-9]+)")
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryDump:
     """Per-iteration snapshots of a decode, with error counts against a
     known target. CSV form: one block per iteration, each block headed
-    by '# iteration=<n> errors=<m>' followed by the K rows."""
+    by '# iteration=<n> errors=<m>' followed by the K rows. Compared and
+    hashed by identity, as its snapshots are arrays."""
 
     meta: dict
     snapshots: list

@@ -178,6 +178,20 @@ def test_bf_step_takes_tie_policy_values():
         bf_step(code, x, "nonsense")
 
 
+def test_coin_without_an_rng_is_refused_at_entry():
+    # refused whether or not a tie would occur: on a codeword, which
+    # never ties, and at even K, where no vote can be zero; the string
+    # value is refused the same way
+    for K, noisy in ((5, False), (5, True), (6, True)):
+        code = build_code(K)
+        x = sample_iid_errors(code, 0.3, 1) if noisy else all_one_matrix(K)
+        for policy in (TiePolicy.COIN, "coin"):
+            with pytest.raises(ValueError, match="COIN tie policy needs an rng"):
+                bf_step(code, x, policy)
+            with pytest.raises(ValueError, match="COIN tie policy needs an rng"):
+                bf_decode(code, x, tie_policy=policy)
+
+
 def test_bf_results_hold_python_flags_and_counts():
     # bf_decode and every row of the stacked loop give Python bools and
     # ints, so a result's fields serialise and compare like BP's

@@ -11,6 +11,7 @@ from parity_decode import (
     ProblemInstance,
     all_one_matrix,
     average_error_matrix,
+    bf_decode,
     boltzmann_distribution,
     build_code,
     codewords,
@@ -26,7 +27,9 @@ from parity_decode import (
     mcmc_decode,
     random_spin_matrix,
     rejection_free_step,
+    sample_iid_errors,
     syndrome,
+    trajectory_demo,
     trial_seed,
     vector_to_matrix,
     visit_distribution,
@@ -73,6 +76,11 @@ def test_records_holding_arrays_compare_and_hash_by_identity():
         (HamiltonianParams(0.0, 1.0), HamiltonianParams(0.0, 1.0)),
         (gen_instance(4, 1), gen_instance(4, 1)),
         (InversionWeights(wk=np.ones(3)), InversionWeights(wk=np.ones(3))),
+        tuple(mcmc_decode(build_code(4), HamiltonianParams(0.0, 1.0, family="w3"), 5,
+                          all_one_matrix(4), 1)[1] for _ in range(2)),
+        tuple(bf_decode(build_code(5), sample_iid_errors(build_code(5), 0.3, 1),
+                        target=all_one_matrix(5)) for _ in range(2)),
+        tuple(trajectory_demo({"kind": "iid", "K": 5, "epsilon": 0.2}) for _ in range(2)),
     ]
     for a, b in pairs:
         assert a == a and not a == b and a != b

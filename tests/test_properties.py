@@ -303,7 +303,8 @@ def test_bf_decode_matches_reference_loop(K, policy, eps, seed, max_iters, with_
 def test_bf_decode_stack_rows_match_bf_decode(K, policy, eps, seed, max_iters, with_target,
                                               batch):
     """Every row of one stacked decode, trajectory included, equals
-    bf_decode on that row alone; rows share the target."""
+    bf_decode on that row alone and the frozen plain loop (_ref_decode);
+    rows share the target."""
     code = build_code(K)
     _, z = _noisy_state(code, seed, 0.0)
     rng = np.random.default_rng(seed)
@@ -325,6 +326,12 @@ def test_bf_decode_stack_rows_match_bf_decode(K, policy, eps, seed, max_iters, w
         assert len(out[b].trajectory) == len(res.trajectory)
         for got, want in zip(out[b].trajectory, res.trajectory):
             assert got.dtype == np.int8 and np.array_equal(got, want)
+        ref_final, *ref_flags, ref_traj = _ref_decode(code, xs[b], max_iters, policy, target, None)
+        assert (np.array_equal(out[b].final, ref_final)
+                and [out[b].converged, out[b].success, out[b].iterations, out[b].ties,
+                     out[b].tie_failure] == ref_flags
+                and len(out[b].trajectory) == len(ref_traj)
+                and all(map(np.array_equal, out[b].trajectory, ref_traj)))
 
 
 MSG_CLIP = 30.0
