@@ -92,7 +92,8 @@ class InversionWeights:
         stored, but no inversion kind reads it: whether weighted BF
         should scale its channel term by w0 waits for the paper's full
         text.
-    wk: per-check weights, scalar or a vector over the check family.
+    wk: per-check weights, scalar or a vector over the check family
+        (kept as a read-only float64 copy of the same shape).
     beta: channel reliability / correlation-strength factor.
     gamma: penalty strength (sampling decoder only).
     """
@@ -103,6 +104,10 @@ class InversionWeights:
     gamma: float = 1.0
 
     def __post_init__(self):
+        if not np.isscalar(self.wk):  # a read-only copy: the caller's array may change later
+            wk = np.array(self.wk, dtype=np.float64)
+            wk.flags.writeable = False
+            object.__setattr__(self, "wk", wk)
         _check_strengths(w0=self.w0, wk=self.wk, beta=self.beta, gamma=self.gamma)
 
 

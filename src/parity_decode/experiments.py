@@ -514,7 +514,8 @@ def trajectory_demo(
                              store_samples=False)
         x = vector_to_matrix(code, run.final_f)
         meta = {"source": "mcmc", "K": inst.K, "beta": params.beta,
-                "gamma": params.gamma, "budget": budget, "instance": inst.label}
+                "gamma": params.gamma, "family": params.family, "budget": budget,
+                "instance": inst.label}
 
     meta.update({"decoder": decoder, "iters": iters, "seed": seed})
     if decoder == "bf":

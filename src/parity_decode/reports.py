@@ -112,8 +112,15 @@ class TrajectoryDump:
         meta = {}
         with open(path) as fh:
             lines = list(enumerate(fh, start=1))
-        if lines and lines[0][1].startswith("# ") and "iteration=" not in lines[0][1]:
-            meta = json.loads(lines.pop(0)[1][2:])
+        # line 1 is the meta line unless it is the first iteration header,
+        # whatever text the meta holds
+        if (lines and lines[0][1].startswith("# ")
+                and not _ITERATION_HEADER.fullmatch(lines[0][1].strip())):
+            try:
+                meta = json.loads(lines.pop(0)[1][2:])
+            except json.JSONDecodeError:
+                raise MatrixFormatError("expected '# iteration=0 errors=<m>' or a JSON meta line",
+                                        1) from None
         blocks: list = []  # (header line, error count, [(line, row text)])
         for ln, line in lines:
             line = line.strip()

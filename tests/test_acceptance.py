@@ -26,23 +26,21 @@ from parity_decode import (
     flip_spin,
     gen_instance,
     generator_matrix,
-    hybrid_decode,
     inversion_function,
     landscape,
     matrix_to_vector,
-    mcmc_decode,
     mwd_bruteforce,
     random_spin_matrix,
     sample_iid_errors,
     syndrome,
-    trial_seed,
     vector_to_matrix,
     visit_distribution,
     wilson_interval,
 )
+from parity_decode.channels import _key_states
 from parity_decode.code import gf2_product_is_zero
 from parity_decode.decoders import TiePolicy
-from parity_decode.experiments import DEFAULT_BETA_GRID, DEFAULT_GAMMA_GRID
+from parity_decode.experiments import DEFAULT_BETA_GRID, DEFAULT_GAMMA_GRID, _lockstep_hits
 
 SEED = 20250808
 N_WORKERS = 2
@@ -292,32 +290,26 @@ def test_criterion_9_hybrid_dominance_and_boost():
     )
 
     # (c) efficiency at the conventional budget pairing, pooled over the
-    # 12 instances (per-instance ratios are reported alongside)
+    # 12 instances (per-instance ratios are reported alongside). Each arm's
+    # 36 chains run as one lockstep batch in (instance, trial) order. Row
+    # (ii, t) starts from the PCG64 state that default_rng(trial_seed(SEED,
+    # 9x, ii, t)) seeds, and the lockstep step draws and takes the moves a
+    # single chain does, so the row hits its target exactly when
+    # mcmc_decode / hybrid_decode at that seed does; tests/test_lockstep.py
+    # and test_efficiency_ratio_details_match_per_chain_oracle check this.
     cell_a = (3.0, 4.0)  # sampling-favorable: strong enough penalty to reach codewords
     cell_b = (best_h_low["beta"], best_h_low["gamma"])
     budget_a = 1200 * code.n_vars
     budget_b = 4 * code.n_vars
     trials = 3
-    succ_a = succ_b = 0
-    per_instance = []
-    for ii, inst in enumerate(instances):
-        target = encode(code, inst.ground_state)
-        pa = HamiltonianParams(beta=cell_a[0], gamma=cell_a[1],
-                               couplings=inst.couplings, family="w4")
-        pb = HamiltonianParams(beta=cell_b[0], gamma=cell_b[1],
-                               couplings=inst.couplings, family="w4")
-        sa = sb = 0
-        for t in range(trials):
-            ok, _ = mcmc_decode(code, pa, budget_a, target,
-                                trial_seed(SEED, 91, ii, t), store_samples=False)
-            sa += ok
-            ok, _ = hybrid_decode(code, pb, budget_b, target,
-                                  trial_seed(SEED, 92, ii, t), store_samples=False)
-            sb += ok
-        succ_a += sa
-        succ_b += sb
-        r = (budget_a / sa * trials) / (budget_b / sb * trials) if sa and sb else math.nan
-        per_instance.append(r)
+    succ = []
+    for arm, cell, budget, iters in ((91, cell_a, budget_a, None), (92, cell_b, budget_b, 5)):
+        states = _key_states([(SEED, arm, ii, t) for ii in range(12) for t in range(trials)])
+        flags = _lockstep_hits(code, "w4", [cell], instances, trials, budget, states, iters)
+        succ.append(flags[:, 0].reshape(12, trials).sum(axis=1).tolist())
+    succ_a, succ_b = sum(succ[0]), sum(succ[1])
+    per_instance = [(budget_a / sa * trials) / (budget_b / sb * trials) if sa and sb else math.nan
+                    for sa, sb in zip(*succ)]
     assert succ_a > 0, "sampling arm recorded no successes at cell A"
     assert succ_b > 0, "hybrid arm recorded no successes at cell B"
     sps_a = 12 * trials * budget_a / succ_a

@@ -484,6 +484,22 @@ def test_inversion_weights_refuse_non_finite_and_negative(field, bad):
     InversionWeights(**{name: 0.0})  # zero is allowed
 
 
+def test_inversion_weights_keep_a_read_only_copy_of_wk():
+    # a later write to the caller's array cannot bypass the finite and
+    # >= 0 check: the record keeps a float64 copy of the same shape
+    code = build_code(6)
+    x = random_spin_matrix(6, np.random.default_rng(2))
+    J = np.linspace(-0.5, 0.5, code.n_vars)
+    wk = np.full(code.n_checks3, 0.7, dtype=np.float32)
+    weights = InversionWeights(wk=wk, beta=1.3)
+    before = inversion_profile("wbf", code, x, J, weights)
+    wk[0] = math.nan
+    assert np.isfinite(weights.wk).all() and weights.wk.dtype == np.float64
+    assert weights.wk.shape == wk.shape and not weights.wk.flags.writeable
+    assert inversion_profile("wbf", code, x, J, weights).tobytes() == before.tobytes()
+    assert InversionWeights(wk=0.7).wk == 0.7  # a scalar stays as given
+
+
 def test_uniform_weights_values():
     w = uniform_weights(0.1)
     assert w.w0 == pytest.approx(math.log(9))

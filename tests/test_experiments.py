@@ -1106,6 +1106,16 @@ def test_trajectory_mcmc_source_holds_no_chain_states():
     assert (peaks[1] - peaks[0]) / 20_000 < 32
 
 
+def test_trajectory_mcmc_meta_records_the_check_family():
+    # the family changes the chain, so two dumps that differ only in it
+    # must differ in their meta too
+    source = {"kind": "mcmc", "instance": gen_instance(8, 3), "beta": 1.5, "gamma": 0.5,
+              "budget": 200}
+    w4, w3 = (trajectory_demo({**source, "family": fam}, seed=4) for fam in ("w4", "w3"))
+    assert (w4.meta["family"], w3.meta["family"]) == ("w4", "w3")
+    assert trajectory_demo(source, seed=4).meta == w4.meta  # w4 is the default
+
+
 def test_trajectory_mcmc_source_records_numpy_instance_as_ints(tmp_path):
     dump = trajectory_demo({"kind": "mcmc", "instance": gen_instance(np.int64(8), 1),
                             "beta": 1.5, "gamma": 0.1, "budget": 40}, seed=2)
@@ -1185,6 +1195,26 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(back.snapshots) == len(dump.snapshots)
     assert all(np.array_equal(a, b) for a, b in zip(back.snapshots, dump.snapshots))
     assert back.meta["K"] == 12
+
+
+def test_trajectory_csv_roundtrip_with_header_text_in_the_meta(tmp_path):
+    # line 1 is the meta line unless it is an iteration header itself
+    inst = dataclasses.replace(gen_instance(6, 0), label="run iteration=2")
+    dump = trajectory_demo({"kind": "mcmc", "instance": inst, "beta": 1.0, "gamma": 0.5,
+                            "budget": 20}, seed=1)
+    path = tmp_path / "traj.csv"
+    dump.write_csv(path)
+    back = TrajectoryDump.read_csv(path)
+    assert (back.meta, back.error_counts) == (dump.meta, dump.error_counts)
+    assert [s.tolist() for s in back.snapshots] == [s.tolist() for s in dump.snapshots]
+
+
+def test_trajectory_csv_refuses_a_first_line_neither_meta_nor_header(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("# iteration=0\n1,1\n1,1\n")
+    with pytest.raises(MatrixFormatError, match="expected '# iteration=0 errors=<m>'") as exc:
+        TrajectoryDump.read_csv(path)
+    assert exc.value.line == 1
 
 
 def test_trajectory_csv_without_meta_line(tmp_path):
