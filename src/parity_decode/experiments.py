@@ -52,7 +52,13 @@ from .decoders import (
     bp_decode,
     count_errors,
 )
-from .mcmc import HamiltonianParams, _couplings_for, _run_chain, _run_lockstep, mcmc_decode
+from .mcmc import (
+    HamiltonianParams,
+    _couplings_for,
+    _first_target_hit,
+    _run_lockstep,
+    mcmc_decode,
+)
 from .reports import BenchmarkReport, TrajectoryDump
 
 DEFAULT_BETA_GRID = tuple(round(0.25 * i, 2) for i in range(13))   # 0 .. 3.0
@@ -142,7 +148,8 @@ def _bench_unit(unit) -> dict:
     """The (K_list[ki], eps_list[ei]) row of a bench_iid config. Noise is
     drawn BF_TRIAL_CHUNK trials at a time as edge-vector rows, decoded on
     trusted cores: BF a chunk as one stack, BP and sampling row by row.
-    BF and BP give one DecodeResult per trial, read in one shared step.
+    BF and BP give one DecodeResult per trial, a sampling trial its first
+    target hit (its chain stops there), read in one shared step.
     Trial t's noise stream is keyed (seed, 11, ki, ei, t, 0) and a
     sampling trial's chain stream (..., t, 1); all of them are hashed in
     one call, and each chunk builds its own Generators."""
@@ -166,9 +173,9 @@ def _bench_unit(unit) -> dict:
         x = e * target_f  # (T, n_vars) int8 readouts
         if decoder == "mcmc":
             chains = _streams(states[trials + start:trials + stop])
-            runs = [_run_chain(code, params, budget, rng, target_f, row, False)[0]
+            hits = [_first_target_hit(code, params, budget, rng, target_f, row)
                     for rng, row in zip(chains, x)]
-            ok, used = [r.target_hit is not None for r in runs], [r.target_hit or 0 for r in runs]
+            ok, used = [hit is not None for hit in hits], [hit or 0 for hit in hits]
         else:
             if decoder == "bf":
                 res = _bf_decode_stack(code, vector_to_matrix(code, x), iters, tie_policy, target)

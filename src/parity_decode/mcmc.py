@@ -34,12 +34,12 @@ C(14, 2) row where the single chain's v[v.argmin()] costs 0.16 us
 (2-vCPU AMD EPYC), so every weight-memo miss would cost about 0.5 us
 more.
 `_Chain` runs one chain, for `mcmc_decode`, `hybrid_decode` and
-`rejection_free_step` (all through `_run_chain`) and for
-`visit_distribution`, all through one step kernel, `_Chain.advance`: a
-block of UNIFORM_BLOCK steps in one Python frame, the chain's fields
-held in locals, the weights in eight numpy calls into preallocated
-buffers, the coupling term 2 beta J x negated entry by entry and the
-flip's scalars kept in Python. It returns the
+`rejection_free_step` (all through `_run_chain`), for
+`visit_distribution` and for `_first_target_hit`, all through one step
+kernel, `_Chain.advance`: a block of UNIFORM_BLOCK steps in one Python
+frame, the chain's fields held in locals, the weights in eight numpy
+calls into preallocated buffers, the coupling term 2 beta J x negated
+entry by entry and the flip's scalars kept in Python. It returns the
 block's energies and each step's weight-memo entry (escape rate, log
 shift and total), and fills an optional state buffer; the callers draw
 the uniforms and write records, streams and holding times from those. At
@@ -60,6 +60,14 @@ memo entry a block builds (a state's first visit always does) and the
 final state, rather than every step's; at that K=14 cell that is 27% of
 the steps. A run that stores its samples decodes the stored stack after
 the chain instead.
+`_first_target_hit` is the driver for a caller that reads only a chain's
+first target hit (`experiments.bench_iid`'s sampling trials): it runs
+`_run_chain`'s chain, the same stream, moves and drift checks, but feeds
+`advance` HIT_SLICE = 16 steps at a time and stops at the first slice
+that ends at or past the hit. It keeps no energies, escape rates, states
+or `SampleRun`, so its memory is one block of uniforms plus the chain's
+fixed fields, whatever the budget, where `_run_chain` writes 16 B of
+records per step.
 `_run_lockstep` advances many chains at once on (B, n_vars) arrays, each
 row with its own stream. Its rows come as a table: one check family, and
 per row float64 strengths beta and gamma and a couplings row J (zero for
@@ -121,6 +129,7 @@ ENERGY_CHECK_INTERVAL = 10_000
 ENERGY_DRIFT_TOL = 1e-9
 UNIFORM_BLOCK = 1024      # uniforms pre-drawn, and hybrid states decoded, per block
 STATE_MEMO = 64           # pre-flip states whose weights a single chain keeps
+HIT_SLICE = 16            # steps a first-hit chain takes between looks at its hit
 _ZERO = np.zeros(())  # 0-d operands cost a ufunc call less than Python floats
 
 
@@ -301,7 +310,8 @@ class _Chain:
 
     `advance` is the chain's one step kernel: it runs a list of uniforms
     its caller drew (a block of up to UNIFORM_BLOCK of them, from
-    `_run_chain` or `visit_distribution`) in a single Python frame, with
+    `_run_chain` or `visit_distribution`, or a HIT_SLICE slice of one
+    from `_first_target_hit`) in a single Python frame, with
     the chain's fields in locals, and returns the block's energies and the memo
     entry each step drew its flip from; a state buffer, a (beta, gamma)
     schedule and a record of the states whose memo entry it builds are
@@ -631,6 +641,31 @@ def _run_chain(
         run.decoded_target_hit, run.decoded_any_codeword = (
             None if hit < 0 else int(hit) for hit in decoded_hits)
     return run, stack
+
+
+def _first_target_hit(
+    code: ParityCode,
+    params: HamiltonianParams,
+    budget: int,
+    seed,
+    target_f: np.ndarray | None,
+    initial: np.ndarray | None,
+) -> int | None:
+    """The target_hit of `_run_chain(code, params, budget, seed, target_f,
+    initial, False)`: the same stream, moves and drift checks, with the
+    uniforms drawn in the same blocks, but the chain is advanced HIT_SLICE
+    steps at a time and stops at the first slice boundary at or past its
+    hit. Nothing per step is kept, so memory does not grow with budget."""
+    budget = _check_count("budget", budget, 1)
+    rng = as_generator(seed)
+    chain = _Chain(code, params, _initial_state(code, rng, initial), target_f)
+    for start in range(0, budget, UNIFORM_BLOCK):
+        us = rng.random(min(UNIFORM_BLOCK, budget - start)).tolist()
+        for i in range(0, len(us), HIT_SLICE):
+            if chain.target_hit is not None:
+                return chain.target_hit
+            chain.advance(us[i:i + HIT_SLICE])
+    return chain.target_hit
 
 
 def _run_lockstep(

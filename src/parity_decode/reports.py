@@ -107,8 +107,9 @@ class TrajectoryDump:
         """Parse a dump as write_csv writes it: headers
         '# iteration=<n> errors=<m>' with n = 0, 1, 2, ... and m >= 0,
         each followed by one K x K snapshot, K the meta's (else the first
-        snapshot's). Each snapshot is validated as a spin-matrix file is;
-        every refusal is a MatrixFormatError naming its line in the dump."""
+        snapshot's). The meta must be a JSON object, its K an integer
+        >= 1. Each snapshot is validated as a spin-matrix file is; every
+        refusal is a MatrixFormatError naming its line in the dump."""
         meta = {}
         with open(path) as fh:
             lines = list(enumerate(fh, start=1))
@@ -121,6 +122,10 @@ class TrajectoryDump:
             except json.JSONDecodeError:
                 raise MatrixFormatError("expected '# iteration=0 errors=<m>' or a JSON meta line",
                                         1) from None
+            if not isinstance(meta, dict):
+                raise MatrixFormatError("meta line must be a JSON object", 1)
+            if "K" in meta and (type(meta["K"]) is not int or meta["K"] < 1):
+                raise MatrixFormatError(f"meta K must be an integer >= 1, got {meta['K']!r}", 1)
         blocks: list = []  # (header line, error count, [(line, row text)])
         for ln, line in lines:
             line = line.strip()

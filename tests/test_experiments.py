@@ -571,6 +571,26 @@ def test_bench_report_bytes_pinned(tmp_path, decoder):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# sha256 of the JSON then CSV bytes of small sampling reports, as written
+# when every sampling trial still ran its whole budget
+BENCH_MCMC_DIGESTS = {
+    0: "4080467d6316b5ac65813a1d0a20ab10f9928c0e8a33ab5c6a02b29aecd22b88",
+    7: "e12e11a91c3714ddc7594b7c936c1c30161928be57dce50138a3b1188ba9d2b8",
+}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("seed", sorted(BENCH_MCMC_DIGESTS))
+def test_bench_mcmc_report_bytes_pinned(tmp_path, seed, n_workers):
+    # sampling trials stop at their first target hit; the rows, read
+    # from that hit alone, keep their bytes
+    rep = bench_iid("mcmc", [5, 9, 14], [0.05, 0.2, 0.4], 50, seed=seed, n_workers=n_workers)
+    rep.to_json(tmp_path / "r.json")
+    rep.to_csv(tmp_path / "r.csv")
+    data = (tmp_path / "r.json").read_bytes() + (tmp_path / "r.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == BENCH_MCMC_DIGESTS[seed]
+
+
 def test_bench_refuses_an_empty_grid_before_any_unit(monkeypatch):
     def no_units(*args):
         raise AssertionError("a unit ran")
@@ -1213,6 +1233,28 @@ def test_trajectory_csv_refuses_a_first_line_neither_meta_nor_header(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("# iteration=0\n1,1\n1,1\n")
     with pytest.raises(MatrixFormatError, match="expected '# iteration=0 errors=<m>'") as exc:
+        TrajectoryDump.read_csv(path)
+    assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("5", "meta line must be a JSON object"),
+    ("[2]", "meta line must be a JSON object"),
+    ("null", "meta line must be a JSON object"),
+    ('{"K": 2.5}', "meta K must be an integer >= 1, got 2.5"),
+    ('{"K": 2.0}', "meta K must be an integer >= 1, got 2.0"),
+    ('{"K": true}', "meta K must be an integer >= 1, got True"),
+    ('{"K": "2"}', "meta K must be an integer >= 1, got '2'"),
+    ('{"K": 0}', "meta K must be an integer >= 1, got 0"),
+    ('{"K": null}', "meta K must be an integer >= 1, got None"),
+], ids=["int", "list", "null", "float-K", "integral-float-K", "bool-K", "text-K", "zero-K",
+        "null-K"])
+def test_trajectory_csv_refuses_a_meta_line_it_cannot_use(tmp_path, meta, message):
+    # a meta that is JSON but not an object, or whose K is no size, is
+    # refused on line 1, before any snapshot is read
+    path = tmp_path / "traj.csv"
+    path.write_text(f"# {meta}\n# iteration=0 errors=0\n1\n")
+    with pytest.raises(MatrixFormatError, match=re.escape(message)) as exc:
         TrajectoryDump.read_csv(path)
     assert exc.value.line == 1
 

@@ -431,6 +431,33 @@ def test_hybrid_memory_does_not_grow_with_states():
     assert (peaks[1] - peaks[0]) / 20_000 < 32
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_target_hit_memory_does_not_grow_with_budget():
+    """The first-hit driver keeps no per-step record: with no target its
+    traced peak at budget 20 000 is within 8 KB of its peak at 2 000 (the
+    weight memo fills up to STATE_MEMO states), while _run_chain on the
+    same inputs holds its 16 bytes of energy and escape rate per step
+    on top. The budgets are small because tracing slows a step 10-30x."""
+    from parity_decode import mcmc
+
+    code = build_code(5)
+    params = HamiltonianParams(beta=0.0, gamma=1000.0, family="w3")
+    mcmc._first_target_hit(code, params, 50, 1, None, None)  # warm caches
+    first = [_traced_peak(lambda: mcmc._first_target_hit(code, params, budget, 1, None, None))
+             for budget in (2_000, 20_000)]
+    full = _traced_peak(lambda: mcmc._run_chain(code, params, 20_000, 1, None, None, False))
+    assert first[1] - first[0] < 8192
+    assert full - first[1] >= 16 * 20_000
+
+
 def test_hybrid_stage_decodes_new_states_only(monkeypatch):
     """Without stored samples the BF stage decodes the states whose weight
     memo entry the chain builds, and the final state, not every visited

@@ -678,6 +678,62 @@ def test_run_chain_matches_frozen_per_step_loop(K, family, beta, gamma, coupling
         assert np.array_equal(stack, ref_stack)
 
 
+HIT_STRENGTHS = st.sampled_from([(0.0, 1.0), (3.0, 4.0), (1.5, 0.2), (0.0, 1000.0), (0.3, 1.5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.sampled_from([*range(3, 15), 40]), family=FAMILIES, strengths=HIT_STRENGTHS,
+       couplings=st.booleans(), seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 60),
+       start=st.sampled_from(["random", "readout", "target"]), targeted=st.booleans(),
+       eps=st.sampled_from([0.05, 0.2]), interval=st.sampled_from([3, 7]),
+       block=st.sampled_from([4, 9, 1024]), hit_slice=st.sampled_from([1, 3, 16]))
+@example(K=21, family="w3", strengths=(0.0, 1.0), couplings=False, seed=2, budget=2100,
+         start="readout", targeted=True, eps=0.1, interval=10_000, block=1024, hit_slice=16)
+@example(K=40, family="w3", strengths=(0.0, 1.0), couplings=False, seed=3, budget=2100,
+         start="readout", targeted=True, eps=0.1, interval=10_000, block=1024, hit_slice=16)
+@example(K=5, family="w4", strengths=(0.0, 1000.0), couplings=False, seed=7, budget=2100,
+         start="random", targeted=True, eps=0.2, interval=7, block=1024, hit_slice=16)
+@example(K=6, family="w3", strengths=(0.3, 1.5), couplings=True, seed=25, budget=3000,
+         start="random", targeted=True, eps=0.2, interval=10_000, block=1024, hit_slice=16)
+@example(K=9, family="w4", strengths=(3.0, 4.0), couplings=True, seed=1, budget=2100,
+         start="target", targeted=True, eps=0.2, interval=10_000, block=1024, hit_slice=16)
+@example(K=7, family="w3", strengths=(1.5, 0.2), couplings=True, seed=4, budget=2100,
+         start="readout", targeted=False, eps=0.2, interval=3, block=1024, hit_slice=16)
+def test_first_target_hit_matches_run_chain_and_frozen_loop(K, family, strengths, couplings,
+                                                             seed, budget, start, targeted, eps,
+                                                             interval, block, hit_slice):
+    """`_first_target_hit`, advanced a slice at a time and stopped at its
+    hit, returns `_run_chain`'s target_hit and the frozen loop's for the
+    same seed: from a random state, from a noisy readout of the target,
+    from the target itself (hit 0) and with no target (no hit), with
+    budgets crossing the uniform block, the slice and the drift-check
+    interval (the K = 21 and K = 40 examples are bench_iid's sampling
+    trials, at the real block and slice; the K = 6 one hits at step
+    2410, in the third block)."""
+    code = build_code(K)
+    beta, gamma = strengths
+    J = (np.random.default_rng(seed + 2).normal(size=code.n_vars)
+         if couplings or beta > 0 else None)
+    params = HamiltonianParams(beta=beta, gamma=gamma, couplings=J, family=family)
+    z = np.where(np.random.default_rng(seed + 3).random(K) < 0.5, 1, -1)
+    codeword = matrix_to_vector(code, encode(code, z))
+    noise = np.random.default_rng(seed + 4).random(code.n_vars) < eps
+    initial = {"random": None, "target": codeword,
+               "readout": np.where(noise, -codeword, codeword).astype(np.int8)}[start]
+    target_f = codeword if targeted else None
+    with mock.patch.object(mcmc, "ENERGY_CHECK_INTERVAL", interval), \
+            mock.patch.object(mcmc, "UNIFORM_BLOCK", block), \
+            mock.patch.object(mcmc, "HIT_SLICE", hit_slice):
+        hit = mcmc._first_target_hit(code, params, budget, seed, target_f, initial)
+        run, _ = mcmc._run_chain(code, params, budget, seed, target_f, initial, False)
+        ref = _ref_run_chain(code, params, budget, seed, target_f, initial, False, None, None)[2]
+    assert hit == run.target_hit == ref
+    if start == "target" and targeted:
+        assert hit == 0
+    if not targeted:
+        assert hit is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(2, 6), family=FAMILIES, beta=CHAIN_STRENGTHS, gamma=CHAIN_STRENGTHS,
        couplings=st.booleans(), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 60),
